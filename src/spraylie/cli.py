@@ -192,6 +192,13 @@ def load_problem(path: str | Path) -> Problem:
             or any(not isinstance(r, list) or len(r) != m for r in table)
         ):
             raise InputError(f"expected table for {set_name!r} must be {m}x{m}")
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                if not isinstance(cell, str):
+                    raise InputError(
+                        f"expected table for {set_name!r} cell ({i + 1},{j + 1}) must be a "
+                        f"string, got {type(cell).__name__}"
+                    )
         expected[set_name] = table
 
     corrections: dict[str, set[tuple[str, str]]] = {}
@@ -446,8 +453,8 @@ def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
         )
     killing_det = liealg.killing_det(sc)
     semisimple = killing_det != 0
-    radical = liealg.radical(sc)
     levi = liealg.levi_decomposition(sc)
+    radical = levi.radical
     derivation_space = liealg.derivations(sc)
     ideals = liealg.find_abelian_ideals_coordinate(sc)
     out = {
@@ -472,11 +479,14 @@ def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
             "inner": derivation_space.inner_dimension,
             "outer": derivation_space.outer_dimension,
         },
-        "abelian_coordinate_ideals": [
-            [labels[next(k for k, q in enumerate(v) if q)] for v in ideal.basis]
-            for ideal in ideals
-        ],
+        "abelian_coordinate_ideals": None
+        if ideals is None
+        else [[labels[p] for p in ideal.pivots] for ideal in ideals],
     }
+    if ideals is None:
+        out["abelian_coordinate_ideals_skipped"] = (
+            f"dimension {sc.dim} > cap {liealg.IDEAL_SEARCH_MAX_DIM}"
+        )
     if sc.dim == 3:
         out["three_dim_class"] = liealg.classify_3dim_simple(sc)
     return out
@@ -678,7 +688,12 @@ def render_markdown(report: dict) -> str:
                 f"{derivations['inner']}, outer {derivations['outer']}"
             )
             ideals = algebra["abelian_coordinate_ideals"]
-            if ideals:
+            if ideals is None:
+                lines.append(
+                    "- abelian coordinate ideals: skipped "
+                    f"({algebra['abelian_coordinate_ideals_skipped']})"
+                )
+            elif ideals:
                 rendered = "; ".join("{" + ", ".join(ideal) + "}" for ideal in ideals)
                 lines.append(f"- abelian coordinate ideals: {rendered}")
             else:
@@ -910,6 +925,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spraylie",
@@ -922,7 +947,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", default=None)
     analyze.add_argument("--format", choices=("md", "json"), default="md")
     analyze.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    analyze.add_argument("--points", type=int, default=DEFAULT_POINTS)
+    analyze.add_argument("--points", type=_positive_int, default=DEFAULT_POINTS)
     analyze.set_defaults(func=cmd_analyze)
 
     table = sub.add_parser("table", help="multiplication table of one generator set")
@@ -934,7 +959,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="numeric check of a pipeline identity")
     oracle.add_argument("file")
     oracle.add_argument("--check", required=True)
-    oracle.add_argument("--points", type=int, default=DEFAULT_POINTS)
+    oracle.add_argument("--points", type=_positive_int, default=DEFAULT_POINTS)
     oracle.add_argument("--seed", type=int, default=DEFAULT_SEED)
     oracle.set_defaults(func=cmd_oracle)
 

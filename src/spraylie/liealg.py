@@ -7,12 +7,19 @@ center, derivations, Levi complement, 3-dimensional classification -- are
 decided with exact rational linear algebra; no floats anywhere.
 
 Convention: c[i][j][k] is the coefficient of basis element k in [b_i, b_j].
+The dense array c is the public view of a table.  Each StructureConstants
+also builds, once, its nonzero index: for every ordered pair (i, j) with
+[b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  Brackets, the
+Jacobi check, the Killing form, the center and the linear systems for
+derivations and Levi complements are assembled by iterating over that index,
+so their cost follows the nonzero constants rather than m^3 or m^4.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -98,18 +105,28 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        residual = [Fraction(v) for v in vector]
-        for row in self.basis:
-            pivot = next(i for i, v in enumerate(row) if v)
-            if residual[pivot]:
-                f = residual[pivot]
-                for i in range(self.ambient_dim):
-                    residual[i] -= f * row[i]
-        return all(v == 0 for v in residual)
+    @functools.cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Leading column of each basis row."""
+        return tuple(next(i for i, v in enumerate(row) if v) for row in self.basis)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+    def reduce(self, vector: Sequence[Fraction]) -> Vec:
+        """The vector minus the basis rows that clear its pivot coordinates.
+
+        The remainder is zero exactly when the vector lies in the subspace;
+        its non-pivot coordinates give the class of the vector modulo it.
+        """
+        out = linalg.to_fractions([vector])[0]
+        for row, p in zip(self.basis, self.pivots):
+            f = out[p]
+            if f:
+                for i, v in enumerate(row):
+                    if v:
+                        out[i] -= f * v
+        return out
+
+    def contains(self, vector: Sequence[Fraction]) -> bool:
+        return not any(self.reduce(vector))
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient_dim)
@@ -117,57 +134,60 @@ class Subspace:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Bracket table [b_i, b_j] = sum_k c[i][j][k] b_k over named basis elements."""
+    """Bracket table [b_i, b_j] = sum_k c[i][j][k] b_k over named basis elements.
+
+    `nonzero` is the index described in the module docstring, built here.
+    """
 
     labels: tuple[str, ...]
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         m = len(self.labels)
         if len(self.c) != m or any(len(p) != m or any(len(r) != m for r in p) for p in self.c):
             raise LieAlgebraError("structure constants must form an m x m x m array")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise LieAlgebraError("structure constants must be antisymmetric")
+        nonzero = {}
+        for i, plane in enumerate(self.c):
+            for j, row in enumerate(plane):
+                entries = tuple((k, q) for k, q in enumerate(row) if q)
+                if entries:
+                    nonzero[(i, j)] = entries
+        # every entry that could break c[i][j] = -c[j][i] is in the index
+        for (i, j), entries in nonzero.items():
+            if nonzero.get((j, i)) != tuple((k, -q) for k, q in entries):
+                raise LieAlgebraError("structure constants must be antisymmetric")
+        object.__setattr__(self, "nonzero", nonzero)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def killing(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Killing form, computed on first use and shared by every invariant."""
+        return tuple(tuple(row) for row in killing_form(self))
+
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        m = self.dim
-        out = [Fraction(0)] * m
-        for i in range(m):
-            if not u[i]:
+        out = [Fraction(0)] * self.dim
+        v_support = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if not x:
                 continue
-            for j in range(m):
-                if not v[j]:
-                    continue
-                f = u[i] * v[j]
-                row = self.c[i][j]
-                for k in range(m):
-                    if row[k]:
-                        out[k] += f * row[k]
+            for j, y in v_support:
+                entries = self.nonzero.get((i, j))
+                if entries:
+                    f = x * y
+                    for k, q in entries:
+                        out[k] += f * q
         return out
 
     def ad_matrix(self, i: int) -> Mat:
         """Matrix of ad(b_i): column j holds [b_i, b_j]."""
         m = self.dim
         return [[Fraction(self.c[i][j][k]) for j in range(m)] for k in range(m)]
-
-    def ad_of(self, vector: Sequence[Fraction]) -> Mat:
-        m = self.dim
-        out = linalg.zeros(m, m)
-        for i in range(m):
-            if vector[i]:
-                ad_i = self.ad_matrix(i)
-                for k in range(m):
-                    for j in range(m):
-                        if ad_i[k][j]:
-                            out[k][j] += vector[i] * ad_i[k][j]
-        return out
 
 
 def _vectorize_fields(fields: Sequence[BaseField]):
@@ -235,39 +255,46 @@ def structure_constants_from_fields(
 
 
 def jacobi_check(sc: StructureConstants):
-    """(True, None) or (False, witness indices (i, j, k, s))."""
-    m = sc.dim
-    for i, j, k in itertools.combinations(range(m), 3):
-        for s in range(m):
-            total = Fraction(0)
-            for l in range(m):
-                total += sc.c[i][j][l] * sc.c[l][k][s]
-                total += sc.c[j][k][l] * sc.c[l][i][s]
-                total += sc.c[k][i][l] * sc.c[l][j][s]
-            if total:
-                return False, (i, j, k, s)
+    """(True, None) or (False, witness indices (i, j, k, s)).
+
+    The witness is the first failing i < j < k in combinations order, with
+    the smallest s at which [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
+    has a nonzero coefficient.
+    """
+    nonzero = sc.nonzero
+    for i, j, k in itertools.combinations(range(sc.dim), 3):
+        total: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, q in nonzero.get((a, b), ()):
+                for s, r in nonzero.get((l, c), ()):
+                    total[s] = total.get(s, 0) + q * r
+        failing = [s for s, v in total.items() if v]
+        if failing:
+            return False, (i, j, k, min(failing))
     return True, None
 
 
 def killing_form(sc: StructureConstants) -> Mat:
+    """kappa[i][j] = trace(ad b_i ad b_j), summed over nonzero constants only."""
     m = sc.dim
-    ads = [sc.ad_matrix(i) for i in range(m)]
+    # ads[i][(p, q)] is entry (p, q) of ad(b_i), that is c[i][q][p]
+    ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(m)]
+    for (i, q), entries in sc.nonzero.items():
+        for p, v in entries:
+            ads[i][(p, q)] = v
     kappa = linalg.zeros(m, m)
     for i in range(m):
+        a = ads[i]
         for j in range(i, m):
-            trace = Fraction(0)
-            a, b = ads[i], ads[j]
-            for p in range(m):
-                for q in range(m):
-                    if a[p][q] and b[q][p]:
-                        trace += a[p][q] * b[q][p]
+            b = ads[j]
+            trace = sum((v * b[(q, p)] for (p, q), v in a.items() if (q, p) in b), Fraction(0))
             kappa[i][j] = trace
             kappa[j][i] = trace
     return kappa
 
 
 def killing_det(sc: StructureConstants) -> Fraction:
-    return linalg.det(killing_form(sc))
+    return linalg.det(sc.killing)
 
 
 def is_semisimple(sc: StructureConstants) -> bool:
@@ -282,10 +309,11 @@ def derived_subalgebra(sc: StructureConstants) -> Subspace:
 
 def center(sc: StructureConstants) -> Subspace:
     m = sc.dim
-    rows = []
-    for j in range(m):
-        for k in range(m):
-            rows.append([sc.c[i][j][k] for i in range(m)])
+    # row j*m + k holds c[i][j][k] over i: one equation per output coordinate
+    rows = linalg.zeros(m * m, m)
+    for (i, j), entries in sc.nonzero.items():
+        for k, q in entries:
+            rows[j * m + k][i] = q
     return Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
 
 
@@ -322,7 +350,7 @@ def radical(sc: StructureConstants) -> Subspace:
     result is returned.
     """
     m = sc.dim
-    kappa = killing_form(sc)
+    kappa = sc.killing
     derived = derived_subalgebra(sc)
     rows = [linalg.mat_vec(kappa, list(d)) for d in derived.basis]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
@@ -380,16 +408,17 @@ def abelian_ideal_check(sc: StructureConstants, space: Subspace) -> bool:
     return True
 
 
-def find_abelian_ideals_coordinate(sc: StructureConstants) -> list[Subspace]:
+def find_abelian_ideals_coordinate(sc: StructureConstants) -> list[Subspace] | None:
     """All nonzero coordinate-subset spans that are abelian ideals.
 
     This scans every subset of the given basis (2^m candidates with early
     exit), so it finds basis-aligned ideals only; it is not a full
-    ideal-lattice enumeration.
+    ideal-lattice enumeration.  Above IDEAL_SEARCH_MAX_DIM the search is
+    skipped and the result is None: a capability limit, not a failure.
     """
     m = sc.dim
     if m > IDEAL_SEARCH_MAX_DIM:
-        raise LieAlgebraError(f"coordinate ideal search is capped at dimension {IDEAL_SEARCH_MAX_DIM}")
+        return None
     out = []
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
@@ -432,41 +461,52 @@ class DerivationSpace:
         return self.dimension - self.inner_dimension
 
 
+def _flat_ads(sc: StructureConstants) -> Mat:
+    """ad(b_i) for each i, flattened like a derivation: entry r*m + c is ad(b_i)[r][c]."""
+    m = sc.dim
+    flat = linalg.zeros(m, m * m)
+    for (i, j), entries in sc.nonzero.items():
+        for k, q in entries:
+            flat[i][k * m + j] = q
+    return flat
+
+
 def derivations(sc: StructureConstants) -> DerivationSpace:
     """Kernel of the Leibniz constraints D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j].
 
-    Unknowns are the m^2 entries of D (column c = image of b_c).
+    Unknowns are the m^2 entries of D (column c = image of b_c).  Row (i, j, k)
+    is coordinate k of the constraint for i < j; rows that vanish are left out.
     """
     m = sc.dim
+    nonzero = sc.nonzero
+    zero = Fraction(0)
     rows: list[list[Fraction]] = []
     for i in range(m):
         for j in range(i + 1, m):
-            for k in range(m):
-                row = [Fraction(0)] * (m * m)
-                for l in range(m):
-                    # D applied to the bracket: c^l_ij D[k][l]
-                    if sc.c[i][j][l]:
-                        row[k * m + l] += sc.c[i][j][l]
-                    # [D b_i, b_j]: D[l][i] c^k_lj
-                    if sc.c[l][j][k]:
-                        row[l * m + i] -= sc.c[l][j][k]
-                    # [b_i, D b_j]: D[l][j] c^k_il
-                    if sc.c[i][l][k]:
-                        row[l * m + j] -= sc.c[i][l][k]
-                if any(row):
-                    rows.append(row)
+            block: list[dict[int, Fraction]] = [{} for _ in range(m)]
+            # D applied to the bracket: c^l_ij D[k][l], in every row k
+            for l, q in nonzero.get((i, j), ()):
+                for k, row in enumerate(block):
+                    row[k * m + l] = row.get(k * m + l, 0) + q
+            for l in range(m):
+                # [D b_i, b_j]: D[l][i] c^k_lj
+                for k, q in nonzero.get((l, j), ()):
+                    block[k][l * m + i] = block[k].get(l * m + i, 0) - q
+                # [b_i, D b_j]: D[l][j] c^k_il
+                for k, q in nonzero.get((i, l), ()):
+                    block[k][l * m + j] = block[k].get(l * m + j, 0) - q
+            for row in block:
+                if any(row.values()):
+                    dense = [zero] * (m * m)
+                    for col, q in row.items():
+                        dense[col] = q
+                    rows.append(dense)
     flat_basis = linalg.kernel_basis(rows, ncols=m * m)
     basis = tuple(
         tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
         for vec in flat_basis
     )
-    inner_rows = [[sc.c[i][j][k] for j in range(m) for k in range(m)] for i in range(m)]
-    # flatten ad matrices in the same (row, col) order as the derivation basis
-    inner_flat = []
-    for i in range(m):
-        ad = sc.ad_matrix(i)
-        inner_flat.append([ad[r][c] for r in range(m) for c in range(m)])
-    inner_dim = linalg.rank(inner_flat) if m else 0
+    inner_dim = linalg.rank(_flat_ads(sc)) if m else 0
     return DerivationSpace(basis, inner_dim)
 
 
@@ -488,10 +528,7 @@ def is_derivation(sc: StructureConstants, matrix: Sequence[Sequence[Fraction]]) 
 def in_inner_span(sc: StructureConstants, matrix: Sequence[Sequence[Fraction]]) -> bool:
     m = sc.dim
     flat = [Fraction(matrix[r][c]) for r in range(m) for c in range(m)]
-    inner_flat = []
-    for i in range(m):
-        ad = sc.ad_matrix(i)
-        inner_flat.append([ad[r][c] for r in range(m) for c in range(m)])
+    inner_flat = _flat_ads(sc)
     base_rank = linalg.rank(inner_flat)
     return linalg.rank(inner_flat + [flat]) == base_rank
 
@@ -531,24 +568,14 @@ def subalgebra_constants(
 def _quotient(sc: StructureConstants, ideal: Subspace):
     """Quotient structure constants plus coordinate lift/reduce maps."""
     m = sc.dim
-    pivots = [next(i for i, v in enumerate(row) if v) for row in ideal.basis]
-    free = [i for i in range(m) if i not in set(pivots)]
-
-    def reduce_mod(vector: Sequence[Fraction]) -> Vec:
-        out = [Fraction(v) for v in vector]
-        for row, p in zip(ideal.basis, pivots):
-            if out[p]:
-                f = out[p]
-                for i in range(m):
-                    out[i] -= f * row[i]
-        return out
-
+    pivots = set(ideal.pivots)
+    free = [i for i in range(m) if i not in pivots]
     q = len(free)
     zero = Fraction(0)
     table = [[[zero] * q for _ in range(q)] for _ in range(q)]
     for a in range(q):
         for b in range(a + 1, q):
-            w = reduce_mod(
+            w = ideal.reduce(
                 sc.bracket_coords(
                     linalg.unit_vector(m, free[a]), linalg.unit_vector(m, free[b])
                 )
@@ -568,7 +595,7 @@ def _quotient(sc: StructureConstants, ideal: Subspace):
         return out
 
     def project(vector: Sequence[Fraction]) -> Vec:
-        w = reduce_mod(vector)
+        w = ideal.reduce(vector)
         return [w[free[c]] for c in range(q)]
 
     return qsc, lift, project
@@ -577,57 +604,45 @@ def _quotient(sc: StructureConstants, ideal: Subspace):
 def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     """Correct a coordinate complement of an abelian radical into a subalgebra."""
     m = sc.dim
-    pivots = [next(i for i, v in enumerate(row) if v) for row in rad.basis]
-    free = [i for i in range(m) if i not in set(pivots)]
+    pivots = set(rad.pivots)
+    free = [i for i in range(m) if i not in pivots]
     s = len(free)
     p = rad.dim
-    rad_rows = [list(v) for v in rad.basis]
 
-    def reduce_mod(vector: Sequence[Fraction]) -> Vec:
-        out = [Fraction(v) for v in vector]
-        for row, piv in zip(rad_rows, pivots):
-            if out[piv]:
-                f = out[piv]
-                for i in range(m):
-                    out[i] -= f * row[i]
-        return out
+    def support(vector: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+        return [(i, v) for i, v in enumerate(vector) if v]
 
-    # bracket data on the coordinate complement
     x = [linalg.unit_vector(m, f) for f in free]
-    bracket_x = {}
-    quotient_coeffs = {}
-    defect = {}
-    for a in range(s):
-        for b in range(a + 1, s):
-            w = sc.bracket_coords(x[a], x[b])
-            reduced = reduce_mod(w)
-            quotient_coeffs[(a, b)] = [reduced[f] for f in free]
-            defect[(a, b)] = [wi - ri for wi, ri in zip(w, reduced)]
-            bracket_x[(a, b)] = w
+    rad_basis = [list(v) for v in rad.basis]
+    rad_support = [support(v) for v in rad_basis]
+    ad_x_rad = [
+        [support(sc.bracket_coords(x[a], rad_basis[t])) for t in range(p)] for a in range(s)
+    ]
 
     # unknowns alpha[a][t]: correction of x_a by sum_t alpha[a][t] rad_t
     def col(a: int, t: int) -> int:
         return a * p + t
 
-    rad_basis = [list(v) for v in rad.basis]
-    ad_x_rad = [
-        [sc.bracket_coords(x[a], rad_basis[t]) for t in range(p)] for a in range(s)
-    ]
+    # one row per (a < b, coordinate): the bracket of the corrected x_a, x_b
+    # must equal the corrected combination its quotient coefficients name
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for a in range(s):
         for b in range(a + 1, s):
-            cbar = quotient_coeffs[(a, b)]
-            for coord in range(m):
-                row = [Fraction(0)] * (s * p)
-                for t in range(p):
-                    row[col(b, t)] += ad_x_rad[a][t][coord]
-                    row[col(a, t)] -= ad_x_rad[b][t][coord]
-                    for cpos in range(s):
-                        if cbar[cpos]:
-                            row[col(cpos, t)] -= cbar[cpos] * rad_basis[t][coord]
-                rows.append(row)
-                rhs.append(-defect[(a, b)][coord])
+            w = sc.bracket_coords(x[a], x[b])
+            reduced = rad.reduce(w)
+            cbar = [(c, reduced[f]) for c, f in enumerate(free) if reduced[f]]
+            block = linalg.zeros(m, s * p)
+            for t in range(p):
+                for coord, v in ad_x_rad[a][t]:
+                    block[coord][col(b, t)] += v
+                for coord, v in ad_x_rad[b][t]:
+                    block[coord][col(a, t)] -= v
+                for cpos, cv in cbar:
+                    for coord, v in rad_support[t]:
+                        block[coord][col(cpos, t)] -= cv * v
+            rows.extend(block)
+            rhs.extend(r - wi for wi, r in zip(w, reduced))
     solution = linalg.solve(rows, rhs) if rows else [Fraction(0)] * (s * p)
     if solution is None:
         raise LieAlgebraError("no semisimple complement found for an abelian radical")
@@ -637,8 +652,8 @@ def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
         for t in range(p):
             q = solution[col(a, t)]
             if q:
-                for i in range(m):
-                    vec[i] += q * rad_basis[t][i]
+                for i, v in rad_support[t]:
+                    vec[i] += q * v
         out.append(vec)
     return out
 
@@ -714,7 +729,7 @@ def classify_3dim_simple(sc: StructureConstants) -> str:
     """
     if sc.dim != 3:
         raise LieAlgebraError("classification requires a 3-dimensional algebra")
-    kappa = killing_form(sc)
+    kappa = sc.killing
     if linalg.det(kappa) == 0:
         return "not-simple"
     pos, neg, zero = linalg.congruence_signature(kappa)

@@ -15,7 +15,8 @@ Mat = list[list[Fraction]]
 
 
 def to_fractions(rows: Iterable[Iterable]) -> Mat:
-    return [[Fraction(v) for v in row] for row in rows]
+    """Fresh rows of Fractions; entries that already are Fractions pass through."""
+    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
 
 
 def identity(n: int) -> Mat:
@@ -47,42 +48,78 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
+SparseRow = dict[int, Fraction]
+
+
+def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int) -> None:
+    """target -= f * row on every column but `skip`, dropping entries that cancel."""
+    for j, v in row.items():
+        if j != skip:
+            w = target.get(j, 0) - f * v
+            if w:
+                target[j] = w
+            else:
+                del target[j]
+
+
+def _echelon(rows: Iterable[Iterable]) -> tuple[dict[int, SparseRow], list[tuple[int, Fraction]]]:
+    """Insert rows one at a time into a reduced echelon basis held sparsely.
+
+    Each row is reduced by the pivot rows found so far; a nonzero remainder
+    is scaled to 1 at its leading column, which becomes a new pivot, and that
+    column is cleared from the earlier pivot rows.  A pivot row's leading
+    entry stays its pivot throughout, and no pivot row has an entry in
+    another's pivot column, so the pivot rows sorted by column are the
+    reduced row echelon form, which is unique.  Only nonzero entries are
+    stored or touched.
+
+    Returns the pivot rows by column and, per input row in order, its pivot
+    column and the leading value it was divided by, or (-1, 0) when it
+    reduced to zero.
+    """
+    basis: dict[int, SparseRow] = {}
+    steps: list[tuple[int, Fraction]] = []
+    for row in rows:
+        residual = {j: v if type(v) is Fraction else Fraction(v) for j, v in enumerate(row) if v}
+        for p in [j for j in residual if j in basis]:
+            _subtract(residual, residual.pop(p), basis[p], p)
+        if not residual:
+            steps.append((-1, Fraction(0)))
+            continue
+        lead = min(residual)
+        value = residual[lead]
+        if value != 1:
+            inv = 1 / value
+            residual = {j: v * inv for j, v in residual.items()}
+        for other in basis.values():
+            f = other.pop(lead, None)
+            if f:
+                _subtract(other, f, residual, lead)
+        basis[lead] = residual
+        steps.append((lead, value))
+    return basis, steps
 
 
 def rref(matrix: Iterable[Iterable]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = to_fractions(matrix)
+    """Reduced row echelon form and the pivot column list.
+
+    The form has as many rows as the input, zero rows last, all dense.
+    """
+    m = [list(row) for row in matrix]
     if not m:
         return [], []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        row_r = m[r]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi = m[i]
-                for j in range(c, cols):
-                    if row_r[j]:
-                        mi[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(m[0])
+    basis, _ = _echelon(m)
+    pivots = sorted(basis)
+    zero = Fraction(0)
+    reduced = []
+    for p in pivots:
+        dense = [zero] * cols
+        for j, v in basis[p].items():
+            dense[j] = v
+        reduced.append(dense)
+    reduced.extend([zero] * cols for _ in range(len(m) - len(pivots)))
+    return reduced, pivots
 
 
 def rank(matrix: Iterable[Iterable]) -> int:
@@ -91,7 +128,7 @@ def rank(matrix: Iterable[Iterable]) -> int:
 
 def kernel_basis(matrix: Iterable[Iterable], ncols: int | None = None) -> list[Vec]:
     """Basis of the right kernel, one vector per free column, in column order."""
-    m = to_fractions(matrix)
+    m = [list(row) for row in matrix]
     if ncols is None:
         if not m:
             raise ValueError("ncols is required for an empty matrix")
@@ -122,15 +159,16 @@ def solve(a: Iterable[Iterable], b: Sequence) -> Vec | None:
 
     When the solution is not unique the free coordinates are set to zero.
     """
-    m = to_fractions(a)
-    rhs = [Fraction(v) for v in b]
+    m = [list(row) for row in a]
+    rhs = list(b)
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
     if not m:
         return [] if not rhs else None
     ncols = len(m[0])
-    augmented = [row + [rv] for row, rv in zip(m, rhs)]
-    reduced, pivots = rref(augmented)
+    for row, rv in zip(m, rhs):
+        row.append(rv)
+    reduced, pivots = rref(m)
     if ncols in pivots:
         return None
     out = [Fraction(0)] * ncols
@@ -140,32 +178,38 @@ def solve(a: Iterable[Iterable], b: Sequence) -> Vec | None:
 
 
 def det(matrix: Iterable[Iterable]) -> Fraction:
-    m = to_fractions(matrix)
+    """Determinant from the same elimination as rref.
+
+    Reducing a row by other rows keeps the determinant and scaling it by
+    1/value divides it by value; the fully reduced square matrix is the
+    permutation taking each row to its pivot column.
+    """
+    m = [list(row) for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    sign = 1
+    _, steps = _echelon(m)
     result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for lead, value in steps:
+        if lead < 0:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
+        result *= value
+    return result * _permutation_sign([lead for lead, _ in steps])
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        j, length = start, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
             sign = -sign
-        pivot = m[c][c]
-        result *= pivot
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pivot
-                mi, mc = m[i], m[c]
-                for j in range(c, n):
-                    mi[j] -= f * mc[j]
-    return result * sign
+    return sign
 
 
 def congruence_signature(matrix: Iterable[Iterable]) -> tuple[int, int, int]:

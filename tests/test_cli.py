@@ -235,6 +235,41 @@ def test_analyze_marking_a_matching_cell_is_harmless(tmp_path):
     assert "- none" in proc.stdout.split("## Discrepancies")[1]
 
 
+def _affine_problem(n: int) -> dict:
+    """aff(n) as vector fields on flat R^n: translations, then x_j d_i."""
+    zero = ["0"] * n
+    fields = {}
+    for i in range(n):
+        fields[f"e{i + 1}"] = zero[:i] + ["1"] + zero[i + 1 :]
+    for i in range(n):
+        for j in range(n):
+            fields[f"e{n + n * i + j + 1}"] = zero[:i] + [f"x{j + 1}"] + zero[i + 1 :]
+    return {
+        "name": f"aff{n}",
+        "dim": n,
+        "metric": {"kind": "diagonal", "entries": ["1"] * n},
+        "fields": fields,
+        "sets": {"aff": list(fields)},
+    }
+
+
+def test_analyze_above_the_ideal_search_cap_reports_it_skipped(tmp_path, capsys):
+    path = tmp_path / "aff4.json"
+    path.write_text(json.dumps(_affine_problem(4)))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert "- abelian coordinate ideals: skipped (dimension 20 > cap 16)" in capsys.readouterr().out
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    algebra = json.loads(capsys.readouterr().out)["sets"][0]["algebra"]
+    assert algebra["dimension"] == 20
+    assert algebra["radical"]["dimension"] == 5
+    assert algebra["levi"]["complement_dimension"] == 15
+    assert algebra["center_dimension"] == 0
+    assert algebra["derivations"]["dimension"] == 20
+    assert algebra["simple"] is False
+    assert algebra["abelian_coordinate_ideals"] is None
+    assert algebra["abelian_coordinate_ideals_skipped"] == "dimension 20 > cap 16"
+
+
 def test_analyze_missing_file_exits_one():
     proc = run_cli("analyze", "/no/such/file.json")
     assert proc.returncode == 1
@@ -458,6 +493,29 @@ def test_solve_unknown_dictionary_exits_one():
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "many"])
+@pytest.mark.parametrize(
+    "command", [("analyze",), ("oracle", "--check", "R-vs-half-hh")], ids=["analyze", "oracle"]
+)
+def test_point_count_must_be_positive(command, points):
+    proc = run_cli(command[0], str(PROBLEMS / "example1.json"), *command[1:], "--points", points)
+    assert proc.returncode == 1
+    assert "--points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_string_expected_cell_exits_one(tmp_path):
+    doc = json.loads((PROBLEMS / "example1.json").read_text())
+    doc["expected_tables"]["connection_symmetries"][0][2] = 5
+    path = tmp_path / "number-cell.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert "cell (1,3) must be a string, got int" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_subcommand_exits_one():

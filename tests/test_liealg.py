@@ -8,9 +8,11 @@ the arbitration machinery).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spraylie import liealg as la
 from spraylie.fields import bracket_base, combine_fields
@@ -203,6 +205,53 @@ def test_jacobi_detects_fault(shell_sc):
     )
     ok, witness = la.jacobi_check(broken)
     assert not ok and witness is not None
+
+
+def _dense_jacobi_witness(c):
+    """The defining m^4 loop: first failing (i, j, k) in combinations order, then s."""
+    m = len(c)
+    for i, j, k in itertools.combinations(range(m), 3):
+        for s in range(m):
+            total = sum(
+                c[i][j][l] * c[l][k][s] + c[j][k][l] * c[l][i][s] + c[k][i][l] * c[l][j][s]
+                for l in range(m)
+            )
+            if total:
+                return (i, j, k, s)
+    return None
+
+
+def _perturbed(sc, cells):
+    """sc with c[i][j][k] += d (and c[j][i][k] -= d) for each (i, j, k, d)."""
+    c = [[list(row) for row in plane] for plane in sc.c]
+    for i, j, k, d in cells:
+        if i != j:
+            c[i][j][k] += d
+            c[j][i][k] -= d
+    return la.StructureConstants(sc.labels, tuple(tuple(tuple(r) for r in p) for p in c))
+
+
+def test_jacobi_witness_with_several_failing_cells(shell_sc):
+    broken = _perturbed(shell_sc, [(3, 5, 2, 1), (1, 2, 4, -1), (0, 4, 5, Fraction(1, 2))])
+    witness = _dense_jacobi_witness(broken.c)
+    assert witness is not None
+    assert la.jacobi_check(broken) == (False, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_jacobi_witness_matches_dense_definition(shell_sc, cells):
+    broken = _perturbed(shell_sc, cells)
+    witness = _dense_jacobi_witness(broken.c)
+    assert la.jacobi_check(broken) == ((True, None) if witness is None else (False, witness))
 
 
 def test_killing_form_symmetric_ad_invariant(flat_spray_sc):
@@ -476,3 +525,57 @@ def test_classify_abelian_not_simple():
 def test_classify_requires_dimension_three(shell_sc):
     with pytest.raises(la.LieAlgebraError):
         la.classify_3dim_simple(shell_sc)
+
+
+# ---------------------------------------------------------------------------
+# known answers: aff(n), so(n) and Heisenberg algebras as vector fields
+# ---------------------------------------------------------------------------
+
+
+def _field(n: int, comps: dict[int, str]):
+    return base_field(*(comps.get(i, "0") for i in range(n)))
+
+
+def _affine(n: int):
+    """Translations d_i, then x_j d_i: aff(n), dimension n^2 + n."""
+    out = [_field(n, {i: "1"}) for i in range(n)]
+    out += [_field(n, {i: f"x{j + 1}"}) for i in range(n) for j in range(n)]
+    return out
+
+
+def _rotations(n: int):
+    """x_i d_j - x_j d_i for i < j: so(n), dimension n(n-1)/2."""
+    return [
+        _field(n, {j: f"x{i + 1}", i: f"-x{j + 1}"}) for i in range(n) for j in range(i + 1, n)
+    ]
+
+
+def _heisenberg(k: int):
+    """d_{a_i}, d_{b_i} + a_i d_z and d_z on R^(2k+1): h(2k+1)."""
+    n = 2 * k + 1
+    out = [_field(n, {i: "1"}) for i in range(k)]
+    out += [_field(n, {k + i: "1", n - 1: f"x{i + 1}"}) for i in range(k)]
+    return out + [_field(n, {n - 1: "1"})]
+
+
+# (generators, radical, Levi factor, center, derivations, simple) in closed form
+KNOWN_ANSWERS = {
+    "aff2": (lambda: _affine(2), 3, 3, 0, 6, False),
+    "aff3": (lambda: _affine(3), 4, 8, 0, 12, False),
+    "so3": (lambda: _rotations(3), 0, 3, 0, 3, True),
+    "so5": (lambda: _rotations(5), 0, 10, 0, 10, True),
+    "h3": (lambda: _heisenberg(1), 3, 0, 1, 6, False),
+    "h5": (lambda: _heisenberg(2), 5, 0, 1, 15, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
+def test_family_known_answers(name):
+    make, radical, levi, center, derivations, simple = KNOWN_ANSWERS[name]
+    sc = la.structure_constants_from_fields(make())
+    assert la.jacobi_check(sc) == (True, None)
+    result = la.levi_decomposition(sc)
+    assert (result.radical.dim, result.levi.dim) == (radical, levi)
+    assert la.center(sc).dim == center
+    assert la.derivations(sc).dimension == derivations
+    assert la.is_simple(sc) is simple

@@ -1,0 +1,81 @@
+"""Differential check of the exact elimination against sympy.
+
+sympy is a test-only dependency: the program never imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spraylie.linalg import det, kernel_basis, mat_mul, rank, rref, solve
+
+sympy = pytest.importorskip("sympy")
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _grid(draw, rows: int, cols: int, entries) -> list[list[Q]]:
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _matrices(draw, square: bool = False):
+    """Small rational matrices: tall, wide or square; dense, sparse, zero or rank-deficient."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "low-rank")))
+    if kind == "zero":
+        return [[Q(0)] * cols for _ in range(rows)]
+    if kind == "low-rank":
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        return mat_mul(_grid(draw, rows, inner, _entries), _grid(draw, inner, cols, _entries))
+    entries = _entries if kind == "dense" else st.one_of(st.just(Q(0)), st.just(Q(0)), _entries)
+    return _grid(draw, rows, cols, entries)
+
+
+def _sym(a) -> "sympy.Matrix":
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in a])
+
+
+def _frac(x) -> Q:
+    return Q(int(x.p), int(x.q))
+
+
+def _rows(m) -> list[list[Q]]:
+    return [[_frac(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_rank_and_kernel_agree_with_sympy(a):
+    reduced, pivots = rref(a)
+    want, want_pivots = _sym(a).rref()
+    assert reduced == _rows(want)
+    assert pivots == list(want_pivots)
+    assert rank(a) == _sym(a).rank()
+    assert kernel_basis(a) == [[_frac(x) for x in v] for v in _sym(a).nullspace()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_agrees_with_sympy(a, data):
+    b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+    got = solve(a, b)
+    rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+    try:
+        solution, params = _sym(a).gauss_jordan_solve(rhs)
+    except ValueError:  # sympy's signal for an inconsistent system
+        assert got is None
+        return
+    # free coordinates at zero, as solve documents
+    want = solution.subs({p: 0 for p in params})
+    assert got == [_frac(want[i, 0]) for i in range(want.rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(square=True))
+def test_det_agrees_with_sympy(a):
+    assert det(a) == _frac(_sym(a).det())
