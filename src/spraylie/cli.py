@@ -38,7 +38,7 @@ from .fields import (
     solve_in_span,
     spray_field,
 )
-from .symexpr import CanonicalExpr, ParseError, SymExprError, parse_expr
+from .symexpr import CanonicalExpr, SymExprError, parse_expr
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -457,12 +457,14 @@ def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
     radical = levi.radical
     derivation_space = liealg.derivations(sc)
     ideals = liealg.find_abelian_ideals_coordinate(sc)
+    simple = liealg.is_simple(sc)
+    skipped = f"dimension {sc.dim} > cap {liealg.IDEAL_SEARCH_MAX_DIM}"
     out = {
         "dimension": sc.dim,
         "jacobi": "pass",
         "killing_determinant": str(killing_det),
         "semisimple": semisimple,
-        "simple": liealg.is_simple(sc),
+        "simple": simple,
         "derived_dimension": liealg.derived_subalgebra(sc).dim,
         "center_dimension": liealg.center(sc).dim,
         "radical": {
@@ -483,10 +485,10 @@ def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
         if ideals is None
         else [[labels[p] for p in ideal.pivots] for ideal in ideals],
     }
+    if simple is None:
+        out["simple_skipped"] = skipped
     if ideals is None:
-        out["abelian_coordinate_ideals_skipped"] = (
-            f"dimension {sc.dim} > cap {liealg.IDEAL_SEARCH_MAX_DIM}"
-        )
+        out["abelian_coordinate_ideals_skipped"] = skipped
     if sc.dim == 3:
         out["three_dim_class"] = liealg.classify_3dim_simple(sc)
     return out
@@ -671,7 +673,10 @@ def render_markdown(report: dict) -> str:
             lines.append(f"- Jacobi identity: {algebra['jacobi']}")
             lines.append(f"- Killing determinant: {algebra['killing_determinant']}")
             lines.append(f"- semisimple: {'yes' if algebra['semisimple'] else 'no'}")
-            lines.append(f"- simple: {'yes' if algebra['simple'] else 'no'}")
+            if algebra["simple"] is None:
+                lines.append(f"- simple: skipped ({algebra['simple_skipped']})")
+            else:
+                lines.append(f"- simple: {'yes' if algebra['simple'] else 'no'}")
             lines.append(f"- derived subalgebra dimension: {algebra['derived_dimension']}")
             lines.append(f"- center dimension: {algebra['center_dimension']}")
             radical = algebra["radical"]
@@ -979,13 +984,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (liealg.NonClosureError, liealg.DependentGeneratorsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, SymExprError, geom.MetricError) as exc:
+    except (InputError, SymExprError, geom.MetricError, liealg.NonClosureError,
+            liealg.DependentGeneratorsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (geom.InvariantViolation, liealg.LieAlgebraError) as exc:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .linalg import kernel_basis
-from .symexpr import CanonicalExpr, yvar
+from .linalg import kernel_basis, rank
+from .symexpr import CanonicalExpr, specialize, yvar
 
 __all__ = [
     "BaseField",
@@ -35,6 +33,8 @@ __all__ = [
     "fn_bracket",
     "nijenhuis",
     "spray_field",
+    "connection_oneform",
+    "energy_from_metric",
     "in_AS",
     "in_AGamma",
     "in_Ag",
@@ -384,16 +384,16 @@ def spray_field(spray) -> TMField:
     return TMField(tuple(comps))
 
 
-def _connection_oneform(gamma1) -> VectorOneForm:
-    """2h - I as a matrix: almost-product structure of the connection."""
-    n = len(gamma1)
+def connection_oneform(connection) -> VectorOneForm:
+    """The almost-product structure 2h - I of the connection."""
+    n = connection.dim
     rows = [[CanonicalExpr() for _ in range(2 * n)] for _ in range(2 * n)]
     for i in range(n):
         rows[i][i] = CanonicalExpr.const(1)
         rows[n + i][n + i] = CanonicalExpr.const(-1)
     for j in range(n):
         for i in range(n):
-            rows[n + j][i] = gamma1[j][i] * Fraction(-2)
+            rows[n + j][i] = connection.gamma1[j][i] * Fraction(-2)
     return VectorOneForm(tuple(tuple(r) for r in rows))
 
 
@@ -404,7 +404,8 @@ def _first_nonzero(labeled: Iterable[tuple[str, CanonicalExpr]]):
     return None
 
 
-def _energy(metric) -> CanonicalExpr:
+def energy_from_metric(metric) -> CanonicalExpr:
+    """E = g_ij y^i y^j / 2."""
     n = metric.dim
     acc = CanonicalExpr()
     for i in range(n):
@@ -432,7 +433,7 @@ def in_AS(field: BaseField, spray) -> MembershipVerdict:
 def in_AGamma(field: BaseField, connection) -> MembershipVerdict:
     """Does the complete lift preserve the connection's almost-product structure?"""
     lifted = complete_lift(field)
-    form = _connection_oneform(connection.gamma1)
+    form = connection_oneform(connection)
     derivative = lie_derivative_oneform(lifted, form)
     n = field.dim
     labeled = (
@@ -451,7 +452,7 @@ def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
     spray_witness = _first_nonzero(_spray_obstruction(field, spray))
     if spray_witness is not None:
         return MembershipVerdict("in_Ag", False, spray_witness[1], spray_witness[0])
-    residual = apply_to_scalar(complete_lift(field), _energy(metric))
+    residual = apply_to_scalar(complete_lift(field), energy_from_metric(metric))
     if residual.is_zero():
         return MembershipVerdict("in_Ag", True)
     return MembershipVerdict("in_Ag", False, residual, "energy derivative")
@@ -502,20 +503,26 @@ def in_nullity(field: BaseField, curvature) -> MembershipVerdict:
 
 
 def nullity_rank_numeric(curvature, points: Sequence[Mapping[str, Fraction]]) -> int:
-    """Max over sample points of the rank of X^l -> X^l R^k_l,ij(point)."""
+    """Max over sample points of the exact rank of X^l -> X^l R^k_l,ij.
+
+    Each point specializes the entries exactly (symexpr.specialize); such a
+    rank never exceeds the generic rank and equals it off a proper algebraic
+    subset of points (Schwartz-Zippel).
+    """
     if not points:
         raise ValueError("at least one sample point is required")
     n = len(curvature.R2)
+    entries = [
+        curvature.R2[k][l][i][j]
+        for k in range(n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for l in range(n)
+    ]
     best = 0
     for point in points:
-        rows = []
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rows.append(
-                        [curvature.R2[k][l][i][j].eval(point) for l in range(n)]
-                    )
-        best = max(best, int(np.linalg.matrix_rank(np.array(rows, dtype=float))))
+        values = specialize(entries, point)
+        best = max(best, rank(values[r : r + n] for r in range(0, len(values), n)))
     return best
 
 
@@ -569,7 +576,7 @@ def solve_in_span(
                 exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
             elif name == "isometry":
                 exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
-                exprs.append(apply_to_scalar(complete_lift(field), _energy(metric)))
+                exprs.append(apply_to_scalar(complete_lift(field), energy_from_metric(metric)))
             else:
                 exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
         obstructions.append(exprs)

@@ -25,6 +25,8 @@ from .fields import (
     TMField,
     VectorOneForm,
     VectorTwoForm,
+    connection_oneform,
+    energy_from_metric,
     fn_bracket,
     lie_derivative_oneform,
     spray_field,
@@ -295,19 +297,6 @@ def connection_from_spray(spray: SprayData) -> ConnectionData:
     return ConnectionData(gamma1, gamma2)
 
 
-def connection_oneform(connection: ConnectionData) -> VectorOneForm:
-    """The almost-product structure 2h - I of the connection."""
-    n = connection.dim
-    rows = [[CanonicalExpr() for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][i] = CanonicalExpr.const(1)
-        rows[n + i][n + i] = CanonicalExpr.const(-1)
-    for j in range(n):
-        for i in range(n):
-            rows[n + j][i] = connection.gamma1[j][i] * Fraction(-2)
-    return VectorOneForm(tuple(tuple(r) for r in rows))
-
-
 def projectors(connection: ConnectionData) -> tuple[VectorOneForm, VectorOneForm]:
     """Horizontal and vertical projectors h = (I + P)/2 and v = (I - P)/2."""
     n = connection.dim
@@ -330,17 +319,6 @@ def liouville(n: int) -> TMField:
     """The fiber dilation field y^i d/dy^i."""
     comps = [CanonicalExpr()] * n + [yvar(i + 1) for i in range(n)]
     return TMField(tuple(comps))
-
-
-def energy_from_metric(metric: MetricSpec) -> CanonicalExpr:
-    """E = g_ij y^i y^j / 2."""
-    n = metric.dim
-    acc = CanonicalExpr()
-    for i in range(n):
-        for j in range(n):
-            if metric.g[i][j]:
-                acc = acc + metric.g[i][j] * yvar(i + 1) * yvar(j + 1)
-    return acc * Fraction(1, 2)
 
 
 def curvature(connection: ConnectionData) -> CurvatureData:

@@ -361,39 +361,44 @@ def radical(sc: StructureConstants) -> Subspace:
     return rad
 
 
-def _coordinate_ideals(sc: StructureConstants) -> list[tuple[int, ...]]:
-    """Nonempty proper coordinate-aligned ideals, smallest first."""
+def _coordinate_ideals(sc: StructureConstants) -> list[tuple[int, ...]] | None:
+    """Nonzero coordinate-aligned ideals, smallest first; None above the cap.
+
+    This scans every subset of the given basis (2^m candidates), so it finds
+    basis-aligned ideals only; it is not a full ideal-lattice enumeration.
+    Above IDEAL_SEARCH_MAX_DIM the scan is skipped: a capability limit, not
+    a failure.
+    """
     m = sc.dim
     if m > IDEAL_SEARCH_MAX_DIM:
-        raise LieAlgebraError(f"coordinate ideal search is capped at dimension {IDEAL_SEARCH_MAX_DIM}")
+        return None
+    # a subset S spans an ideal iff reach[s] lies in S for each s in S, where
+    # reach[s] has bit k set when some [b_s, b_j] has a b_k part
+    reach = [0] * m
+    for (s, _j), entries in sc.nonzero.items():
+        for k, _q in entries:
+            reach[s] |= 1 << k
     found = []
-    for size in range(1, m):
+    for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            inside = set(subset)
-            ok = True
-            for s in subset:
-                for j in range(m):
-                    row = sc.c[s][j]
-                    if any(row[k] for k in range(m) if k not in inside):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            mask = sum(1 << s for s in subset)
+            if all(reach[s] | mask == mask for s in subset):
                 found.append(subset)
     return found
 
 
-def is_simple(sc: StructureConstants) -> bool:
+def is_simple(sc: StructureConstants) -> bool | None:
     """Semisimple with no proper nonzero coordinate-aligned ideal.
 
     The ideal search is restricted to spans of basis subsets, which decides
     the question for bases adapted to the algebra's structure; a simple
-    verdict is relative to that search space.
+    verdict is relative to that search space.  None when a semisimple
+    algebra is too large for the search.
     """
     if sc.dim == 0 or not is_semisimple(sc):
         return False
-    return not _coordinate_ideals(sc)
+    ideals = _coordinate_ideals(sc)
+    return None if ideals is None else all(len(ideal) == sc.dim for ideal in ideals)
 
 
 def abelian_ideal_check(sc: StructureConstants, space: Subspace) -> bool:
@@ -409,37 +414,19 @@ def abelian_ideal_check(sc: StructureConstants, space: Subspace) -> bool:
 
 
 def find_abelian_ideals_coordinate(sc: StructureConstants) -> list[Subspace] | None:
-    """All nonzero coordinate-subset spans that are abelian ideals.
+    """The coordinate-aligned ideals that are abelian, as subspaces.
 
-    This scans every subset of the given basis (2^m candidates with early
-    exit), so it finds basis-aligned ideals only; it is not a full
-    ideal-lattice enumeration.  Above IDEAL_SEARCH_MAX_DIM the search is
-    skipped and the result is None: a capability limit, not a failure.
+    None above IDEAL_SEARCH_MAX_DIM, where the coordinate scan is skipped.
     """
-    m = sc.dim
-    if m > IDEAL_SEARCH_MAX_DIM:
+    ideals = _coordinate_ideals(sc)
+    if ideals is None:
         return None
-    out = []
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            inside = set(subset)
-            ok = True
-            for s in subset:
-                for j in range(m):
-                    row = sc.c[s][j]
-                    if j in inside and any(row):
-                        ok = False
-                        break
-                    if any(row[k] for k in range(m) if k not in inside):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(
-                    Subspace.from_vectors([linalg.unit_vector(m, i) for i in subset], m)
-                )
-    return out
+    m = sc.dim
+    return [
+        Subspace.from_vectors([linalg.unit_vector(m, i) for i in subset], m)
+        for subset in ideals
+        if not any(pair in sc.nonzero for pair in itertools.combinations(subset, 2))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -43,7 +43,7 @@ __all__ = [
     "canonicalize",
     "parse_expr",
     "diff",
-    "eval_at",
+    "specialize",
     "ZERO",
     "ONE",
 ]
@@ -450,11 +450,7 @@ class CanonicalExpr:
 
     def eval(self, point: Mapping[str, Fraction | int]) -> float:
         """IEEE-double value at a rational point; exp is applied last per term."""
-        xvals: dict[int, Fraction] = {}
-        yvals: dict[int, Fraction] = {}
-        for name, val in point.items():
-            kind, idx = _var_key(name)
-            (xvals if kind == "x" else yvals)[idx] = Fraction(val)
+        xvals, yvals = _split_point(point)
         total = 0.0
         for (mono, lin), c in self._sorted_terms():
             exact = c * mono.eval(xvals, yvals)
@@ -512,6 +508,15 @@ class CanonicalExpr:
         return f"CanonicalExpr({self})"
 
 
+def _split_point(point: Mapping[str, Fraction | int]) -> tuple[dict, dict]:
+    """The x-values and the y-values of a point, each keyed by variable index."""
+    vals: dict[str, dict[int, Fraction]] = {"x": {}, "y": {}}
+    for name, val in point.items():
+        kind, idx = _var_key(name)
+        vals[kind][idx] = Fraction(val)
+    return vals["x"], vals["y"]
+
+
 def _join_signed(parts: list[str]) -> str:
     out = parts[0]
     for p in parts[1:]:
@@ -547,8 +552,29 @@ def diff(expr: CanonicalExpr, var: str) -> CanonicalExpr:
     return expr.diff(var)
 
 
-def eval_at(expr: CanonicalExpr, point: Mapping[str, Fraction | int]) -> float:
-    return expr.eval(point)
+def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]) -> list[Fraction]:
+    """Exact values of x-only expressions under one ring homomorphism to Q.
+
+    With D the common denominator of every exponent coefficient in `exprs`,
+    x_i maps to point["x<i>"] and exp(x_i/D) to point["y<i>"], which must be
+    nonzero.  D is shared by the whole collection, so sums, products and
+    unit quotients of the expressions map to those of their values.
+    """
+    lins = [lin for expr in exprs for (_mono, lin), _c in expr.items()]
+    denom = math.lcm(*(q.denominator for lin in lins for _i, q in lin.coeffs))
+    xvals, tvals = _split_point(point)
+    values = []
+    for expr in exprs:
+        total = Fraction(0)
+        for (mono, lin), c in expr.items():
+            term = c * mono.eval(xvals, {})  # no y-values: a y-monomial raises
+            for i, q in lin.coeffs:
+                if not tvals.get(i):
+                    raise EvaluationError(f"no nonzero value assigned to y{i}")
+                term *= tvals[i] ** int(q * denom)
+            total += term
+        values.append(total)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from spraylie import cli
+from spraylie.fields import nullity_rank_numeric
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -268,6 +269,59 @@ def test_analyze_above_the_ideal_search_cap_reports_it_skipped(tmp_path, capsys)
     assert algebra["simple"] is False
     assert algebra["abelian_coordinate_ideals"] is None
     assert algebra["abelian_coordinate_ideals_skipped"] == "dimension 20 > cap 16"
+
+
+def _rotation_problem(n: int) -> dict:
+    """so(n) as the rotations x_i d_j - x_j d_i on flat R^n, dimension n(n-1)/2."""
+    fields = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            comps = ["0"] * n
+            comps[i], comps[j] = f"-x{j + 1}", f"x{i + 1}"
+            fields[f"r{i + 1}{j + 1}"] = comps
+    return {
+        "name": f"so{n}",
+        "dim": n,
+        "metric": {"kind": "diagonal", "entries": ["1"] * n},
+        "fields": fields,
+        "sets": {"so": list(fields)},
+    }
+
+
+def test_analyze_semisimple_set_above_the_cap_reports_simple_skipped(tmp_path, capsys):
+    path = tmp_path / "so7.json"
+    path.write_text(json.dumps(_rotation_problem(7)))
+    assert cli.main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "- semisimple: yes" in out
+    assert "- simple: skipped (dimension 21 > cap 16)" in out
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    algebra = json.loads(capsys.readouterr().out)["sets"][0]["algebra"]
+    assert algebra["dimension"] == 21
+    assert algebra["semisimple"] is True
+    assert algebra["simple"] is None
+    assert algebra["simple_skipped"] == "dimension 21 > cap 16"
+    assert algebra["abelian_coordinate_ideals_skipped"] == "dimension 21 > cap 16"
+
+
+@pytest.mark.parametrize("name, rank", [("example1", 3), ("example2", 4), ("section5", 0)])
+def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
+    problem = cli.load_problem(PROBLEMS / f"{name}.json")
+    curvature = cli.build_pipeline(problem.metric).curvature
+    for seed in range(50):
+        for count in (1, 10):
+            points = cli.sample_points(problem.dim, count, seed)
+            assert nullity_rank_numeric(curvature, points) == rank, (seed, count)
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spraylie.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_analyze_missing_file_exits_one():

@@ -27,6 +27,7 @@ from spraylie.symexpr import (
     const,
     exponential,
     parse_expr,
+    specialize,
     xvar,
     yvar,
 )
@@ -281,6 +282,57 @@ def test_eval_is_deterministic():
     e = parse_expr("x1*exp(x2) - y1^2*exp(-x2) + 7/3")
     pt = {"x1": Q(3, 2), "x2": Q(-1, 2), "y1": Q(2)}
     assert e.eval(pt) == e.eval(pt)
+
+
+# ---------------------------------------------------------------------------
+# exact specialization: x_i -> x-value, exp(x_i/D) -> y-value
+# ---------------------------------------------------------------------------
+
+_exp_coeffs = st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(1, 3), Q(-2, 3)])
+_grid = st.sampled_from([Q(k, 2) for k in range(-4, 5) if k != 0])
+
+
+@st.composite
+def _x_exprs(draw):
+    n_terms = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(n_terms):
+        xs = draw(st.dictionaries(st.integers(1, 2), st.integers(1, 2), max_size=2))
+        lin = LinForm.make(draw(st.dictionaries(st.integers(1, 2), _exp_coeffs, max_size=2)))
+        key = (Monomial.make(xs, None), lin)
+        terms[key] = terms.get(key, Q(0)) + draw(_fractions)
+    return CanonicalExpr(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _x_exprs(),
+    _x_exprs(),
+    st.dictionaries(st.integers(1, 2), _exp_coeffs, max_size=2),
+    _fractions.filter(lambda q: q != 0),
+    st.fixed_dictionaries({"x1": _grid, "x2": _grid, "y1": _grid, "y2": _grid}),
+)
+def test_specialize_is_a_ring_homomorphism(a, b, lin, c, point):
+    unit = c * exponential(lin)
+    va, vb, vsum, vprod, vunit, vquot = specialize([a, b, a + b, a * b, unit, a / unit], point)
+    assert vsum == va + vb
+    assert vprod == va * vb
+    assert vquot * vunit == va
+
+
+def test_specialize_shares_one_denominator():
+    half, whole = parse_expr("exp(x1/2)"), parse_expr("x1*exp(x1)")
+    assert specialize([half, whole], {"x1": 3, "y1": 2}) == [2, 12]
+    assert specialize([whole], {"x1": 3, "y1": 2}) == [6]
+
+
+def test_specialize_rejects_fibre_values_and_zero_exponential_values():
+    with pytest.raises(SymExprError):
+        specialize([parse_expr("y1*exp(x1)")], {"x1": 1, "y1": 1})
+    with pytest.raises(EvaluationError):
+        specialize([parse_expr("exp(x1)")], {"x1": 1, "y1": 0})
+    with pytest.raises(EvaluationError):
+        specialize([parse_expr("x2")], {"x1": 1, "y1": 1})
 
 
 # ---------------------------------------------------------------------------
