@@ -218,10 +218,6 @@ class VectorOneForm:
             )
         )
 
-    @staticmethod
-    def zero_form(n: int) -> "VectorOneForm":
-        return VectorOneForm(tuple((CanonicalExpr(),) * (2 * n) for _ in range(2 * n)))
-
     @property
     def dim(self) -> int:
         return len(self.matrix) // 2
@@ -581,18 +577,13 @@ def solve_in_span(
                 exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
         obstructions.append(exprs)
 
-    # coefficient matching: one row per (expression slot, term key)
-    keys: dict[tuple, int] = {}
-    for exprs in obstructions:
-        for pos, expr in enumerate(exprs):
-            for key, _c in expr.items():
-                keys.setdefault((pos, key), len(keys))
-    rows = [[Fraction(0)] * len(dictionary) for _ in range(len(keys))]
+    # coefficient matching: one sparse row per (expression slot, term key)
+    rows: dict[tuple, dict[int, Fraction]] = {}
     for col, exprs in enumerate(obstructions):
         for pos, expr in enumerate(exprs):
             for key, c in expr.items():
-                rows[keys[(pos, key)]][col] = c
-    basis = kernel_basis(rows, ncols=len(dictionary))
+                rows.setdefault((pos, key), {})[col] = c
+    basis = kernel_basis(rows.values(), ncols=len(dictionary))
     return [tuple(v) for v in basis]
 
 

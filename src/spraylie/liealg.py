@@ -10,9 +10,10 @@ Convention: c[i][j][k] is the coefficient of basis element k in [b_i, b_j].
 The dense array c is the public view of a table.  Each StructureConstants
 also builds, once, its nonzero index: for every ordered pair (i, j) with
 [b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  Brackets, the
-Jacobi check, the Killing form, the center and the linear systems for
+Jacobi check, the Killing form and the linear systems for the center,
 derivations and Levi complements are assembled by iterating over that index,
-so their cost follows the nonzero constants rather than m^3 or m^4.
+and the systems reach `linalg` as sparse rows, so their cost follows the
+nonzero constants rather than m^3 or m^4.
 """
 
 from __future__ import annotations
@@ -106,27 +107,39 @@ class Subspace:
         return not self.basis
 
     @functools.cached_property
+    def _pivot_rows(self) -> dict[int, linalg.SparseRow]:
+        """The basis rows as sparse rows keyed by their leading column."""
+        rows = (linalg._sparse(row) for row in self.basis)
+        return {min(row): row for row in rows}
+
+    @functools.cached_property
     def pivots(self) -> tuple[int, ...]:
         """Leading column of each basis row."""
-        return tuple(next(i for i, v in enumerate(row) if v) for row in self.basis)
+        return tuple(self._pivot_rows)
 
-    def reduce(self, vector: Sequence[Fraction]) -> Vec:
+    def _remainder(self, vector: Sequence[Fraction] | linalg.SparseRow) -> linalg.SparseRow:
+        return linalg._reduce(self._pivot_rows, linalg._sparse(vector))
+
+    def reduce(self, vector: Sequence[Fraction] | linalg.SparseRow) -> Vec:
         """The vector minus the basis rows that clear its pivot coordinates.
 
         The remainder is zero exactly when the vector lies in the subspace;
         its non-pivot coordinates give the class of the vector modulo it.
         """
-        out = linalg.to_fractions([vector])[0]
-        for row, p in zip(self.basis, self.pivots):
-            f = out[p]
-            if f:
-                for i, v in enumerate(row):
-                    if v:
-                        out[i] -= f * v
-        return out
+        return linalg._dense(self._remainder(vector), self.ambient_dim)
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vector))
+        return not self._remainder(vector)
+
+    def coordinates(self, vector: Sequence[Fraction]) -> Vec | None:
+        """Coefficients of the vector over `basis`, or None when it lies outside.
+
+        The basis is in reduced row echelon form, so the coefficient of each
+        row is the vector's entry at that row's pivot.
+        """
+        if not self.contains(vector):
+            return None
+        return [Fraction(vector[p]) for p in self.pivots]
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient_dim)
@@ -170,6 +183,11 @@ class StructureConstants:
         """The Killing form, computed on first use and shared by every invariant."""
         return tuple(tuple(row) for row in killing_form(self))
 
+    @functools.cached_property
+    def coordinate_ideals(self) -> list[tuple[int, ...]] | None:
+        """The coordinate-subset scan, run on first use and shared by its readers."""
+        return _coordinate_ideals(self)
+
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
         v_support = [(j, y) for j, y in enumerate(v) if y]
@@ -190,25 +208,9 @@ class StructureConstants:
         return [[Fraction(self.c[i][j][k]) for j in range(m)] for k in range(m)]
 
 
-def _vectorize_fields(fields: Sequence[BaseField]):
-    """Stack fields as exact coordinate vectors over their joint term keys."""
-    keys: dict[tuple, int] = {}
-    per_field = []
-    for f in fields:
-        coords = {}
-        for pos, comp in enumerate(f.components):
-            for key, q in comp.items():
-                full = (pos, key)
-                keys.setdefault(full, len(keys))
-                coords[full] = q
-        per_field.append(coords)
-    columns = []
-    for coords in per_field:
-        col = [Fraction(0)] * len(keys)
-        for full, q in coords.items():
-            col[keys[full]] = q
-        columns.append(col)
-    return keys, columns
+def _terms(f: BaseField) -> dict[tuple, Fraction]:
+    """The field's coefficients keyed by (component, term key)."""
+    return {(pos, key): q for pos, comp in enumerate(f.components) for key, q in comp.items()}
 
 
 def structure_constants_from_fields(
@@ -224,9 +226,21 @@ def structure_constants_from_fields(
         raise LieAlgebraError("one label per generator is required")
     if m == 0:
         return StructureConstants((), ())
-    keys, columns = _vectorize_fields(fields)
-    rows = [[columns[f][r] for f in range(m)] for r in range(len(keys))]
-    if linalg.rank(rows) != m:
+    # generator i is the row [its coordinates over the joint term keys | e_i],
+    # so one elimination finds both dependence and every bracket's coefficients
+    terms = [_terms(f) for f in fields]
+    keys: dict[tuple, int] = {}
+    for t in terms:
+        for key in t:
+            keys.setdefault(key, len(keys))
+    n = len(keys)
+    rows = [
+        linalg._dense({keys[key]: q for key, q in t.items()} | {n + i: Fraction(1)}, n + m)
+        for i, t in enumerate(terms)
+    ]
+    span = Subspace.from_vectors(rows, n + m)
+    # a pivot in the tail is a combination of generators that vanishes
+    if any(p >= n for p in span.pivots):
         raise DependentGeneratorsError("generators are linearly dependent over the rationals")
 
     zero = Fraction(0)
@@ -234,21 +248,15 @@ def structure_constants_from_fields(
     for i in range(m):
         for j in range(i + 1, m):
             w = bracket(fields[i], fields[j])
-            target = [Fraction(0)] * len(keys)
-            outside = False
-            for pos, comp in enumerate(w.components):
-                for key, q in comp.items():
-                    slot = keys.get((pos, key))
-                    if slot is None:
-                        outside = True
-                        break
-                    target[slot] = q
-                if outside:
-                    break
-            coeffs = None if outside else linalg.solve(rows, target)
-            if coeffs is None:
+            t = _terms(w)
+            if not t.keys() <= keys.keys():
                 raise NonClosureError(labels[i], labels[j], w)
-            table[i][j] = list(coeffs)
+            # [w | 0] reduces to [rest | -c] with w = rest + sum_k c_k g_k
+            remainder = span.reduce({keys[key]: q for key, q in t.items()})
+            if any(remainder[:n]):
+                raise NonClosureError(labels[i], labels[j], w)
+            coeffs = [-q for q in remainder[n:]]
+            table[i][j] = coeffs
             table[j][i] = [-q for q in coeffs]
     packed = tuple(tuple(tuple(row) for row in plane) for plane in table)
     return StructureConstants(tuple(labels), packed)
@@ -309,12 +317,12 @@ def derived_subalgebra(sc: StructureConstants) -> Subspace:
 
 def center(sc: StructureConstants) -> Subspace:
     m = sc.dim
-    # row j*m + k holds c[i][j][k] over i: one equation per output coordinate
-    rows = linalg.zeros(m * m, m)
+    # row (j, k) holds c[i][j][k] over i: one equation per output coordinate
+    rows: dict[tuple[int, int], linalg.SparseRow] = {}
     for (i, j), entries in sc.nonzero.items():
         for k, q in entries:
-            rows[j * m + k][i] = q
-    return Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
+            rows.setdefault((j, k), {})[i] = q
+    return Subspace.from_vectors(linalg.kernel_basis(rows.values(), ncols=m), m)
 
 
 def _derived_of_subspace(sc: StructureConstants, space: Subspace) -> Subspace:
@@ -397,7 +405,7 @@ def is_simple(sc: StructureConstants) -> bool | None:
     """
     if sc.dim == 0 or not is_semisimple(sc):
         return False
-    ideals = _coordinate_ideals(sc)
+    ideals = sc.coordinate_ideals
     return None if ideals is None else all(len(ideal) == sc.dim for ideal in ideals)
 
 
@@ -418,7 +426,7 @@ def find_abelian_ideals_coordinate(sc: StructureConstants) -> list[Subspace] | N
 
     None above IDEAL_SEARCH_MAX_DIM, where the coordinate scan is skipped.
     """
-    ideals = _coordinate_ideals(sc)
+    ideals = sc.coordinate_ideals
     if ideals is None:
         return None
     m = sc.dim
@@ -448,10 +456,10 @@ class DerivationSpace:
         return self.dimension - self.inner_dimension
 
 
-def _flat_ads(sc: StructureConstants) -> Mat:
-    """ad(b_i) for each i, flattened like a derivation: entry r*m + c is ad(b_i)[r][c]."""
+def _flat_ads(sc: StructureConstants) -> list[linalg.SparseRow]:
+    """ad(b_i) for each i, flattened like a derivation: column r*m + c is ad(b_i)[r][c]."""
     m = sc.dim
-    flat = linalg.zeros(m, m * m)
+    flat: list[linalg.SparseRow] = [{} for _ in range(m)]
     for (i, j), entries in sc.nonzero.items():
         for k, q in entries:
             flat[i][k * m + j] = q
@@ -462,12 +470,11 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     """Kernel of the Leibniz constraints D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j].
 
     Unknowns are the m^2 entries of D (column c = image of b_c).  Row (i, j, k)
-    is coordinate k of the constraint for i < j; rows that vanish are left out.
+    is coordinate k of the constraint for i < j, held sparsely.
     """
     m = sc.dim
     nonzero = sc.nonzero
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.SparseRow] = []
     for i in range(m):
         for j in range(i + 1, m):
             block: list[dict[int, Fraction]] = [{} for _ in range(m)]
@@ -482,18 +489,13 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
                 # [b_i, D b_j]: D[l][j] c^k_il
                 for k, q in nonzero.get((i, l), ()):
                     block[k][l * m + j] = block[k].get(l * m + j, 0) - q
-            for row in block:
-                if any(row.values()):
-                    dense = [zero] * (m * m)
-                    for col, q in row.items():
-                        dense[col] = q
-                    rows.append(dense)
+            rows.extend(block)
     flat_basis = linalg.kernel_basis(rows, ncols=m * m)
     basis = tuple(
         tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
         for vec in flat_basis
     )
-    inner_dim = linalg.rank(_flat_ads(sc)) if m else 0
+    inner_dim = linalg.rank(_flat_ads(sc))
     return DerivationSpace(basis, inner_dim)
 
 
@@ -535,18 +537,16 @@ def subalgebra_constants(
     m = len(basis)
     if labels is None:
         labels = [f"s{i + 1}" for i in range(m)]
-    rows = [[basis[f][r] for f in range(m)] for r in range(sc.dim)]
     zero = Fraction(0)
     table = [[[zero] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            w = sc.bracket_coords(basis[i], basis[j])
-            coeffs = linalg.solve(rows, w)
+            coeffs = space.coordinates(sc.bracket_coords(basis[i], basis[j]))
             if coeffs is None:
                 raise NonClosureError(
                     f"v{i + 1}", f"v{j + 1}", BaseField(())
                 )
-            table[i][j] = list(coeffs)
+            table[i][j] = coeffs
             table[j][i] = [-q for q in coeffs]
     packed = tuple(tuple(tuple(r) for r in plane) for plane in table)
     return StructureConstants(tuple(labels), packed)
@@ -656,23 +656,15 @@ def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     h_vectors = [lift(v) for v in q_levi] + [list(v) for v in rad_derived.basis]
     h_space = Subspace.from_vectors(h_vectors, sc.dim)
     hsc = subalgebra_constants(sc, h_space)
-    h_rows = [[h_space.basis[f][r] for f in range(h_space.dim)] for r in range(sc.dim)]
     rad_in_h = []
     for v in rad_derived.basis:
-        coords = linalg.solve(h_rows, list(v))
+        coords = h_space.coordinates(v)
         if coords is None:
             raise LieAlgebraError("radical derived series left the lifted subalgebra")
         rad_in_h.append(coords)
     inner = _levi_vectors(hsc, Subspace.from_vectors(rad_in_h, h_space.dim))
-    out = []
-    for v in inner:
-        full = [Fraction(0)] * sc.dim
-        for coeff, basis_vec in zip(v, h_space.basis):
-            if coeff:
-                for i in range(sc.dim):
-                    full[i] += coeff * basis_vec[i]
-        out.append(full)
-    return out
+    # back from coordinates over h_space.basis to the ambient space
+    return linalg.mat_mul(inner, h_space.basis)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain lists of Fractions.  Matrices are row-major.
-The solvers never touch floats: ranks, kernels, determinants, and signatures
-are all decided exactly, which is what the algebraic layer requires.
+Matrices are row-major lists of Fractions; `rank` and `kernel_basis` also take
+rows as {column: value} mappings.  The solvers never touch floats: ranks,
+kernels, determinants, and signatures are all decided exactly, which is what
+the algebraic layer requires.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
 SparseRow = dict[int, Fraction]
 
 
+def _sparse(row: Iterable | dict) -> SparseRow:
+    """A fresh sparse row from a dense row or a {column: value} mapping."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
+
+
+def _dense(row: SparseRow, n: int) -> Vec:
+    out = [Fraction(0)] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
 def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int) -> None:
     """target -= f * row on every column but `skip`, dropping entries that cancel."""
     for j, v in row.items():
@@ -62,16 +76,30 @@ def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int) -> None
                 del target[j]
 
 
-def _echelon(rows: Iterable[Iterable]) -> tuple[dict[int, SparseRow], list[tuple[int, Fraction]]]:
+def _reduce(pivot_rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
+    """Clear `row`'s pivot columns with the pivot rows, in place, and return it.
+
+    The pivot rows are keyed by pivot column, scaled to 1 there, and have no
+    entry in another's pivot column; so one pass clears every pivot column,
+    and the remainder is zero exactly when the row lies in their span.
+    """
+    for p in [j for j in row if j in pivot_rows]:
+        _subtract(row, row.pop(p), pivot_rows[p], p)
+    return row
+
+
+def _echelon(
+    rows: Iterable[Iterable | dict],
+) -> tuple[dict[int, SparseRow], list[tuple[int, Fraction]]]:
     """Insert rows one at a time into a reduced echelon basis held sparsely.
 
-    Each row is reduced by the pivot rows found so far; a nonzero remainder
-    is scaled to 1 at its leading column, which becomes a new pivot, and that
-    column is cleared from the earlier pivot rows.  A pivot row's leading
-    entry stays its pivot throughout, and no pivot row has an entry in
-    another's pivot column, so the pivot rows sorted by column are the
-    reduced row echelon form, which is unique.  Only nonzero entries are
-    stored or touched.
+    Each row, dense or a {column: value} mapping, is reduced by the pivot
+    rows found so far; a nonzero remainder is scaled to 1 at its leading
+    column, which becomes a new pivot, and that column is cleared from the
+    earlier pivot rows.  A pivot row's leading entry stays its pivot
+    throughout, and no pivot row has an entry in another's pivot column, so
+    the pivot rows sorted by column are the reduced row echelon form, which
+    is unique.  Only nonzero entries are stored or touched.
 
     Returns the pivot rows by column and, per input row in order, its pivot
     column and the leading value it was divided by, or (-1, 0) when it
@@ -80,9 +108,7 @@ def _echelon(rows: Iterable[Iterable]) -> tuple[dict[int, SparseRow], list[tuple
     basis: dict[int, SparseRow] = {}
     steps: list[tuple[int, Fraction]] = []
     for row in rows:
-        residual = {j: v if type(v) is Fraction else Fraction(v) for j, v in enumerate(row) if v}
-        for p in [j for j in residual if j in basis]:
-            _subtract(residual, residual.pop(p), basis[p], p)
+        residual = _reduce(basis, _sparse(row))
         if not residual:
             steps.append((-1, Fraction(0)))
             continue
@@ -111,41 +137,34 @@ def rref(matrix: Iterable[Iterable]) -> tuple[Mat, list[int]]:
     cols = len(m[0])
     basis, _ = _echelon(m)
     pivots = sorted(basis)
-    zero = Fraction(0)
-    reduced = []
-    for p in pivots:
-        dense = [zero] * cols
-        for j, v in basis[p].items():
-            dense[j] = v
-        reduced.append(dense)
-    reduced.extend([zero] * cols for _ in range(len(m) - len(pivots)))
+    reduced = [_dense(basis[p], cols) for p in pivots]
+    reduced.extend(_dense({}, cols) for _ in range(len(m) - len(pivots)))
     return reduced, pivots
 
 
-def rank(matrix: Iterable[Iterable]) -> int:
-    return len(rref(matrix)[1])
+def rank(matrix: Iterable[Iterable | dict]) -> int:
+    return len(_echelon(matrix)[0])
 
 
-def kernel_basis(matrix: Iterable[Iterable], ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    m = [list(row) for row in matrix]
+def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> list[Vec]:
+    """Basis of the right kernel, one vector per free column, in column order.
+
+    Rows may be dense or {column: value} mappings; `ncols` is required when
+    the matrix is empty or its first row is a mapping.
+    """
+    m = list(matrix)
     if ncols is None:
-        if not m:
-            raise ValueError("ncols is required for an empty matrix")
+        if not m or isinstance(m[0], dict):
+            raise ValueError("ncols is required for an empty or sparse matrix")
         ncols = len(m[0])
-    if not m:
-        return [unit_vector(ncols, j) for j in range(ncols)]
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
+    pivot_rows, _ = _echelon(m)
+    # free column j: x_j = 1, each pivot coordinate minus its row's entry at j
+    kernel = {j: unit_vector(ncols, j) for j in range(ncols) if j not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for j, v in row.items():
+            if j != p:
+                kernel[j][p] = -v
+    return list(kernel.values())
 
 
 def unit_vector(n: int, j: int) -> Vec:
@@ -164,17 +183,12 @@ def solve(a: Iterable[Iterable], b: Sequence) -> Vec | None:
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
     if not m:
-        return [] if not rhs else None
+        return []
     ncols = len(m[0])
-    for row, rv in zip(m, rhs):
-        row.append(rv)
-    reduced, pivots = rref(m)
-    if ncols in pivots:
+    pivot_rows, _ = _echelon(row + [rv] for row, rv in zip(m, rhs))
+    if ncols in pivot_rows:
         return None
-    out = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        out[pc] = reduced[r][ncols]
-    return out
+    return _dense({p: row[ncols] for p, row in pivot_rows.items() if ncols in row}, ncols)
 
 
 def det(matrix: Iterable[Iterable]) -> Fraction:

@@ -347,15 +347,6 @@ class CanonicalExpr:
             return None
         return c, lin
 
-    def constant_value(self) -> Fraction | None:
-        """The rational value if the expression is a constant, else None."""
-        if not self._terms:
-            return Fraction(0)
-        unit = self.as_unit()
-        if unit is not None and unit[1].is_zero():
-            return unit[0]
-        return None
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod

@@ -178,6 +178,15 @@ def test_non_closure_is_reported():
     assert err.value.pair == ("a", "b")
 
 
+def test_non_closure_within_the_generators_term_keys_is_reported():
+    # [a, b] = d1 uses only term keys of a and b, but d1 is not in their span
+    with pytest.raises(la.NonClosureError) as err:
+        la.structure_constants_from_fields(
+            [base_field("1", "1"), base_field("x1", "0")], ["a", "b"]
+        )
+    assert err.value.pair == ("a", "b")
+
+
 def test_dependent_generators_rejected():
     with pytest.raises(la.DependentGeneratorsError):
         la.structure_constants_from_fields(

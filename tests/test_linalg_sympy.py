@@ -57,6 +57,10 @@ def test_rref_rank_and_kernel_agree_with_sympy(a):
     assert pivots == list(want_pivots)
     assert rank(a) == _sym(a).rank()
     assert kernel_basis(a) == [[_frac(x) for x in v] for v in _sym(a).nullspace()]
+    # the same matrix as {column: value} rows gives the same answers
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+    assert rank(sparse) == rank(a)
+    assert kernel_basis(sparse, ncols=len(a[0])) == kernel_basis(a)
 
 
 @settings(max_examples=100, deadline=None)
