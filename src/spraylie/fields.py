@@ -5,6 +5,13 @@ components; slots 0..n-1 multiply d/dx^1..d/dx^n and slots n..2n-1 multiply
 d/dy^1..d/dy^n.  Endomorphism fields ("vector one-forms") are 2n x 2n
 matrices in that frame, column a holding the image of the a-th frame field.
 
+Every bracket and derivative here rests on one derivation, a field applied
+to a scalar, X(f) = sum_s X^s d_s f.  Two facts of the coordinate frame then
+spare the frame brackets: frame fields commute, [d_a, d_b] = 0, and bracketing
+with one is a componentwise partial derivative, [Z, d_b] = -d_b Z.  The
+Frolicher-Nijenhuis bracket and the Lie derivative of an endomorphism field
+are evaluated on frame fields that way.
+
 The membership predicates take the geometry pipeline's output objects (spray,
 connection, curvature, metric) as plain data and report the first nonzero
 obstruction on failure, so a False answer always comes with a witness.
@@ -48,6 +55,30 @@ __all__ = [
 
 def _slot_var(n: int, slot: int) -> str:
     return f"x{slot + 1}" if slot < n else f"y{slot - n + 1}"
+
+
+def _slot_vars(n: int) -> list[str]:
+    return [_slot_var(n, s) for s in range(2 * n)]
+
+
+def _derive(
+    components: Sequence[CanonicalExpr], variables: Sequence[str], scalar: CanonicalExpr
+) -> CanonicalExpr:
+    """The field X = sum_s X^s d/d(var_s) applied to a scalar: sum_s X^s d_s f."""
+    acc = CanonicalExpr()
+    for comp, var in zip(components, variables):
+        if comp:
+            acc = acc + comp * scalar.diff(var)
+    return acc
+
+
+def _bracket(
+    a: Sequence[CanonicalExpr], b: Sequence[CanonicalExpr], variables: Sequence[str]
+) -> tuple[CanonicalExpr, ...]:
+    """[a, b]^k = a(b^k) - b(a^k), the fields differentiating over `variables`."""
+    if len(a) != len(b):
+        raise ValueError("bracket of fields with different dimensions")
+    return tuple(_derive(a, variables, bk) - _derive(b, variables, ak) for ak, bk in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -137,56 +168,29 @@ def frame_field(n: int, slot: int) -> TMField:
 def complete_lift(field: BaseField) -> TMField:
     """Lift X^i d/dx^i to X^i d/dx^i + y^j (dX^i/dx^j) d/dy^i."""
     n = field.dim
-    lifted = list(field.components)
-    for i in range(n):
-        acc = CanonicalExpr()
-        for j in range(n):
-            acc = acc + yvar(j + 1) * field.components[i].diff(f"x{j + 1}")
-        lifted.append(acc)
-    return TMField(tuple(lifted))
+    xs = _slot_vars(n)[:n]
+    ys = [yvar(j + 1) for j in range(n)]
+    return TMField(field.components + tuple(_derive(ys, xs, c) for c in field.components))
 
 
 def bracket_base(a: BaseField, b: BaseField) -> BaseField:
     """Lie bracket on the base: [a,b]^k = a^i d_i b^k - b^i d_i a^k."""
-    n = a.dim
-    if b.dim != n:
-        raise ValueError("bracket of fields with different dimensions")
-    out = []
-    for k in range(n):
-        acc = CanonicalExpr()
-        for i in range(n):
-            var = f"x{i + 1}"
-            acc = acc + a.components[i] * b.components[k].diff(var)
-            acc = acc - b.components[i] * a.components[k].diff(var)
-        out.append(acc)
-    return BaseField(tuple(out))
+    return BaseField(_bracket(a.components, b.components, _slot_vars(a.dim)[: a.dim]))
 
 
 def bracket_tm(a: TMField, b: TMField) -> TMField:
     """Lie bracket on the tangent bundle, derivatives over all 2n slots."""
-    if len(a.components) != len(b.components):
-        raise ValueError("bracket of fields with different dimensions")
-    n = a.dim
-    out = []
-    for k in range(2 * n):
-        acc = CanonicalExpr()
-        for s in range(2 * n):
-            var = _slot_var(n, s)
-            if a.components[s]:
-                acc = acc + a.components[s] * b.components[k].diff(var)
-            if b.components[s]:
-                acc = acc - b.components[s] * a.components[k].diff(var)
-        out.append(acc)
-    return TMField(tuple(out))
+    return TMField(_bracket(a.components, b.components, _slot_vars(a.dim)))
 
 
 def apply_to_scalar(field: TMField, scalar: CanonicalExpr) -> CanonicalExpr:
-    n = field.dim
-    acc = CanonicalExpr()
-    for s in range(2 * n):
-        if field.components[s]:
-            acc = acc + field.components[s] * scalar.diff(_slot_var(n, s))
-    return acc
+    return _derive(field.components, _slot_vars(field.dim), scalar)
+
+
+def _partial(field: TMField, slot: int) -> TMField:
+    """Componentwise partial derivative d_slot Z, which is [d_slot, Z] = -[Z, d_slot]."""
+    var = _slot_var(field.dim, slot)
+    return TMField(tuple(c.diff(var) for c in field.components))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +239,7 @@ class VectorOneForm:
         return TMField(tuple(comps))
 
     def compose(self, other: "VectorOneForm") -> "VectorOneForm":
-        size = len(self.matrix)
-        rows = []
-        for b in range(size):
-            row = []
-            for a in range(size):
-                acc = CanonicalExpr()
-                for c in range(size):
-                    if self.matrix[b][c] and other.matrix[c][a]:
-                        acc = acc + self.matrix[b][c] * other.matrix[c][a]
-                row.append(acc)
-            rows.append(tuple(row))
-        return VectorOneForm(tuple(rows))
+        return _from_columns([self.apply(other.frame_image(a)) for a in range(len(self.matrix))])
 
     def frame_image(self, a: int) -> TMField:
         return TMField(tuple(self.matrix[b][a] for b in range(len(self.matrix))))
@@ -272,18 +265,22 @@ class VectorOneForm:
         return all(v.is_zero() for row in self.matrix for v in row)
 
 
+def _from_columns(columns: Sequence[TMField]) -> VectorOneForm:
+    """The endomorphism field whose column a is the image of frame field a."""
+    return VectorOneForm(tuple(zip(*(c.components for c in columns))))
+
+
 def lie_derivative_oneform(field: TMField, form: VectorOneForm) -> VectorOneForm:
-    """Lie derivative [X, L] acting as ([X,L])(Y) = [X, L(Y)] - L([X, Y])."""
-    size = len(form.matrix)
-    n = form.dim
-    cols = []
-    for a in range(size):
-        image = form.frame_image(a)
-        first = bracket_tm(field, image)
-        second = form.apply(bracket_tm(field, frame_field(n, a)))
-        cols.append((first - second).components)
-    rows = tuple(tuple(cols[a][b] for a in range(size)) for b in range(size))
-    return VectorOneForm(rows)
+    """Lie derivative [X, L] acting as ([X,L])(Y) = [X, L(Y)] - L([X, Y]).
+
+    On frame field a, -[X, d_a] = d_a X, so column a is [X, L d_a] + L(d_a X).
+    """
+    return _from_columns(
+        [
+            bracket_tm(field, form.frame_image(a)) + form.apply(_partial(field, a))
+            for a in range(len(form.matrix))
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -319,32 +316,29 @@ def fn_bracket(k_form: VectorOneForm, l_form: VectorOneForm) -> VectorTwoForm:
 
     [K,L](X,Y) = [KX,LY] + [LX,KY] + KL[X,Y] + LK[X,Y]
                  - K[LX,Y] - L[KX,Y] - K[X,LY] - L[X,KY]
+
+    On frame fields X = d_a, Y = d_b the bracket [X,Y] vanishes and
+    [Z, d_b] = -d_b Z, so the value there is
+    [K d_a, L d_b] + [L d_a, K d_b] + K(d_b L d_a - d_a L d_b) + L(d_b K d_a - d_a K d_b).
     """
     size = len(k_form.matrix)
     n = k_form.dim
     if len(l_form.matrix) != size:
         raise ValueError("bracket of forms with different dimensions")
 
-    frames = [frame_field(n, s) for s in range(size)]
     k_images = [k_form.frame_image(s) for s in range(size)]
     l_images = [l_form.frame_image(s) for s in range(size)]
 
     table: list[list[TMField]] = [[TMField.zero(n)] * size for _ in range(size)]
     for a in range(size):
         for b in range(a + 1, size):
-            x, y = frames[a], frames[b]
-            kx, ky = k_images[a], k_images[b]
-            lx, ly = l_images[a], l_images[b]
-            xy = bracket_tm(x, y)
+            ka, kb = k_images[a], k_images[b]
+            la, lb = l_images[a], l_images[b]
             value = (
-                bracket_tm(kx, ly)
-                + bracket_tm(lx, ky)
-                + k_form.apply(l_form.apply(xy))
-                + l_form.apply(k_form.apply(xy))
-                - k_form.apply(bracket_tm(lx, y))
-                - l_form.apply(bracket_tm(kx, y))
-                - k_form.apply(bracket_tm(x, ly))
-                - l_form.apply(bracket_tm(x, ky))
+                bracket_tm(ka, lb)
+                + bracket_tm(la, kb)
+                + k_form.apply(_partial(la, b) - _partial(lb, a))
+                + l_form.apply(_partial(ka, b) - _partial(kb, a))
             )
             table[a][b] = value
             table[b][a] = -value
@@ -393,11 +387,12 @@ def connection_oneform(connection) -> VectorOneForm:
     return VectorOneForm(tuple(tuple(r) for r in rows))
 
 
-def _first_nonzero(labeled: Iterable[tuple[str, CanonicalExpr]]):
+def _verdict(predicate: str, labeled: Iterable[tuple[str, CanonicalExpr]]) -> MembershipVerdict:
+    """True, or False with the first nonzero labeled expression as the witness."""
     for label, expr in labeled:
         if not expr.is_zero():
-            return label, expr
-    return None
+            return MembershipVerdict(predicate, False, expr, label)
+    return MembershipVerdict(predicate, True)
 
 
 def energy_from_metric(metric) -> CanonicalExpr:
@@ -412,46 +407,33 @@ def energy_from_metric(metric) -> CanonicalExpr:
 
 
 def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr]]:
-    n = field.dim
-    lifted = complete_lift(field)
-    res = bracket_tm(lifted, spray_field(spray))
-    return [(f"component {_slot_var(n, s)}", res.components[s]) for s in range(2 * n)]
+    res = bracket_tm(complete_lift(field), spray_field(spray))
+    return [(f"component {var}", c) for var, c in zip(_slot_vars(field.dim), res.components)]
 
 
 def in_AS(field: BaseField, spray) -> MembershipVerdict:
     """Does the complete lift commute with the spray?"""
-    witness = _first_nonzero(_spray_obstruction(field, spray))
-    if witness is None:
-        return MembershipVerdict("in_AS", True)
-    return MembershipVerdict("in_AS", False, witness[1], witness[0])
+    return _verdict("in_AS", _spray_obstruction(field, spray))
 
 
 def in_AGamma(field: BaseField, connection) -> MembershipVerdict:
     """Does the complete lift preserve the connection's almost-product structure?"""
-    lifted = complete_lift(field)
-    form = connection_oneform(connection)
-    derivative = lie_derivative_oneform(lifted, form)
-    n = field.dim
+    derivative = lie_derivative_oneform(complete_lift(field), connection_oneform(connection))
     labeled = (
-        (f"matrix entry ({b},{a})", derivative.matrix[b][a])
-        for b in range(2 * n)
-        for a in range(2 * n)
+        (f"matrix entry ({b},{a})", entry)
+        for b, row in enumerate(derivative.matrix)
+        for a, entry in enumerate(row)
     )
-    witness = _first_nonzero(labeled)
-    if witness is None:
-        return MembershipVerdict("in_AGamma", True)
-    return MembershipVerdict("in_AGamma", False, witness[1], witness[0])
+    return _verdict("in_AGamma", labeled)
 
 
 def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
     """Spray symmetry plus annihilation of the energy function."""
-    spray_witness = _first_nonzero(_spray_obstruction(field, spray))
-    if spray_witness is not None:
-        return MembershipVerdict("in_Ag", False, spray_witness[1], spray_witness[0])
+    verdict = _verdict("in_Ag", _spray_obstruction(field, spray))
+    if not verdict:
+        return verdict
     residual = apply_to_scalar(complete_lift(field), energy_from_metric(metric))
-    if residual.is_zero():
-        return MembershipVerdict("in_Ag", True)
-    return MembershipVerdict("in_Ag", False, residual, "energy derivative")
+    return _verdict("in_Ag", [("energy derivative", residual)])
 
 
 def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
@@ -470,10 +452,7 @@ def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, Can
 def is_horizontal(field: BaseField, connection) -> MembershipVerdict:
     """Is the horizontal lift of the field closed under the coordinate frame,
     i.e. dX^j/dx^l + X^i Gamma^j_il = 0 for all j, l?"""
-    witness = _first_nonzero(_horizontal_obstruction(field, connection))
-    if witness is None:
-        return MembershipVerdict("is_horizontal", True)
-    return MembershipVerdict("is_horizontal", False, witness[1], witness[0])
+    return _verdict("is_horizontal", _horizontal_obstruction(field, connection))
 
 
 def _nullity_obstruction(field: BaseField, curvature) -> list[tuple[str, CanonicalExpr]]:
@@ -492,10 +471,7 @@ def _nullity_obstruction(field: BaseField, curvature) -> list[tuple[str, Canonic
 
 def in_nullity(field: BaseField, curvature) -> MembershipVerdict:
     """Does contraction with the curvature coefficients vanish identically?"""
-    witness = _first_nonzero(_nullity_obstruction(field, curvature))
-    if witness is None:
-        return MembershipVerdict("in_nullity", True)
-    return MembershipVerdict("in_nullity", False, witness[1], witness[0])
+    return _verdict("in_nullity", _nullity_obstruction(field, curvature))
 
 
 def nullity_rank_numeric(curvature, points: Sequence[Mapping[str, Fraction]]) -> int:

@@ -612,25 +612,25 @@ def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
 
     # one row per (a < b, coordinate): the bracket of the corrected x_a, x_b
     # must equal the corrected combination its quotient coefficients name
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.SparseRow] = []
     rhs: list[Fraction] = []
     for a in range(s):
         for b in range(a + 1, s):
             w = sc.bracket_coords(x[a], x[b])
             reduced = rad.reduce(w)
             cbar = [(c, reduced[f]) for c, f in enumerate(free) if reduced[f]]
-            block = linalg.zeros(m, s * p)
+            block: list[linalg.SparseRow] = [{} for _ in range(m)]
             for t in range(p):
                 for coord, v in ad_x_rad[a][t]:
-                    block[coord][col(b, t)] += v
+                    block[coord][col(b, t)] = block[coord].get(col(b, t), 0) + v
                 for coord, v in ad_x_rad[b][t]:
-                    block[coord][col(a, t)] -= v
+                    block[coord][col(a, t)] = block[coord].get(col(a, t), 0) - v
                 for cpos, cv in cbar:
                     for coord, v in rad_support[t]:
-                        block[coord][col(cpos, t)] -= cv * v
+                        block[coord][col(cpos, t)] = block[coord].get(col(cpos, t), 0) - cv * v
             rows.extend(block)
             rhs.extend(r - wi for wi, r in zip(w, reduced))
-    solution = linalg.solve(rows, rhs) if rows else [Fraction(0)] * (s * p)
+    solution = linalg.solve(rows, rhs, ncols=s * p)
     if solution is None:
         raise LieAlgebraError("no semisimple complement found for an abelian radical")
     out = []

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are row-major lists of Fractions; `rank` and `kernel_basis` also take
-rows as {column: value} mappings.  The solvers never touch floats: ranks,
-kernels, determinants, and signatures are all decided exactly, which is what
-the algebraic layer requires.
+Matrices are row-major lists of Fractions; `rank`, `kernel_basis` and `solve`
+also take rows as {column: value} mappings.  The solvers never touch floats:
+ranks, kernels, determinants, and signatures are all decided exactly, which
+is what the algebraic layer requires.
 """
 
 from __future__ import annotations
@@ -173,19 +173,23 @@ def unit_vector(n: int, j: int) -> Vec:
     return v
 
 
-def solve(a: Iterable[Iterable], b: Sequence) -> Vec | None:
+def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -> Vec | None:
     """One solution of A x = b, or None when inconsistent.
 
     When the solution is not unique the free coordinates are set to zero.
+    Rows may be dense or {column: value} mappings; `ncols` is required when
+    the first row is a mapping.  The right-hand side joins each row at
+    column `ncols`.
     """
-    m = [list(row) for row in a]
+    m = [row if isinstance(row, dict) else list(row) for row in a]
     rhs = list(b)
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_rows, _ = _echelon(row + [rv] for row, rv in zip(m, rhs))
+    if ncols is None:
+        if m and isinstance(m[0], dict):
+            raise ValueError("ncols is required for a sparse matrix")
+        ncols = len(m[0]) if m else 0
+    pivot_rows, _ = _echelon({**_sparse(row), ncols: rv} for row, rv in zip(m, rhs))
     if ncols in pivot_rows:
         return None
     return _dense({p: row[ncols] for p, row in pivot_rows.items() if ncols in row}, ncols)

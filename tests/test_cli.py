@@ -314,6 +314,24 @@ def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
             assert nullity_rank_numeric(curvature, points) == rank, (seed, count)
 
 
+CURVATURE_IDENTITIES = (
+    "curvature equals half the horizontal self-bracket",
+    "curvature equals an eighth of the connection self-bracket",
+)
+
+
+@pytest.mark.parametrize("own, foreign", [("example1", "section5"), ("section5", "example1")])
+def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
+    pipe = cli.build_pipeline(cli.load_problem(PROBLEMS / f"{own}.json").metric)
+    assert all(cli._check_structural_identities(pipe).values())
+    other = cli.build_pipeline(cli.load_problem(PROBLEMS / f"{foreign}.json").metric)
+    mixed = cli.Pipeline(pipe.metric, pipe.spray, pipe.connection, other.curvature)
+    results = cli._check_structural_identities(mixed)
+    for name in CURVATURE_IDENTITIES:
+        assert results[name] is False, name
+    assert all(ok for name, ok in results.items() if name not in CURVATURE_IDENTITIES)
+
+
 def test_cli_import_does_not_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, spraylie.cli; print('numpy' in sys.modules)"],

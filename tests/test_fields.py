@@ -16,6 +16,7 @@ from spraylie.fields import (
     bracket_tm,
     combine_fields,
     complete_lift,
+    connection_oneform,
     fn_bracket,
     frame_field,
     in_AGamma,
@@ -124,6 +125,53 @@ def test_fn_bracket_graded_antisymmetry_degree_one():
     for a in range(4):
         for b in range(4):
             assert (hh.entry(a, b) + hh.entry(b, a)).is_zero()
+
+
+def _fn_bracket_by_definition(K: VectorOneForm, L: VectorOneForm, x: TMField, y: TMField):
+    """The general eight-term Frolicher-Nijenhuis bracket, [X, Y] included."""
+    kx, ky, lx, ly = K.apply(x), K.apply(y), L.apply(x), L.apply(y)
+    xy = bracket_tm(x, y)
+    return (
+        bracket_tm(kx, ly)
+        + bracket_tm(lx, ky)
+        + K.apply(L.apply(xy))
+        + L.apply(K.apply(xy))
+        - K.apply(bracket_tm(lx, y))
+        - L.apply(bracket_tm(kx, y))
+        - K.apply(bracket_tm(x, ly))
+        - L.apply(bracket_tm(x, ky))
+    )
+
+
+def _fn_pairs():
+    # images depending on x and y: h of curved connections against the
+    # projectors and 2h - I of other metrics ([h, J] is the torsion, zero here)
+    _, _, curved, _ = build_pipeline(("exp(x2)", "1"))
+    _, _, other, _ = build_pipeline(("exp(x1 + x2)", "exp(x1)"))
+    _, _, shell, _ = build_pipeline(("exp(x3)", "exp(x3)", "1"))
+    _, _, blocks, _ = build_pipeline(("exp(x2 - x3)", "exp(x1)", "1"))
+    h, _ = geom.projectors(curved)
+    h3, _ = geom.projectors(shell)
+    return [
+        (h, geom.projectors(other)[1]),
+        (h, connection_oneform(other)),
+        (h3, connection_oneform(blocks)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_fn_bracket_of_distinct_forms_matches_the_definition(index):
+    K, L = _fn_pairs()[index]
+    size = len(K.matrix)
+    frames = [frame_field(size // 2, s) for s in range(size)]
+    got = fn_bracket(K, L)
+    nonzero = 0
+    for a in range(size):
+        for b in range(size):
+            expected = _fn_bracket_by_definition(K, L, frames[a], frames[b])
+            assert (got.entry(a, b) - expected).is_zero(), (a, b)
+            nonzero += not expected.is_zero()
+    assert nonzero
 
 
 # ---------------------------------------------------------------------------

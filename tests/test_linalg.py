@@ -48,6 +48,15 @@ def test_solve_consistent_and_inconsistent():
     assert solve([[1, 1], [2, 2]], [1, 2]) == [Q(1), Q(0)]
 
 
+def test_solve_sparse_rows_and_empty_systems():
+    assert solve([], []) == []
+    assert solve([], [], ncols=2) == [Q(0), Q(0)]
+    assert solve([{0: 2}, {1: 4}], [1, 2], ncols=2) == [Q(1, 2), Q(1, 2)]
+    assert solve([{}, {1: 1}], [1, 0], ncols=2) is None
+    with pytest.raises(ValueError):
+        solve([{0: 1}], [1])
+
+
 def test_det_exact():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[Q(1, 2), 0], [0, Q(1, 3)]]) == Q(1, 6)

@@ -80,6 +80,14 @@ def test_solve_agrees_with_sympy(a, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_takes_sparse_rows(a, data):
+    b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+    assert solve(sparse, b, ncols=len(a[0])) == solve(a, b)
+
+
+@settings(max_examples=100, deadline=None)
 @given(_matrices(square=True))
 def test_det_agrees_with_sympy(a):
     assert det(a) == _frac(_sym(a).det())
