@@ -18,6 +18,7 @@ would leave the ring).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +43,9 @@ __all__ = [
     "parse",
     "canonicalize",
     "parse_expr",
-    "diff",
     "specialize",
+    "evaluate",
     "ZERO",
-    "ONE",
 ]
 
 
@@ -72,6 +72,7 @@ class EvaluationError(SymExprError):
     """Raised when numeric evaluation is missing a variable assignment."""
 
 
+@functools.cache
 def _var_key(name: str) -> tuple[str, int]:
     kind, tail = name[:1], name[1:]
     if kind not in ("x", "y") or not tail.isdigit() or int(tail) < 1:
@@ -272,25 +273,14 @@ class CanonicalExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TermKey, Fraction] | None = None):
-        data: dict[TermKey, Fraction] = {}
-        if terms:
-            for key, q in terms.items():
-                q = Fraction(q)
-                if q:
-                    data[key] = q
-        self._terms = data
+        items = terms.items() if terms else ()
+        self._terms = {k: q if type(q) is Fraction else Fraction(q) for k, q in items if q}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value: Fraction | int) -> "CanonicalExpr":
         return CanonicalExpr({(_EMPTY_MONO, _ZERO_LIN): Fraction(value)})
-
-    @staticmethod
-    def variable(name: str) -> "CanonicalExpr":
-        kind, idx = _var_key(name)
-        mono = Monomial.make({idx: 1}, None) if kind == "x" else Monomial.make(None, {idx: 1})
-        return CanonicalExpr({(mono, _ZERO_LIN): Fraction(1)})
 
     @staticmethod
     def exponential(lin: LinForm) -> "CanonicalExpr":
@@ -440,16 +430,8 @@ class CanonicalExpr:
         return CanonicalExpr(acc)
 
     def eval(self, point: Mapping[str, Fraction | int]) -> float:
-        """IEEE-double value at a rational point; exp is applied last per term."""
-        xvals, yvals = _split_point(point)
-        total = 0.0
-        for (mono, lin), c in self._sorted_terms():
-            exact = c * mono.eval(xvals, yvals)
-            if lin.is_zero():
-                total += float(exact)
-            else:
-                total += float(exact) * math.exp(float(lin.eval(xvals)))
-        return total
+        """IEEE-double value at a rational point (see `evaluate`)."""
+        return evaluate([self], point)[0]
 
     # -- ordering, equality, printing --------------------------------------
 
@@ -519,28 +501,31 @@ def _join_signed(parts: list[str]) -> str:
 
 
 ZERO = CanonicalExpr()
-ONE = CanonicalExpr.const(1)
 
 
 def const(value: Fraction | int) -> CanonicalExpr:
     return CanonicalExpr.const(value)
 
 
+def _variable(kind: str, index: int) -> CanonicalExpr:
+    if index < 1:
+        raise SymExprError("variable indices start at 1")
+    power = ((index, 1),)
+    mono = Monomial(power, ()) if kind == "x" else Monomial((), power)
+    return CanonicalExpr({(mono, _ZERO_LIN): Fraction(1)})
+
+
 def xvar(index: int) -> CanonicalExpr:
-    return CanonicalExpr.variable(f"x{index}")
+    return _variable("x", index)
 
 
 def yvar(index: int) -> CanonicalExpr:
-    return CanonicalExpr.variable(f"y{index}")
+    return _variable("y", index)
 
 
 def exponential(coeffs: Mapping[int, Fraction | int]) -> CanonicalExpr:
     """exp of the linear form sum(coeffs[i] * x_i)."""
     return CanonicalExpr.exponential(LinForm.make(coeffs))
-
-
-def diff(expr: CanonicalExpr, var: str) -> CanonicalExpr:
-    return expr.diff(var)
 
 
 def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]) -> list[Fraction]:
@@ -564,6 +549,26 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
                     raise EvaluationError(f"no nonzero value assigned to y{i}")
                 term *= tvals[i] ** int(q * denom)
             total += term
+        values.append(total)
+    return values
+
+
+def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]) -> list[float]:
+    """IEEE-double values at a rational point, the float twin of `specialize`.
+
+    The point is split once.  Each expression sums its terms in print order,
+    each term's rational part exactly, with exp applied last per term.
+    """
+    xvals, yvals = _split_point(point)
+    values = []
+    for expr in exprs:
+        total = 0.0
+        for (mono, lin), c in expr._sorted_terms():
+            exact = c * mono.eval(xvals, yvals)
+            if lin.is_zero():
+                total += float(exact)
+            else:
+                total += float(exact) * math.exp(float(lin.eval(xvals)))
         values.append(total)
     return values
 
@@ -794,7 +799,7 @@ def canonicalize(node) -> CanonicalExpr:
     if isinstance(node, Const):
         return CanonicalExpr.const(node.value)
     if isinstance(node, Var):
-        return CanonicalExpr.variable(f"{node.kind}{node.index}")
+        return _variable(node.kind, node.index)
     if isinstance(node, Sum):
         total = CanonicalExpr()
         for part in node.terms:

@@ -192,6 +192,17 @@ def test_analyze_section5_json_structure():
     assert iso_set["algebra"]["derivations"] == {"dimension": 7, "inner": 6, "outer": 1}
 
 
+@pytest.mark.parametrize("seed", [13, 14, 24, 28, 40])
+def test_section5_verdicts_do_not_depend_on_the_sample_point(seed, capsys):
+    # At these seeds the single point has x2 = x3, where e2 - e4 vanishes, so
+    # both the expected and the computed [e2,e8] deviate by 0 there.
+    argv = ["analyze", str(PROBLEMS / "section5.json"), "--points", "1", "--format", "json"]
+    assert cli.main([*argv, "--seed", str(seed)]) == 0
+    discrepancies = json.loads(capsys.readouterr().out)["discrepancies"]
+    assert len(discrepancies) == 3
+    assert all(m["verdict"] == "computation" and m["accepted_correction"] for m in discrepancies)
+
+
 def test_analyze_report_is_byte_deterministic(tmp_path):
     out_a = tmp_path / "a.md"
     out_b = tmp_path / "b.md"
@@ -333,13 +344,11 @@ def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
 
 
 def test_cli_import_does_not_load_numpy():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spraylie.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+    """Neither numpy nor the test-only sympy reaches the command-line program."""
+    probe = "import sys, spraylie.cli; print([m for m in ('numpy', 'sympy') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_analyze_missing_file_exits_one():

@@ -1,9 +1,10 @@
-"""Byte identity of `analyze` reports on the shipped problem files and Lie families.
+"""Byte identity of reports on the shipped problem files and Lie families.
 
-The digests pin the exact md and json output at seed 0.  Changes to the
-exact layers (elimination, structure constants, Lie-algebra invariants) must
-leave every report byte as it is; a change that means to alter a report
-updates the digest here in the same commit and says why.
+The digests pin the exact md and json `analyze` output at seed 0, and the
+float `oracle` output with its exit code.  Changes to the exact layers
+(elimination, structure constants, Lie-algebra invariants) and to the float
+evaluator must leave every report byte as it is; a change that means to alter
+a report updates the digest here in the same commit and says why.
 """
 
 from __future__ import annotations
@@ -34,6 +35,34 @@ def test_analyze_report_bytes_are_pinned(stem, fmt, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[(stem, fmt)]
+
+
+ORACLE_SHA256 = {
+    ("example1", "R-vs-half-hh"): (0, "bd03325508d6347d6646052477fb74bf780971e8bfcf0587dcaacb26416680b8"),
+    ("example1", "R-vs-eighth-GG"): (0, "ca1be365c36460d114a0aff19d95e041a90dd5a05fc0257ce36701721b0f3969"),
+    ("example1", "connection-vs-bracket"): (0, "d5f9af281c5b33b3361a5756161ab562b5d59fc67ea2877e6afeaed0eb73af1c"),
+    ("example1", "diff-vs-fd E"): (0, "21a214520940a3ce1b717468800b697cd615b93649087c8a5625571d7ddaafc7"),
+    ("example1", "diff-vs-fd G1"): (0, "2032b2b3d98d91985c599effc861ec07c4ff089a3af73fba320e2a410aee7339"),
+    ("example2", "R-vs-half-hh"): (0, "b4d9f461a6745a0e01160711a04653f5d13abee21f35b059c3908324422df3bb"),
+    ("example2", "R-vs-eighth-GG"): (0, "da0fadde406ad73d6f48a11b240342a396092971e4537c417033c960ec04d9bb"),
+    ("example2", "connection-vs-bracket"): (0, "8a82ff0515f94f835670a3b685783ebae3b3500dccb3993dcbcc9dfc27d290d5"),
+    ("example2", "diff-vs-fd E"): (0, "faca2c8244392bbc7b8f466c1203cab3320ff1f1d685dff3a99bc0da1ff86428"),
+    ("example2", "diff-vs-fd G1"): (0, "667d6b37f0d0153dc88db785bc6765a0f2a0dd3844ca5d99efd6a7c458e03bec"),
+    ("section5", "R-vs-half-hh"): (0, "ccee01902071ebaa8b7357ef873d18f957945012cd9c4229242880de81a9aa0e"),
+    ("section5", "R-vs-eighth-GG"): (0, "171957fa2b0f7701827f01730161a4eb10f265b2ac5822591d2f7b2287cc364f"),
+    ("section5", "connection-vs-bracket"): (0, "24d392f2262fd44223c42a193c49e1634302ea8489b13c0c8342a9a16c75985f"),
+    ("section5", "diff-vs-fd E"): (0, "1445c8566563eddbce86a3182627b592b6d97e8981189ab9862354dd5b0e1c6a"),
+    ("section5", "diff-vs-fd G1"): (0, "ed43fb933d0453cf0a1a9d689c6934e7a2f8d09b269d578e70938008f72e5b47"),
+    ("section5", "table-cell spray_symmetries e2 e8"): (2, "69b10b2fcfb2ff9450ebcbb03f0ffcd83cac19de6a4a9ef346fa608f91081c1f"),
+}
+
+
+@pytest.mark.parametrize("stem, selector", sorted(ORACLE_SHA256))
+def test_oracle_report_bytes_are_pinned(stem, selector, capsys):
+    argv = ["oracle", str(PROBLEMS / f"{stem}.json"), "--check", selector, "--seed", "0"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ORACLE_SHA256[(stem, selector)]
 
 
 # Lie families as affine vector fields on flat R^n.  A field is one string per

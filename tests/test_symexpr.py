@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spraylie import symexpr
 from spraylie.symexpr import (
     CanonicalExpr,
     EvaluationError,
@@ -25,6 +26,7 @@ from spraylie.symexpr import (
     SymExprError,
     UnitDivisionError,
     const,
+    evaluate,
     exponential,
     parse_expr,
     specialize,
@@ -278,6 +280,21 @@ def test_eval_of_exponential():
     assert e.eval({"x1": 3}) == pytest.approx(math.exp(1.5))
 
 
+def test_evaluate_and_specialize_split_the_point_once(monkeypatch):
+    calls = []
+    split = symexpr._split_point
+    monkeypatch.setattr(symexpr, "_split_point", lambda point: calls.append(point) or split(point))
+    exprs = [parse_expr("x1*exp(x2)"), parse_expr("7/3 - x2^2"), CanonicalExpr()]
+    point = {"x1": Q(1, 2), "x2": Q(-3, 2), "y2": 1}
+    assert evaluate(exprs, point) == [
+        pytest.approx(0.5 * math.exp(-1.5)),
+        pytest.approx(7 / 3 - 2.25),
+        0.0,
+    ]
+    specialize(exprs, point)
+    assert len(calls) == 2
+
+
 def test_eval_is_deterministic():
     e = parse_expr("x1*exp(x2) - y1^2*exp(-x2) + 7/3")
     pt = {"x1": Q(3, 2), "x2": Q(-1, 2), "y1": Q(2)}
@@ -338,6 +355,20 @@ def test_specialize_rejects_fibre_values_and_zero_exponential_values():
 # ---------------------------------------------------------------------------
 # structure helpers used by the geometry layer
 # ---------------------------------------------------------------------------
+
+
+def test_variables_are_built_from_their_index():
+    assert xvar(2) == parse_expr("x2")
+    assert yvar(3) == parse_expr("y3")
+    with pytest.raises(SymExprError):
+        xvar(0)
+
+
+def test_constructor_drops_zeros_and_stores_fractions():
+    key, other = (Monomial.make({1: 1}), LinForm(())), (Monomial.make({2: 1}), LinForm(()))
+    expr = CanonicalExpr({key: 2, other: Q(0)})
+    assert dict(expr.items()) == {key: Q(2)}
+    assert type(dict(expr.items())[key]) is Q
 
 
 def test_y_linear_decomposition():

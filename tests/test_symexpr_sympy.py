@@ -1,0 +1,118 @@
+"""Differential check of the expression ring against sympy.
+
+Each drawn value is built twice from the same random terms: through the
+ring's public operations and directly in sympy.  Ring results are read back
+through their term maps and must expand to the same function as sympy's.
+sympy is a test-only dependency: the program never imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spraylie.symexpr import CanonicalExpr, const, evaluate, exponential, parse_expr, xvar, yvar
+
+sympy = pytest.importorskip("sympy")
+
+NAMES = ("x1", "x2", "y1", "y2")
+S = {name: sympy.Symbol(name) for name in NAMES}
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_nonzero = _coeffs.filter(lambda q: q != 0)
+_powers = st.dictionaries(st.integers(1, 2), st.integers(1, 2), max_size=2)
+_lins = st.dictionaries(
+    st.integers(1, 2), st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2, 3)]), max_size=2
+)
+_points = st.fixed_dictionaries(
+    {name: st.fractions(min_value=-2, max_value=2, max_denominator=3) for name in NAMES}
+)
+
+
+def _rat(q: Q) -> "sympy.Rational":
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _sym_term(c, xs, ys, lin):
+    term = _rat(c) * sympy.exp(sympy.Add(*(_rat(q) * S[f"x{i}"] for i, q in lin.items())))
+    for i, e in xs.items():
+        term *= S[f"x{i}"] ** e
+    for i, e in ys.items():
+        term *= S[f"y{i}"] ** e
+    return term
+
+
+def _ring_term(c, xs, ys, lin) -> CanonicalExpr:
+    term = const(c) * exponential(lin)
+    for i, e in xs.items():
+        term = term * xvar(i) ** e
+    for i, e in ys.items():
+        term = term * yvar(i) ** e
+    return term
+
+
+@st.composite
+def _values(draw):
+    """A ring value and the sympy expression of the same drawn terms."""
+    terms = [
+        (draw(_coeffs), draw(_powers), draw(_powers), draw(_lins))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    ring = sum((_ring_term(*t) for t in terms), CanonicalExpr())
+    return ring, sympy.Add(*(_sym_term(*t) for t in terms))
+
+
+@st.composite
+def _units(draw):
+    term = (draw(_nonzero), {}, {}, draw(_lins))
+    return _ring_term(*term), _sym_term(*term)
+
+
+def _to_sympy(expr: CanonicalExpr):
+    return sympy.Add(
+        *(_sym_term(c, dict(m.x), dict(m.y), dict(lin.coeffs)) for (m, lin), c in expr.items())
+    )
+
+
+def _same(a, b) -> bool:
+    return sympy.expand(a - b) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_values(), _values(), _units())
+def test_ring_operations_agree_with_sympy(a, b, unit):
+    (ra, sa), (rb, sb), (ru, su) = a, b, unit
+    assert _same(_to_sympy(ra), sa)
+    assert _same(_to_sympy(ra + rb), sa + sb)
+    assert _same(_to_sympy(ra - rb), sa - sb)
+    assert _same(_to_sympy(ra * rb), sa * sb)
+    assert _same(_to_sympy(ra / ru), sa / su)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_values())
+def test_diff_agrees_with_sympy(a):
+    ring, sym = a
+    for name in NAMES:
+        assert _same(_to_sympy(ring.diff(name)), sympy.diff(sym, S[name])), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(_values())
+def test_printed_form_parses_back_in_both_systems(a):
+    ring, sym = a
+    text = str(ring)
+    assert parse_expr(text) == ring
+    assert _same(sympy.sympify(text.replace("^", "**"), locals=S), sym)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_values(), _values(), _points)
+def test_evaluate_agrees_with_sympy_at_rational_points(a, b, point):
+    (ra, sa), (rb, sb) = a, b
+    subs = {S[name]: _rat(value) for name, value in point.items()}
+    for got, sym in zip(evaluate([ra, rb], point), (sa, sb)):
+        want = float(sym.subs(subs).evalf(30))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (str(sym), point)
