@@ -268,7 +268,14 @@ def _accumulate(acc: dict, key: TermKey, value: Fraction) -> None:
 
 
 class CanonicalExpr:
-    """Immutable normal form; the zero value is the empty term map."""
+    """Immutable normal form; the zero value is the empty term map.
+
+    The term map is built once, in `__init__`, and never written afterwards,
+    so results may share operands.  The ring short-circuits on zero: `a + 0`
+    and `a - 0` return `a` itself, `0 + a` returns `a`, `-0` returns the same
+    zero, and a product with a zero factor is `ZERO`.  `evaluate` gives 0.0
+    for a zero value without sorting its terms.
+    """
 
     __slots__ = ("_terms",)
 
@@ -351,6 +358,10 @@ class CanonicalExpr:
         other = CanonicalExpr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         acc = dict(self._terms)
         for key, q in other._terms.items():
             _accumulate(acc, key, q)
@@ -359,6 +370,8 @@ class CanonicalExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "CanonicalExpr":
+        if not self._terms:
+            return self
         return CanonicalExpr({k: -q for k, q in self._terms.items()})
 
     def __sub__(self, other) -> "CanonicalExpr":
@@ -373,11 +386,13 @@ class CanonicalExpr:
     def __mul__(self, other) -> "CanonicalExpr":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            if not q:
-                return CanonicalExpr()
+            if not q or not self._terms:
+                return ZERO
             return CanonicalExpr({k: c * q for k, c in self._terms.items()})
         if not isinstance(other, CanonicalExpr):
             return NotImplemented
+        if not self._terms or not other._terms:
+            return ZERO
         acc: dict[TermKey, Fraction] = {}
         for (m1, l1), c1 in self._terms.items():
             for (m2, l2), c2 in other._terms.items():
@@ -557,13 +572,14 @@ def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]
     """IEEE-double values at a rational point, the float twin of `specialize`.
 
     The point is split once.  Each expression sums its terms in print order,
-    each term's rational part exactly, with exp applied last per term.
+    each term's rational part exactly, with exp applied last per term; a zero
+    expression is 0.0 without sorting.
     """
     xvals, yvals = _split_point(point)
     values = []
     for expr in exprs:
         total = 0.0
-        for (mono, lin), c in expr._sorted_terms():
+        for (mono, lin), c in expr._sorted_terms() if expr else ():
             exact = c * mono.eval(xvals, yvals)
             if lin.is_zero():
                 total += float(exact)

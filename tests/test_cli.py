@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from spraylie import cli
+from spraylie import cli, geom
 from spraylie.fields import nullity_rank_numeric
+from spraylie.symexpr import const
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -341,6 +342,31 @@ def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
     for name in CURVATURE_IDENTITIES:
         assert results[name] is False, name
     assert all(ok for name, ok in results.items() if name not in CURVATURE_IDENTITIES)
+
+
+CONNECTION_IDENTITY = "spray-tangent bracket reproduces the connection"
+
+
+def _named_pipeline(name: str) -> cli.Pipeline:
+    if name == "flat":
+        return cli.build_pipeline(geom.diagonal_metric([const(1)] * 3))
+    return cli.build_pipeline(cli.load_problem(PROBLEMS / f"{name}.json").metric)
+
+
+@pytest.mark.parametrize(
+    "own, foreign",
+    [("example1", "section5"), ("section5", "example1"), ("flat", "example1"), ("flat", "section5")],
+)
+def test_structural_identities_fail_on_a_foreign_connection(own, foreign):
+    """On flat R^3 the own spray is zero, so nearly every derivative is skipped."""
+    pipe = _named_pipeline(own)
+    assert all(cli._check_structural_identities(pipe).values())
+    assert (own == "flat") == all(g.is_zero() for g in pipe.spray.G)
+    other = _named_pipeline(foreign)
+    mixed = cli.Pipeline(pipe.metric, pipe.spray, other.connection, other.curvature)
+    results = cli._check_structural_identities(mixed)
+    assert results[CONNECTION_IDENTITY] is False
+    assert all(ok for name, ok in results.items() if name != CONNECTION_IDENTITY)
 
 
 def test_cli_import_does_not_load_numpy():

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spraylie import geom, linalg
 from spraylie.fields import (
     BaseField,
     TMField,
     VectorOneForm,
+    apply_to_scalar,
     bracket_base,
     bracket_tm,
     combine_fields,
@@ -29,7 +31,7 @@ from spraylie.fields import (
     solve_in_span,
     spray_field,
 )
-from spraylie.symexpr import parse_expr
+from spraylie.symexpr import CanonicalExpr, parse_expr, yvar
 from tests.conftest import (
     FLAT_EXPONENTIAL,
     base_field,
@@ -94,6 +96,48 @@ def test_tm_bracket_jacobi_random():
             + bracket_tm(c, bracket_tm(a, b))
         )
         assert total.is_zero()
+
+
+_CONSTANT_OR_X = ["0", "1", "-3/2", "x1", "x2^2", "x1*x2", "exp(x1)", "x2*exp(x1 - x2)"]
+_Y_DEPENDENT = ["y1", "x1*y2", "y1*y2", "y2^2*exp(x2)", "x2*y1 - y2"]
+
+
+def _sums(pool):
+    """Zero, one or two pool entries added up, so most draws are sparse."""
+    terms = st.sampled_from([E(text) for text in pool])
+    return st.lists(terms, max_size=2).map(lambda parts: sum(parts, CanonicalExpr()))
+
+
+_base_components = st.tuples(*[_sums(_CONSTANT_OR_X)] * 2)
+_tm_components = st.tuples(*[_sums(_CONSTANT_OR_X + _Y_DEPENDENT)] * 4)
+
+
+def _derive_by_definition(components, names, f):
+    """X(f) = sum_s X^s d_s f, every slot multiplied and added."""
+    total = CanonicalExpr()
+    for comp, name in zip(components, names):
+        total = total + comp * f.diff(name)
+    return total
+
+
+def _bracket_by_definition(a, b, names):
+    return tuple(
+        _derive_by_definition(a, names, bk) - _derive_by_definition(b, names, ak)
+        for ak, bk in zip(a, b)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tm_components, _tm_components, _base_components, _base_components)
+def test_derivation_kernel_matches_the_plain_definition(a, b, p, q):
+    xs, xys = ("x1", "x2"), ("x1", "x2", "y1", "y2")
+    for f in a + b:
+        assert apply_to_scalar(TMField(a), f) == _derive_by_definition(a, xys, f)
+    assert bracket_tm(TMField(a), TMField(b)).components == _bracket_by_definition(a, b, xys)
+    assert bracket_base(BaseField(p), BaseField(q)).components == _bracket_by_definition(p, q, xs)
+    ys = (yvar(1), yvar(2))
+    lift = p + tuple(_derive_by_definition(ys, xs, c) for c in p)
+    assert complete_lift(BaseField(p)).components == lift
 
 
 def test_frame_field_and_oneform_apply():

@@ -13,7 +13,16 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie.symexpr import CanonicalExpr, const, evaluate, exponential, parse_expr, xvar, yvar
+from spraylie.symexpr import (
+    ZERO,
+    CanonicalExpr,
+    const,
+    evaluate,
+    exponential,
+    parse_expr,
+    xvar,
+    yvar,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -89,6 +98,14 @@ def test_ring_operations_agree_with_sympy(a, b, unit):
     assert _same(_to_sympy(ra - rb), sa - sb)
     assert _same(_to_sympy(ra * rb), sa * sb)
     assert _same(_to_sympy(ra / ru), sa / su)
+    # zero operands, which the ring short-circuits
+    for zero in (ZERO, 0):
+        assert _same(_to_sympy(ra + zero), sa)
+        assert _same(_to_sympy(zero + ra), sa)
+        assert _same(_to_sympy(ra - zero), sa)
+        assert _same(_to_sympy(zero - ra), -sa)
+        assert (ra * zero).is_zero() and (zero * ra).is_zero()
+    assert (-ZERO).is_zero() and ZERO.is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,6 +130,8 @@ def test_printed_form_parses_back_in_both_systems(a):
 def test_evaluate_agrees_with_sympy_at_rational_points(a, b, point):
     (ra, sa), (rb, sb) = a, b
     subs = {S[name]: _rat(value) for name, value in point.items()}
-    for got, sym in zip(evaluate([ra, rb], point), (sa, sb)):
+    got_zero, *got_values = evaluate([ZERO, ra, rb], point)
+    assert got_zero == 0.0
+    for got, sym in zip(got_values, (sa, sb)):
         want = float(sym.subs(subs).evalf(30))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (str(sym), point)
