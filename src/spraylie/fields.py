@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import kernel_basis, rank
 from .symexpr import ZERO, CanonicalExpr, specialize, yvar
@@ -276,6 +276,12 @@ class VectorOneForm:
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.matrix for v in row)
 
+    def labelled(self) -> Iterator[tuple[str, CanonicalExpr]]:
+        """Entries in row-major order, each labelled `matrix entry (b,a)`."""
+        for b, row in enumerate(self.matrix):
+            for a, entry in enumerate(row):
+                yield f"matrix entry ({b},{a})", entry
+
 
 def _from_columns(columns: Sequence[TMField]) -> VectorOneForm:
     """The endomorphism field whose column a is the image of frame field a."""
@@ -310,6 +316,14 @@ class VectorTwoForm:
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
+
+    def labelled(self) -> Iterator[tuple[str, CanonicalExpr]]:
+        """Components on the frame pairs a < b, labelled by the pair and the slot variable."""
+        names = _slot_vars(self.dim)
+        for a in range(len(self.entries)):
+            for b in range(a + 1, len(self.entries)):
+                for var, comp in zip(names, self.entries[a][b].components):
+                    yield f"frame pair ({names[a]},{names[b]}) component {var}", comp
 
     def __sub__(self, other: "VectorTwoForm") -> "VectorTwoForm":
         return VectorTwoForm(
@@ -431,12 +445,7 @@ def in_AS(field: BaseField, spray) -> MembershipVerdict:
 def in_AGamma(field: BaseField, connection) -> MembershipVerdict:
     """Does the complete lift preserve the connection's almost-product structure?"""
     derivative = lie_derivative_oneform(complete_lift(field), connection_oneform(connection))
-    labeled = (
-        (f"matrix entry ({b},{a})", entry)
-        for b, row in enumerate(derivative.matrix)
-        for a, entry in enumerate(row)
-    )
-    return _verdict("in_AGamma", labeled)
+    return _verdict("in_AGamma", derivative.labelled())
 
 
 def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:

@@ -353,21 +353,21 @@ def test_acceptance_07_numeric_oracles_within_tolerance():
         C = geom.liouville(n)
         S = spray_field(spray)
         devs = [
-            cli._two_form_max_dev(
+            cli._form_max_dev(
                 component_form, geom.curvature_via_projector(connection), points
             ),
-            cli._two_form_max_dev(
+            cli._form_max_dev(
                 component_form, geom.curvature_via_almost_product(connection), points
             ),
-            cli._one_form_max_dev(
+            cli._form_max_dev(
                 geom.connection_via_bracket(spray),
                 geom.connection_oneform(connection),
                 points,
             ),
-            cli._one_form_max_dev(h.compose(h), h, points),
-            cli._one_form_max_dev(h + v, VectorOneForm.identity(n), points),
+            cli._form_max_dev(h.compose(h), h, points),
+            cli._form_max_dev(h + v, VectorOneForm.identity(n), points),
             cli._field_max_dev(bracket_tm(C, S), S, points),
-            cli._one_form_max_dev(lie_derivative_oneform(C, J), -J, points),
+            cli._form_max_dev(lie_derivative_oneform(C, J), -J, points),
         ]
         for dev in devs:
             assert dev <= 1e-12, f"{entries}: pointwise deviation {dev}"

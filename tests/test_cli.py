@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spraylie import cli, geom
 from spraylie.fields import nullity_rank_numeric
@@ -326,10 +327,13 @@ def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
             assert nullity_rank_numeric(curvature, points) == rank, (seed, count)
 
 
-CURVATURE_IDENTITIES = (
-    "curvature equals half the horizontal self-bracket",
-    "curvature equals an eighth of the connection self-bracket",
-)
+CURVATURE_IDENTITIES = ("curvature equals half the horizontal self-bracket",)
+
+
+def _assert_witnessed(verdict):
+    assert not verdict
+    assert verdict.location
+    assert verdict.residual is not None and not verdict.residual.is_zero()
 
 
 @pytest.mark.parametrize("own, foreign", [("example1", "section5"), ("section5", "example1")])
@@ -340,7 +344,7 @@ def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
     mixed = cli.Pipeline(pipe.metric, pipe.spray, pipe.connection, other.curvature)
     results = cli._check_structural_identities(mixed)
     for name in CURVATURE_IDENTITIES:
-        assert results[name] is False, name
+        _assert_witnessed(results[name])
     assert all(ok for name, ok in results.items() if name not in CURVATURE_IDENTITIES)
 
 
@@ -365,8 +369,20 @@ def test_structural_identities_fail_on_a_foreign_connection(own, foreign):
     other = _named_pipeline(foreign)
     mixed = cli.Pipeline(pipe.metric, pipe.spray, other.connection, other.curvature)
     results = cli._check_structural_identities(mixed)
-    assert results[CONNECTION_IDENTITY] is False
+    _assert_witnessed(results[CONNECTION_IDENTITY])
     assert all(ok for name, ok in results.items() if name != CONNECTION_IDENTITY)
+
+
+def test_analyze_names_the_witness_of_a_failed_identity(monkeypatch, capsys):
+    own = cli.build_pipeline(cli.load_problem(PROBLEMS / "example1.json").metric)
+    other = cli.build_pipeline(cli.load_problem(PROBLEMS / "section5.json").metric)
+    mixed = cli.Pipeline(own.metric, own.spray, own.connection, other.curvature)
+    monkeypatch.setattr(cli, "build_pipeline", lambda metric: mixed)
+    verdict = cli._check_structural_identities(mixed)[CURVATURE_IDENTITIES[0]]
+    assert cli.main(["analyze", str(PROBLEMS / "example1.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"structural identity failed: {CURVATURE_IDENTITIES[0]} at frame pair (" in err
+    assert f"{verdict.location}: {verdict.residual}" in err
 
 
 def test_cli_import_does_not_load_numpy():
@@ -388,6 +404,60 @@ def test_analyze_invalid_json_exits_one(tmp_path):
     path.write_text("{not json")
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
+
+
+def _small_problem(**blocks) -> dict:
+    doc = {
+        "name": "small",
+        "dim": 2,
+        "coordinates": ["x1", "x2"],
+        "metric": {"kind": "diagonal", "entries": ["exp(x1)", "1"]},
+        "fields": {"e1": ["0", "1"], "e2": ["x1", "x2"]},
+        "sets": {"s": ["e1", "e2"]},
+        "expected_tables": {"s": [["0", "e1"], ["-e1", "0"]]},
+        "accepted_corrections": {"s": [["e1", "e2"]]},
+        "analyses": ["pipeline", "membership", "tables", "algebra"],
+    }
+    doc.update(blocks)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        {"coordinates": 5},
+        {"fields": [1]},
+        {"sets": [1]},
+        {"metric": {"kind": "general", "entries": [["1", "0"], ["0", "1"]], "inverse": 5}},
+        {"analyses": 5},
+        {"accepted_corrections": {"s": 5}},
+        {"sets": {"s": [["a"]]}},
+    ],
+    ids=lambda blocks: json.dumps(blocks)[:40],
+)
+def test_malformed_block_exits_one_with_a_message(tmp_path, blocks):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_small_problem(**blocks)))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_TOP_LEVEL_KEYS = tuple(_small_problem())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(_TOP_LEVEL_KEYS), _JSON_VALUES, min_size=1))
+def test_any_json_block_exits_zero_one_or_two(tmp_path_factory, blocks):
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_text(json.dumps(_small_problem(**blocks)))
+    assert cli.main(["analyze", str(path)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Geometry pipeline: Christoffel data, sprays, connections, curvature.
 
 Frozen values come from the three worked diagonal exponential metrics; the
-structural identities are checked on those plus seeded random metrics.
+structural identities are checked on those, on seeded random metrics, and on
+random quadratic sprays that come from no metric.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spraylie import geom
 from spraylie.fields import (
+    VectorOneForm,
     bracket_tm,
     fn_bracket,
     lie_derivative_oneform,
@@ -210,6 +213,43 @@ def test_liouville_identities(entries):
     # [C, J] = -J, computed as the Lie derivative of J along C
     lcj = lie_derivative_oneform(C, J)
     assert (lcj + J).is_zero()
+
+
+# "0" twice, so that more of the drawn coefficients vanish
+_X_COEFFICIENTS = [
+    E(text) for text in ("0", "0", "1", "-2", "x1", "x1*x2", "exp(x1)", "x3^2", "exp(x2 - x3)/3")
+]
+
+
+@st.composite
+def _quadratic_sprays(draw):
+    """G^k = sum_{i <= j} c^k_ij(x) y^i y^j with x-dependent c, not derived from a metric."""
+    n = draw(st.integers(1, 3))
+    pool = [c for c in _X_COEFFICIENTS if c.max_x_index() <= n]
+    coeffs = []
+    for _k in range(n):
+        acc = ZERO
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                acc = acc + draw(st.sampled_from(pool)) * E(f"y{i}*y{j}")
+        coeffs.append(acc)
+    return geom.SprayData(tuple(coeffs))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_quadratic_sprays())
+def test_identities_that_hold_for_every_quadratic_spray(spray):
+    """These need no agreement between independent routes, so `analyze` does not check them."""
+    n = spray.dim
+    connection = geom.connection_from_spray(spray)
+    h, v = geom.projectors(connection)
+    assert (h.compose(h) - h).is_zero()
+    assert ((h + v) - VectorOneForm.identity(n)).is_zero()
+    C, S, J = geom.liouville(n), spray_field(spray), geom.tangent_structure(n)
+    assert (bracket_tm(C, S) - S).is_zero()
+    assert (lie_derivative_oneform(C, J) + J).is_zero()
+    eighth = geom.curvature_via_almost_product(connection)
+    assert (eighth - geom.curvature_via_projector(connection)).is_zero()
 
 
 def test_tangent_structure_squares_to_zero():

@@ -20,12 +20,12 @@ from spraylie import cli
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 REPORT_SHA256 = {
-    ("example1", "md"): "08b058ef19ecc560ca4526a9b05fc43359d48d6b9a8b6a03fed2486b9359b9aa",
-    ("example1", "json"): "2db3beaccb43bcd0040c63723eb6f0396f2e1194c169ad427c99cbbde4f1c699",
-    ("example2", "md"): "104d926fdc296ebe8b6538380405f6e04ff40207728e4dd1a75635440e8611f2",
-    ("example2", "json"): "ebdfd639a0a43d80828f5ed01961cfd9935610be2ad3bf00897c1f9f95cd29ad",
-    ("section5", "md"): "58cfb2c3538cbdeaa61fad106de3970b9c1214a9e3ddb9a8c4d7e0a93c35e237",
-    ("section5", "json"): "ae5dc6ca8097b75f5ee068fbad3eff28d2bef3504d6cc63fec2ab165a4eed68a",
+    ("example1", "md"): "e0a0aee0dcb217184c2ab2c8c97876fb04db24778b00ce5c7a9533bfceb8a58c",
+    ("example1", "json"): "bebb8a0fc33a2b3fe04aecc13a95a752d81f1c71ceff0efd5930fae58b986707",
+    ("example2", "md"): "2fa833ba0a01faa4b7f64bb3c069dfc16ba0bfcc2858036e800b1bf76131a4b5",
+    ("example2", "json"): "0805b6d034c7f53560f442b79e9346134d82a0f6067fd89122ba79c38a468e0b",
+    ("section5", "md"): "e592ee53764d31f5f828b8347d6603cf65962f6a7c25fa64ae10ec0d9f40c1ef",
+    ("section5", "json"): "c478d44e3fe91e3ab47a15cd73ab6f2e36bc0f2bcb8f0cd0abd251aff79776e9",
 }
 
 
@@ -102,12 +102,12 @@ def _basis_change(fields: list[list[str]]) -> list[list[str]]:
 FAMILIES = {"aff3": lambda: _aff(3), "so5": lambda: _so(5), "h5": lambda: _heisenberg(2)}
 
 FAMILY_JSON_SHA256 = {
-    ("aff3", False): "66b5f9a24198c01c0fc70fd65f20670c159fef87a0bab2303053679be8aa2ed2",
-    ("aff3", True): "4e490e0cc4ea442bee55860b25cdb33b62293005477a4684e3877a730d7fab01",
-    ("h5", False): "1a09da20a4e98a3b597b07ab0c358b2de3025ad29454edcb5d4d5939844e75cc",
-    ("h5", True): "2baec351ed27fb5b755333c85ddead60cd880c053bc67df7b5780f88de9fba29",
-    ("so5", False): "d417c35dc12a06d7a7a2de17a21784f5005d2bd306eceaa443cf1a7d5e88b284",
-    ("so5", True): "1fd52f087f969b2d172ad41f3868661236bbae5a563a22f60c9cbcfea6f97fe2",
+    ("aff3", False): "85142b72d5e6edf2e0216f0a99496dd9ae3a22170a78c8000c33790a2a25145b",
+    ("aff3", True): "34fcb57c1c79c7e0a6c678903de6c5da8ccbcc5e8d241a9496550903247b3411",
+    ("h5", False): "7392fd671edf1fc68af95d4cc7bc6609c4a6ce7e3e90a65b2395521c3eceff86",
+    ("h5", True): "ceb597a1b56b460110b74adf5a74b21eaad961a7849ced5d004f0772928ed4ed",
+    ("so5", False): "27fd9de74a32ee7144a9f98cf2d504e15c0a5951614cd7091b33b9c99d0b5132",
+    ("so5", True): "d11771c2ae11887fc8b7358aa9f7802bf5ff085c8e6d9d8c468c66e286b65605",
 }
 
 
