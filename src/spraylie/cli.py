@@ -38,7 +38,7 @@ from .fields import (
     nullity_rank_numeric,
     solve_in_span,
 )
-from .symexpr import CanonicalExpr, SymExprError, evaluate, parse_expr
+from .symexpr import MAX_DIGITS, CanonicalExpr, SymExprError, evaluate, parse_expr
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -254,7 +254,7 @@ def load_problem(path: str | Path) -> Problem:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"(?:(?P<pre>\d+(?:/\d+)?)\*)?(?P<name>[A-Za-z_]\w*)(?:/(?P<post>\d+))?"
+    r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?\*)?(?P<name>[A-Za-z_]\w*)(?:/(?P<post>\d+))?"
 )
 
 
@@ -279,8 +279,15 @@ def parse_combination(text: str, labels: Sequence[str]) -> list[Fraction]:
         name = match.group("name")
         if name not in index:
             raise InputError(f"combination {text!r} uses unknown generator {name!r}")
-        coeff = Fraction(match.group("pre") or 1) / Fraction(match.group("post") or 1)
-        coeffs[index[name]] += sign * coeff
+        digits = [match.group(g) or "1" for g in ("num", "den", "post")]
+        if max(map(len, digits)) > MAX_DIGITS:
+            raise InputError(
+                f"combination {text!r} has a number longer than {MAX_DIGITS} digits at position {pos}"
+            )
+        num, den, post = map(int, digits)
+        if not den * post:
+            raise InputError(f"combination {text!r} divides by zero at position {pos}")
+        coeffs[index[name]] += sign * Fraction(num, den * post)
         pos = match.end()
     return coeffs
 
@@ -401,6 +408,14 @@ def _table_cells(sc: liealg.StructureConstants) -> list[list[str]]:
     ]
 
 
+def _expected_cell(problem: Problem, set_name: str, i: int, j: int) -> list[Fraction]:
+    """Coefficients of one expected-table cell; a malformed cell is an InputError naming it."""
+    try:
+        return parse_combination(problem.expected_tables[set_name][i][j], problem.sets[set_name])
+    except InputError as exc:
+        raise InputError(f"expected table for {set_name!r} cell ({i + 1},{j + 1}): {exc}") from exc
+
+
 def _compare_expected(problem: Problem, set_name: str, sc, points):
     """Diff the computed table against the expected block; deviations are diagnostics."""
     expected = problem.expected_tables[set_name]
@@ -411,7 +426,7 @@ def _compare_expected(problem: Problem, set_name: str, sc, points):
     total = len(labels) ** 2
     for i, row in enumerate(labels):
         for j, col in enumerate(labels):
-            want = parse_combination(expected[i][j], labels)
+            want = _expected_cell(problem, set_name, i, j)
             have = list(sc.c[i][j])
             if want == have:
                 continue
@@ -821,7 +836,7 @@ def _oracle_table_cell(problem, pipe, points, tokens: list[str]):
     direct = bracket_base(problem.fields[f1], problem.fields[f2])
     if set_name in problem.expected_tables:
         i, j = labels.index(f1), labels.index(f2)
-        coeffs = parse_combination(problem.expected_tables[set_name][i][j], labels)
+        coeffs = _expected_cell(problem, set_name, i, j)
         source = "expected table cell"
     else:
         sc = _structure_constants(problem, set_name)

@@ -11,7 +11,7 @@ two values are equal as functions iff their term maps are equal, and the zero
 test is just "no terms".  That is what keeps every zero test downstream exact.
 
 Division is only defined by units, i.e. single terms c * exp(l(x)) with no
-monomial part.  exp() only accepts arguments that canonicalize to a pure
+monomial part.  exp() only accepts arguments that reduce to a pure
 linear form in x with no constant part (exp of a nonzero rational constant
 would leave the ring).
 """
@@ -40,13 +40,21 @@ __all__ = [
     "xvar",
     "yvar",
     "exponential",
-    "parse",
-    "canonicalize",
     "parse_expr",
     "specialize",
     "evaluate",
     "ZERO",
+    "MAX_NESTING",
+    "MAX_DIGITS",
+    "MAX_EXPONENT",
+    "MAX_INDEX",
 ]
+
+MAX_NESTING = 100  # levels of parentheses and unary minus in one expression
+MAX_DIGITS = 100  # digits in one integer literal
+MAX_EXPONENT = 100  # absolute value of a power exponent
+MAX_INDEX = 1000  # largest k in x<k> or y<k>; print order builds tuples of length k
+_DIGITS = "0123456789"
 
 
 class SymExprError(Exception):
@@ -75,9 +83,12 @@ class EvaluationError(SymExprError):
 @functools.cache
 def _var_key(name: str) -> tuple[str, int]:
     kind, tail = name[:1], name[1:]
-    if kind not in ("x", "y") or not tail.isdigit() or int(tail) < 1:
-        raise SymExprError(f"unknown variable {name!r}: expected x<k> or y<k> with k >= 1")
-    return kind, int(tail)
+    index = int(tail) if tail.isascii() and tail.isdigit() and len(tail) <= MAX_DIGITS else 0
+    if kind not in ("x", "y") or not 1 <= index <= MAX_INDEX:
+        raise SymExprError(
+            f"unknown variable {name!r}: expected x<k> or y<k> with 1 <= k <= {MAX_INDEX}"
+        )
+    return kind, index
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +604,10 @@ def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]
 # parsing
 # ---------------------------------------------------------------------------
 #
+# One pass from text to the ring: each grammar rule returns the CanonicalExpr
+# of what it read, so no syntax tree is built.  A ring error (exp(y1), 1/x1)
+# is raised where the parser reaches it, before any later syntax error.
+#
 # Grammar (loosest to tightest): '+'/'-', '*'/'/', unary '-', '^'.
 #
 #   expr   := term (('+'|'-') term)*
@@ -600,49 +615,12 @@ def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]
 #   unary  := '-' unary | power
 #   power  := atom ('^' ['-'] INT)*
 #   atom   := INT | NAME | '(' expr ')' | 'exp' '(' expr ')'
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    kind: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Quot:
-    num: object
-    den: object
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: object
+#
+# Every level of parentheses or unary '-' passes through `unary`, which
+# bounds the nesting by MAX_NESTING, so the recursion (five frames a level)
+# stays inside Python's default limit.  An INT has at most MAX_DIGITS digits,
+# so int() can read it, and one '^' raises to at most MAX_EXPONENT.  Each
+# bound fails as a ParseError at its token.
 
 
 @dataclass(frozen=True)
@@ -669,10 +647,12 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and source[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, start_col)
             tokens.append(_Token("INT", source[i:j], line, start_col))
             col += j - i
             i = j
@@ -703,6 +683,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -716,36 +697,42 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> CanonicalExpr:
+        value = self.expr()
         if self.peek().kind != "END":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
-        return node
+        return value
 
-    def expr(self):
-        parts = [self.term()]
+    def expr(self) -> CanonicalExpr:
+        value = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.term()
-            parts.append(Neg(rhs) if op == "-" else rhs)
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+            value = value - rhs if op == "-" else value + rhs
+        return value
 
-    def term(self):
-        node = self.unary()
+    def term(self) -> CanonicalExpr:
+        value = self.unary()
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.unary()
-            node = Prod((node, rhs)) if op == "*" else Quot(node, rhs)
-        return node
+            value = value * rhs if op == "*" else value / rhs
+        return value
 
-    def unary(self):
+    def unary(self) -> CanonicalExpr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
         if self.peek().kind == "OP" and self.peek().text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            value = -self.unary()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
-    def power(self):
-        node = self.atom()
+    def power(self) -> CanonicalExpr:
+        value = self.atom()
         while self.peek().kind == "OP" and self.peek().text == "^":
             self.advance()
             sign = 1
@@ -755,22 +742,24 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "INT":
                 self.fail("power exponents must be integer literals", tok)
+            if int(tok.text) > MAX_EXPONENT:
+                self.fail(f"power exponent above {MAX_EXPONENT}", tok)
             self.advance()
-            node = Pow(node, sign * int(tok.text))
-        return node
+            value = value ** (sign * int(tok.text))
+        return value
 
-    def atom(self):
+    def atom(self) -> CanonicalExpr:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return Const(Fraction(int(tok.text)))
+            return CanonicalExpr.const(int(tok.text))
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.expr()
+            value = self.expr()
             if self.peek().kind != "RPAREN":
                 self.fail("expected ')'")
             self.advance()
-            return node
+            return value
         if tok.kind == "NAME":
             self.advance()
             if tok.text == "exp":
@@ -781,17 +770,12 @@ class _Parser:
                 if self.peek().kind != "RPAREN":
                     self.fail("expected ')'")
                 self.advance()
-                return Exp(arg)
-            kind, tail = tok.text[:1], tok.text[1:]
-            if kind in ("x", "y") and tail.isdigit() and int(tail) >= 1:
-                return Var(kind, int(tail))
-            self.fail(f"unknown identifier {tok.text!r}", tok)
+                return CanonicalExpr.exponential(_linform_of(arg))
+            try:
+                return _variable(*_var_key(tok.text))
+            except SymExprError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
         self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok)
-
-
-def parse(source: str):
-    """Parse to a syntax tree; raises ParseError with line/column on failure."""
-    return _Parser(source).parse()
 
 
 def _linform_of(expr: CanonicalExpr) -> LinForm:
@@ -810,33 +794,9 @@ def _linform_of(expr: CanonicalExpr) -> LinForm:
     return LinForm.make(coeffs)
 
 
-def canonicalize(node) -> CanonicalExpr:
-    """Reduce a syntax tree to the canonical term map."""
-    if isinstance(node, Const):
-        return CanonicalExpr.const(node.value)
-    if isinstance(node, Var):
-        return _variable(node.kind, node.index)
-    if isinstance(node, Sum):
-        total = CanonicalExpr()
-        for part in node.terms:
-            total = total + canonicalize(part)
-        return total
-    if isinstance(node, Prod):
-        total = CanonicalExpr.const(1)
-        for part in node.factors:
-            total = total * canonicalize(part)
-        return total
-    if isinstance(node, Neg):
-        return -canonicalize(node.child)
-    if isinstance(node, Pow):
-        return canonicalize(node.base) ** node.exponent
-    if isinstance(node, Quot):
-        return canonicalize(node.num) / canonicalize(node.den)
-    if isinstance(node, Exp):
-        return CanonicalExpr.exponential(_linform_of(canonicalize(node.arg)))
-    raise SymExprError(f"unknown syntax node {node!r}")
-
-
 def parse_expr(source: str) -> CanonicalExpr:
-    """Parse and canonicalize in one step."""
-    return canonicalize(parse(source))
+    """Parse text straight into the ring; every failure is a SymExprError.
+
+    Syntax errors and exceeded bounds are ParseErrors carrying line and column.
+    """
+    return _Parser(source).parse()

@@ -22,6 +22,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "spraylie.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     return proc
 
@@ -432,6 +433,28 @@ def _small_problem(**blocks) -> dict:
         {"analyses": 5},
         {"accepted_corrections": {"s": 5}},
         {"sets": {"s": [["a"]]}},
+        *(
+            pytest.param({"metric": {"kind": "diagonal", "entries": [entry, "1"]}}, id=f"metric {name}")
+            for name, entry in (
+                ("nested parentheses", "(" * 3000 + "1" + ")" * 3000),
+                ("nested unary minus", "-" * 3000 + "1"),
+                ("long literal", "1" * 5000),
+                ("long variable index", "x" + "1" * 5000),
+                ("long exponent", "2^" + "9" * 5000),
+                ("large exponent", "2^99999"),
+                ("large variable exponent", "x1^99999999"),
+                ("non-ascii digit", "x\u00b2"),
+            )
+        ),
+        *(
+            pytest.param({"expected_tables": {"s": [["0", cell], ["-e1", "0"]]}}, id=f"table cell {name}")
+            for name, cell in (
+                ("zero denominator", "e1/0"),
+                ("zero over zero", "0/0*e1"),
+                ("long coefficient", "1" * 5000 + "*e1"),
+                ("long denominator", "e1/" + "1" * 5000),
+            )
+        ),
     ],
     ids=lambda blocks: json.dumps(blocks)[:40],
 )
@@ -441,6 +464,15 @@ def test_malformed_block_exits_one_with_a_message(tmp_path, blocks):
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_oracle_malformed_table_cell_exits_one_naming_the_cell(tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_small_problem(expected_tables={"s": [["0", "e1/0"], ["-e1", "0"]]})))
+    proc = run_cli("oracle", str(path), "--check", "table-cell e1 e2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: expected table for 's' cell (1,2):")
     assert "Traceback" not in proc.stderr
 
 

@@ -127,6 +127,9 @@ def test_exp_argument_errors():
         parse_expr("exp(exp(x1))")
     # a constant part that cancels is fine
     assert parse_expr("exp(x1 + 1 - 1)") == exponential({1: 1})
+    # parsing evaluates as it goes, so a ring error wins over a later syntax error
+    with pytest.raises(ExpArgumentError):
+        parse_expr("exp(y1) +)")
 
 
 def test_parse_errors_carry_position():
@@ -141,6 +144,46 @@ def test_parse_errors_carry_position():
         parse_expr("exp x1")
     with pytest.raises(SymExprError):
         parse_expr("x0")
+
+
+@pytest.mark.parametrize(
+    "source, line, col",
+    [
+        pytest.param("(" * 3000 + "1" + ")" * 3000, 1, symexpr.MAX_NESTING + 1, id="nested parentheses"),
+        pytest.param("-" * 3000 + "1", 1, symexpr.MAX_NESTING + 1, id="nested unary minus"),
+        pytest.param("1" * 5000, 1, 1, id="long literal"),
+        pytest.param("x" + "1" * 5000, 1, 1, id="long variable index"),
+        pytest.param("2^" + "9" * 5000, 1, 3, id="long exponent"),
+        pytest.param("2^99999", 1, 3, id="large exponent"),
+        pytest.param("x1^99999999", 1, 4, id="large variable exponent"),
+        pytest.param("x99999999999999999999", 1, 1, id="large variable index"),
+        pytest.param("1 +\n x\u00b2", 2, 2, id="non-ascii digit in a name"),
+        pytest.param("\u00b2", 1, 1, id="non-ascii digit"),
+    ],
+)
+def test_parse_bounds_fail_at_their_token(source, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_expr(source)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_parse_bounds_admit_their_limits():
+    depth = symexpr.MAX_NESTING - 1
+    assert parse_expr("(" * depth + "x1" + ")" * depth) == xvar(1)
+    assert parse_expr("-" * depth + "x1") == -xvar(1)
+    assert parse_expr("9" * symexpr.MAX_DIGITS) == const(10**symexpr.MAX_DIGITS - 1)
+    assert parse_expr(f"2^-{symexpr.MAX_EXPONENT}") == const(Q(1, 2**symexpr.MAX_EXPONENT))
+    assert parse_expr(f"y{symexpr.MAX_INDEX}") == yvar(symexpr.MAX_INDEX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="xyepaz012()+-*/ ", max_size=30))
+def test_parse_expr_returns_a_value_or_a_symexpr_error(source):
+    try:
+        value = parse_expr(source)
+    except SymExprError:
+        return
+    assert isinstance(value, CanonicalExpr)
 
 
 def test_exp_collects_like_forms():
