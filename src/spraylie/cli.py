@@ -29,11 +29,11 @@ from . import geom, liealg, linalg
 from .fields import (
     BaseField,
     MembershipVerdict,
+    _energy_residual,
     _verdict,
     bracket_base,
     combine_fields,
     in_AGamma,
-    in_Ag,
     in_AS,
     nullity_rank_numeric,
     solve_in_span,
@@ -559,12 +559,14 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
     if "membership" in problem.analyses:
         rows = []
         for name, field in problem.fields.items():
+            # in_Ag is in_AS plus X^c(E) = 0; the spray verdict is not recomputed
+            spray_symmetry = bool(in_AS(field, pipe.spray))
             rows.append(
                 {
                     "field": name,
-                    "spray_symmetry": bool(in_AS(field, pipe.spray)),
+                    "spray_symmetry": spray_symmetry,
                     "connection_symmetry": bool(in_AGamma(field, pipe.connection)),
-                    "isometry": bool(in_Ag(field, pipe.metric, pipe.spray)),
+                    "isometry": spray_symmetry and _energy_residual(field, pipe.metric).is_zero(),
                 }
             )
         report["membership"] = rows

@@ -17,7 +17,19 @@ are evaluated on frame fields that way.
 
 The membership predicates take the geometry pipeline's output objects (spray,
 connection, curvature, metric) as plain data and report the first nonzero
-obstruction on failure, so a False answer always comes with a witness.
+obstruction on failure, so a False answer always comes with a witness.  They
+compute only the entries that can be nonzero.  A complete lift X^c preserves
+the fibres and commutes with the vertical endomorphism J and the Liouville
+field C (Grifone 1972), so for every base field X:
+- the x-components of [X^c, S] vanish, because J[X^c, S] = [X^c, JS] =
+  [X^c, C] = 0 for a spray (JS = C); `in_AS` is the n y-components;
+- [X^c, 2h - I] is zero outside its lower-left n x n block, because X^c maps
+  vertical fields to vertical fields while 2h - I is -1 on vertical fields and
+  the identity modulo them, so [X^c, 2h - I] kills vertical fields and takes
+  vertical values; `in_AGamma` is that block, n^2 conditions read straight
+  from Gamma^j_i, Gamma^j_il and the first and second x-derivatives of X.
+The full tangent-bundle route (`bracket_tm`, `lie_derivative_oneform`) stays
+the reference that the tests compare these with.
 """
 
 from __future__ import annotations
@@ -433,19 +445,68 @@ def energy_from_metric(metric) -> CanonicalExpr:
 
 
 def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr]]:
-    res = bracket_tm(complete_lift(field), spray_field(spray))
-    return [(f"component {var}", c) for var, c in zip(_slot_vars(field.dim), res.components)]
+    """The y-components of [X^c, S], X^c(-2 G^k) - S(Y^k), labelled `component y<k>`.
+
+    The x-components X^c(y^k) - S(X^k) = Y^k - y^j d_j X^k vanish for every field.
+    """
+    n = field.dim
+    names = _slot_vars(n)
+    lift = complete_lift(field).components
+    spray_comps = spray_field(spray).components
+    return [
+        (
+            f"component {names[n + k]}",
+            _derive(lift, names, spray_comps[n + k]) - _derive(spray_comps, names, lift[n + k]),
+        )
+        for k in range(n)
+    ]
+
+
+def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
+    """Entries (n+j, i) of [X^c, 2h - I] in row-major order; all others vanish.
+
+    With Y^j = y^k d_k X^j the entry is
+    -2 [X^k d_k Gamma^j_i + Y^l Gamma^j_il + d_i Y^j - Gamma^l_i d_l X^j + Gamma^j_l d_i X^l],
+    the condition that X is an affine collineation of the connection.
+    """
+    n = field.dim
+    xs = _slot_vars(n)[:n]
+    X = field.components
+    dX = [[c.diff(x) for x in xs] for c in X]  # dX[k][l] = d_l X^k
+    ys = [yvar(l + 1) for l in range(n)]
+    Y = [sum((ys[l] * d for l, d in enumerate(row) if d), ZERO) for row in dX]
+    gamma1, gamma2 = connection.gamma1, connection.gamma2
+    out = []
+    for j in range(n):
+        for i in range(n):
+            acc = _derive(X, xs, gamma1[j][i]) + Y[j].diff(xs[i])
+            for l in range(n):
+                if Y[l] and gamma2[j][i][l]:
+                    acc = acc + Y[l] * gamma2[j][i][l]
+                if gamma1[l][i] and dX[j][l]:
+                    acc = acc - gamma1[l][i] * dX[j][l]
+                if gamma1[j][l] and dX[l][i]:
+                    acc = acc + gamma1[j][l] * dX[l][i]
+            out.append((f"matrix entry ({n + j},{i})", acc * -2))
+    return out
+
+
+def _energy_residual(field: BaseField, metric) -> CanonicalExpr:
+    """X^c(E): zero for a spray symmetry exactly when it is an isometry."""
+    return apply_to_scalar(complete_lift(field), energy_from_metric(metric))
 
 
 def in_AS(field: BaseField, spray) -> MembershipVerdict:
-    """Does the complete lift commute with the spray?"""
+    """Does the complete lift commute with the spray?  n conditions, [X^c, S]^(n+k) = 0."""
     return _verdict("in_AS", _spray_obstruction(field, spray))
 
 
 def in_AGamma(field: BaseField, connection) -> MembershipVerdict:
-    """Does the complete lift preserve the connection's almost-product structure?"""
-    derivative = lie_derivative_oneform(complete_lift(field), connection_oneform(connection))
-    return _verdict("in_AGamma", derivative.labelled())
+    """Does the complete lift preserve the connection's almost-product structure?
+
+    n^2 conditions: the lower-left block of [X^c, 2h - I].
+    """
+    return _verdict("in_AGamma", _connection_obstruction(field, connection))
 
 
 def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
@@ -453,8 +514,7 @@ def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
     verdict = _verdict("in_Ag", _spray_obstruction(field, spray))
     if not verdict:
         return verdict
-    residual = apply_to_scalar(complete_lift(field), energy_from_metric(metric))
-    return _verdict("in_Ag", [("energy derivative", residual)])
+    return _verdict("in_Ag", [("energy derivative", _energy_residual(field, metric))])
 
 
 def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
@@ -559,19 +619,16 @@ def solve_in_span(
     if len(dims) != 1:
         raise ValueError("dictionary fields must share one dimension")
 
+    # an isometry is a spray symmetry, so the spray obstruction is listed once
     obstructions: list[list[CanonicalExpr]] = []
     for field in dictionary:
         exprs: list[CanonicalExpr] = []
-        for name in CONDITION_ORDER:
-            if name not in wanted:
-                continue
-            if name == "spray-symmetry":
-                exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
-            elif name == "isometry":
-                exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
-                exprs.append(apply_to_scalar(complete_lift(field), energy_from_metric(metric)))
-            else:
-                exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
+        if "spray-symmetry" in wanted or "isometry" in wanted:
+            exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
+        if "isometry" in wanted:
+            exprs.append(_energy_residual(field, metric))
+        if "horizontality" in wanted:
+            exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
         obstructions.append(exprs)
 
     # coefficient matching: one sparse row per (expression slot, term key)

@@ -36,6 +36,7 @@ __all__ = [
     "UnitDivisionError",
     "ExpArgumentError",
     "EvaluationError",
+    "TermBoundError",
     "const",
     "xvar",
     "yvar",
@@ -48,12 +49,17 @@ __all__ = [
     "MAX_DIGITS",
     "MAX_EXPONENT",
     "MAX_INDEX",
+    "MAX_TERMS",
+    "MAX_COEFFICIENT_DIGITS",
 ]
 
 MAX_NESTING = 100  # levels of parentheses and unary minus in one expression
 MAX_DIGITS = 100  # digits in one integer literal
 MAX_EXPONENT = 100  # absolute value of a power exponent
 MAX_INDEX = 1000  # largest k in x<k> or y<k>; print order builds tuples of length k
+MAX_TERMS = 1000  # most terms a power may build, counted before multiplying
+MAX_COEFFICIENT_DIGITS = 100  # digits of a parsed coefficient's numerator or denominator
+_COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 _DIGITS = "0123456789"
 
 
@@ -74,6 +80,10 @@ class UnitDivisionError(SymExprError):
 
 class ExpArgumentError(SymExprError):
     """Raised when exp() is applied to a non-affine, constant-shifted, or fiber-dependent argument."""
+
+
+class TermBoundError(SymExprError):
+    """A power whose expansion could have more than MAX_TERMS terms."""
 
 
 class EvaluationError(SymExprError):
@@ -413,13 +423,28 @@ class CanonicalExpr:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CanonicalExpr":
+        """Power by repeated squaring.
+
+        A t-term value to the e has at most C(t+e-1, e) terms, one per multiset
+        of e factors; a power whose count exceeds MAX_TERMS is refused before
+        any multiplication.
+        """
         if not isinstance(exponent, int):
             raise SymExprError("power exponents must be integers")
         if exponent < 0:
             return (CanonicalExpr.const(1) / self) ** (-exponent)
-        result = CanonicalExpr.const(1)
-        for _ in range(exponent):
-            result = result * self
+        terms = len(self._terms)
+        if terms and math.comb(terms + exponent - 1, exponent) > MAX_TERMS:
+            raise TermBoundError(
+                f"a {terms}-term value to the power {exponent} could have more than {MAX_TERMS} terms"
+            )
+        result, square = CanonicalExpr.const(1), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __truediv__(self, other) -> "CanonicalExpr":
@@ -619,8 +644,12 @@ def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]
 # Every level of parentheses or unary '-' passes through `unary`, which
 # bounds the nesting by MAX_NESTING, so the recursion (five frames a level)
 # stays inside Python's default limit.  An INT has at most MAX_DIGITS digits,
-# so int() can read it, and one '^' raises to at most MAX_EXPONENT.  Each
-# bound fails as a ParseError at its token.
+# so int() can read it, and one '^' raises to at most MAX_EXPONENT and builds
+# at most MAX_TERMS terms.  Coefficients are checked against
+# MAX_COEFFICIENT_DIGITS after each '^' and where each expr ends.  A power's
+# base is an atom, so it is always checked: no step raises an unchecked
+# coefficient, and the digits a product or sum builds grow only with the
+# length of the text.  Each bound fails as a ParseError at its token.
 
 
 @dataclass(frozen=True)
@@ -704,12 +733,13 @@ class _Parser:
         return value
 
     def expr(self) -> CanonicalExpr:
+        start = self.peek()
         value = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.term()
             value = value - rhs if op == "-" else value + rhs
-        return value
+        return self.bounded(value, start)
 
     def term(self) -> CanonicalExpr:
         value = self.unary()
@@ -734,7 +764,7 @@ class _Parser:
     def power(self) -> CanonicalExpr:
         value = self.atom()
         while self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
+            caret = self.advance()
             sign = 1
             if self.peek().kind == "OP" and self.peek().text == "-":
                 self.advance()
@@ -745,7 +775,19 @@ class _Parser:
             if int(tok.text) > MAX_EXPONENT:
                 self.fail(f"power exponent above {MAX_EXPONENT}", tok)
             self.advance()
-            value = value ** (sign * int(tok.text))
+            try:
+                value = value ** (sign * int(tok.text))
+            except TermBoundError as exc:
+                raise ParseError(str(exc), caret.line, caret.col) from None
+            value = self.bounded(value, caret)
+        return value
+
+    def bounded(self, value: CanonicalExpr, tok: _Token) -> CanonicalExpr:
+        """`value`, unless a coefficient or exp() coefficient has too many digits."""
+        for (_mono, lin), q in value.items():
+            for c in (q, *(c for _i, c in lin.coeffs)):
+                if abs(c.numerator) >= _COEFFICIENT_LIMIT or c.denominator >= _COEFFICIENT_LIMIT:
+                    self.fail(f"coefficient longer than {MAX_COEFFICIENT_DIGITS} digits", tok)
         return value
 
     def atom(self) -> CanonicalExpr:

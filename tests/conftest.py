@@ -7,10 +7,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from spraylie import geom, linalg
 from spraylie.fields import BaseField
-from spraylie.symexpr import parse_expr
+from spraylie.symexpr import ZERO, parse_expr
 
 
 @lru_cache(maxsize=None)
@@ -44,6 +45,28 @@ def random_diag_entries(seed: int, n: int) -> tuple[str, ...]:
         form = "+".join(f"({c})*x{i+1}" for i, c in enumerate(coeffs) if c)
         entries.append(f"exp({form})")
     return tuple(entries)
+
+
+# "0" twice, so that more of the drawn coefficients vanish
+_X_COEFFICIENTS = [
+    parse_expr(text)
+    for text in ("0", "0", "1", "-2", "x1", "x1*x2", "exp(x1)", "x3^2", "exp(x2 - x3)/3")
+]
+
+
+@st.composite
+def quadratic_sprays(draw):
+    """G^k = sum_{i <= j} c^k_ij(x) y^i y^j with x-dependent c, not derived from a metric."""
+    n = draw(st.integers(1, 3))
+    pool = [c for c in _X_COEFFICIENTS if c.max_x_index() <= n]
+    coeffs = []
+    for _k in range(n):
+        acc = ZERO
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                acc = acc + draw(st.sampled_from(pool)) * parse_expr(f"y{i}*y{j}")
+        coeffs.append(acc)
+    return geom.SprayData(tuple(coeffs))
 
 
 def constant_nullity_kernel(curv) -> int:

@@ -444,6 +444,9 @@ def _small_problem(**blocks) -> dict:
                 ("large exponent", "2^99999"),
                 ("large variable exponent", "x1^99999999"),
                 ("non-ascii digit", "x\u00b2"),
+                ("power with too many terms", "(x1+x2+x3+x4)^40"),
+                ("long coefficient from a power", "((2^100)^100)^100"),
+                ("long coefficient from a product", "*".join(["9" * 99] * 50)),
             )
         ),
         *(

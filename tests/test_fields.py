@@ -13,6 +13,8 @@ from spraylie.fields import (
     BaseField,
     TMField,
     VectorOneForm,
+    _connection_obstruction,
+    _spray_obstruction,
     apply_to_scalar,
     bracket_base,
     bracket_tm,
@@ -34,9 +36,12 @@ from spraylie.fields import (
 from spraylie.symexpr import CanonicalExpr, parse_expr, yvar
 from tests.conftest import (
     FLAT_EXPONENTIAL,
+    HYPERBOLIC_SHELL,
+    PRODUCT_BLOCKS,
     base_field,
     build_pipeline,
     constant_nullity_kernel,
+    quadratic_sprays,
 )
 
 E = parse_expr
@@ -261,6 +266,61 @@ def test_membership_verdict_reports_residual(shell_pipeline):
     assert not verdict
     assert verdict.residual is not None and not verdict.residual.is_zero()
     assert verdict.location
+
+
+def test_connection_verdict_reports_the_first_block_entry(shell_pipeline):
+    _, _, connection, _ = shell_pipeline
+    field = base_field("x1^2", "0", "0")
+    verdict = in_AGamma(field, connection)
+    assert not verdict
+    b, a = map(int, verdict.location.removeprefix("matrix entry (").removesuffix(")").split(","))
+    assert b >= field.dim > a
+    derivative = lie_derivative_oneform(complete_lift(field), connection_oneform(connection))
+    first = next((label, entry) for label, entry in derivative.labelled() if entry)
+    assert (verdict.location, verdict.residual) == first
+
+
+_FIELD_POOL = _CONSTANT_OR_X + ["x3", "x1*x3^2", "exp(x3 - x1)/2", "x4*exp(x2)"]
+
+
+@st.composite
+def _fields_with_geometry(draw):
+    """A base field with the spray and connection of a shipped metric or of a random spray."""
+    if draw(st.booleans()):
+        entries = draw(st.sampled_from([HYPERBOLIC_SHELL, PRODUCT_BLOCKS, FLAT_EXPONENTIAL]))
+        _, spray, connection, _ = build_pipeline(entries)
+    else:
+        spray = draw(quadratic_sprays())
+        connection = geom.connection_from_spray(spray)
+    n = spray.dim
+    pool = [text for text in _FIELD_POOL if E(text).max_x_index() <= n]
+    field = BaseField(tuple(draw(_sums(pool)) for _ in range(n)))
+    return field, spray, connection
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields_with_geometry())
+def test_block_obstructions_equal_the_generic_route(case):
+    """Only the y-components of [X^c, S] and the lower-left block of [X^c, 2h - I] can be nonzero."""
+    field, spray, connection = case
+    n = field.dim
+    lift = complete_lift(field)
+    bracket = bracket_tm(lift, spray_field(spray))
+    assert all(c.is_zero() for c in bracket.components[:n])
+    assert _spray_obstruction(field, spray) == [
+        (f"component y{k + 1}", bracket.components[n + k]) for k in range(n)
+    ]
+    derivative = lie_derivative_oneform(lift, connection_oneform(connection))
+    entries = iter(derivative.labelled())
+    block = []
+    for b in range(2 * n):
+        for a in range(2 * n):
+            label, entry = next(entries)
+            if b >= n > a:
+                block.append((label, entry))
+            else:
+                assert entry.is_zero(), label
+    assert _connection_obstruction(field, connection) == block
 
 
 def test_rotation_fails_isometry_when_metric_breaks_symmetry():

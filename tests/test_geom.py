@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from spraylie import geom
 from spraylie.fields import (
@@ -29,6 +29,7 @@ from tests.conftest import (
     PRODUCT_BLOCKS,
     RANDOM_METRIC_SEEDS,
     build_pipeline,
+    quadratic_sprays,
     random_diag_entries,
 )
 
@@ -215,29 +216,8 @@ def test_liouville_identities(entries):
     assert (lcj + J).is_zero()
 
 
-# "0" twice, so that more of the drawn coefficients vanish
-_X_COEFFICIENTS = [
-    E(text) for text in ("0", "0", "1", "-2", "x1", "x1*x2", "exp(x1)", "x3^2", "exp(x2 - x3)/3")
-]
-
-
-@st.composite
-def _quadratic_sprays(draw):
-    """G^k = sum_{i <= j} c^k_ij(x) y^i y^j with x-dependent c, not derived from a metric."""
-    n = draw(st.integers(1, 3))
-    pool = [c for c in _X_COEFFICIENTS if c.max_x_index() <= n]
-    coeffs = []
-    for _k in range(n):
-        acc = ZERO
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                acc = acc + draw(st.sampled_from(pool)) * E(f"y{i}*y{j}")
-        coeffs.append(acc)
-    return geom.SprayData(tuple(coeffs))
-
-
 @settings(max_examples=20, deadline=None)
-@given(_quadratic_sprays())
+@given(quadratic_sprays())
 def test_identities_that_hold_for_every_quadratic_spray(spray):
     """These need no agreement between independent routes, so `analyze` does not check them."""
     n = spray.dim

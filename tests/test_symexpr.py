@@ -24,6 +24,7 @@ from spraylie.symexpr import (
     Monomial,
     ParseError,
     SymExprError,
+    TermBoundError,
     UnitDivisionError,
     const,
     evaluate,
@@ -159,12 +160,24 @@ def test_parse_errors_carry_position():
         pytest.param("x99999999999999999999", 1, 1, id="large variable index"),
         pytest.param("1 +\n x\u00b2", 2, 2, id="non-ascii digit in a name"),
         pytest.param("\u00b2", 1, 1, id="non-ascii digit"),
+        pytest.param("(x1+x2+x3+x4)^40", 1, 14, id="power with too many terms"),
+        pytest.param("((2^100)^100)^100", 1, 9, id="long coefficient from a power"),
+        pytest.param("*".join(["9" * 99] * 50), 1, 1, id="long coefficient from a product"),
+        pytest.param(
+            "1 + " + "*".join(f"exp(x1/{10**98 + k})" for k in range(1, 6)), 1, 1,
+            id="long exp coefficient from a product",
+        ),
     ],
 )
 def test_parse_bounds_fail_at_their_token(source, line, col):
     with pytest.raises(ParseError) as err:
         parse_expr(source)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_power_refuses_too_many_terms_before_multiplying():
+    with pytest.raises(TermBoundError):
+        (xvar(1) + xvar(2) + xvar(3) + xvar(4)) ** 40
 
 
 def test_parse_bounds_admit_their_limits():
@@ -174,6 +187,13 @@ def test_parse_bounds_admit_their_limits():
     assert parse_expr("9" * symexpr.MAX_DIGITS) == const(10**symexpr.MAX_DIGITS - 1)
     assert parse_expr(f"2^-{symexpr.MAX_EXPONENT}") == const(Q(1, 2**symexpr.MAX_EXPONENT))
     assert parse_expr(f"y{symexpr.MAX_INDEX}") == yvar(symexpr.MAX_INDEX)
+    most = symexpr.MAX_COEFFICIENT_DIGITS // 2
+    assert parse_expr(f"(10^{most} - 1)*(10^{most} + 1)") == const(10 ** (2 * most) - 1)
+    # a 4-term sum to the e has C(e+3, 3) terms
+    e = max(e for e in range(symexpr.MAX_EXPONENT + 1) if math.comb(e + 3, 3) <= symexpr.MAX_TERMS)
+    assert parse_expr(f"(x1+x2+x3+x4)^{e}").term_count() == math.comb(e + 3, 3)
+    with pytest.raises(ParseError):
+        parse_expr(f"(x1+x2+x3+x4)^{e + 1}")
 
 
 @settings(max_examples=200, deadline=None)

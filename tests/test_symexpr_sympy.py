@@ -109,6 +109,16 @@ def test_ring_operations_agree_with_sympy(a, b, unit):
 
 
 @settings(max_examples=40, deadline=None)
+@given(_values(), _units())
+def test_powers_agree_with_sympy(a, unit):
+    (ra, sa), (ru, su) = a, unit
+    for e in range(7):
+        assert _same(_to_sympy(ra**e), sa**e), e
+        assert _same(_to_sympy(ru**-e), su**-e), e
+    assert ZERO**0 == CanonicalExpr.const(1) and (ZERO**3).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
 @given(_values())
 def test_diff_agrees_with_sympy(a):
     ring, sym = a
