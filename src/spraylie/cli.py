@@ -33,6 +33,8 @@ from .fields import (
     _verdict,
     bracket_base,
     combine_fields,
+    constant_span,
+    horizontal_nullity_span,
     in_AGamma,
     in_AS,
     nullity_rank_numeric,
@@ -441,9 +443,6 @@ def _compare_expected(problem: Problem, set_name: str, sc, points):
                     "computed": render_combination(have, labels),
                     "expected_deviation": f"{want_dev:.3e}",
                     "computed_deviation": f"{have_dev:.3e}",
-                    # Generators are independent (dependent ones fail to load), so `have`
-                    # is the bracket's unique exact coordinate vector: `want` is wrong.
-                    "verdict": "computation",
                     "accepted_correction": (row, col) in marked,
                 }
             )
@@ -455,21 +454,36 @@ def _compare_expected(problem: Problem, set_name: str, sc, points):
     }
 
 
-def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
-    labels = problem.sets[set_name]
+def _subspace(sc: liealg.StructureConstants, vectors) -> dict:
+    """Dimension, basis and exact ideal/abelian verdicts; a zero subspace gets no verdicts."""
+    space = liealg.Subspace.from_vectors(vectors, sc.dim)
+    out: dict = {
+        "dimension": space.dim,
+        "basis": [render_combination(v, sc.labels) for v in space.basis],
+    }
+    if space.dim:
+        out["ideal"] = liealg.is_ideal(sc, space)
+        out["abelian"] = liealg.is_abelian(sc, space)
+    return out
+
+
+def _analyze_algebra(
+    set_name: str, sc: liealg.StructureConstants, generators: Sequence[BaseField], pipe: Pipeline
+) -> dict:
+    labels = sc.labels
     jacobi_ok, witness = liealg.jacobi_check(sc)
     if not jacobi_ok:
+        i, j, k, s, residual = witness
         raise geom.InvariantViolation(
-            f"Jacobi identity failed for set {set_name!r} at indices {witness}"
+            f"Jacobi identity failed for set {set_name!r} at generators "
+            f"({labels[i]}, {labels[j]}, {labels[k]}): coefficient of {labels[s]} is {residual}"
         )
     killing_det = liealg.killing_det(sc)
     semisimple = killing_det != 0
     levi = liealg.levi_decomposition(sc)
     radical = levi.radical
     derivation_space = liealg.derivations(sc)
-    ideals = liealg.find_abelian_ideals_coordinate(sc)
     simple = liealg.is_simple(sc)
-    skipped = f"dimension {sc.dim} > cap {liealg.IDEAL_SEARCH_MAX_DIM}"
     out = {
         "dimension": sc.dim,
         "jacobi": "pass",
@@ -492,14 +506,15 @@ def _analyze_algebra(problem: Problem, set_name: str, sc) -> dict:
             "inner": derivation_space.inner_dimension,
             "outer": derivation_space.outer_dimension,
         },
-        "abelian_coordinate_ideals": None
-        if ideals is None
-        else [[labels[p] for p in ideal.pivots] for ideal in ideals],
+        "horizontal_nullity_subspace": _subspace(
+            sc, horizontal_nullity_span(generators, pipe.connection, pipe.curvature)
+        ),
+        "constant_subspace": _subspace(sc, constant_span(generators)),
     }
     if simple is None:
-        out["simple_skipped"] = skipped
-    if ideals is None:
-        out["abelian_coordinate_ideals_skipped"] = skipped
+        out["simple_skipped"] = (
+            f"centroid dimension {len(sc.centroid)} > 3 with no rational eigenvalue"
+        )
     if sc.dim == 3:
         out["three_dim_class"] = liealg.classify_3dim_simple(sc)
     return out
@@ -589,7 +604,8 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
                 else:
                     entry["expected_comparison"] = {"present": False}
             if "algebra" in problem.analyses:
-                entry["algebra"] = _analyze_algebra(problem, set_name, sc)
+                generators = [problem.fields[name] for name in sc.labels]
+                entry["algebra"] = _analyze_algebra(set_name, sc, generators, pipe)
             set_reports.append(entry)
     report["sets"] = set_reports
     report["discrepancies"] = discrepancies
@@ -609,6 +625,12 @@ def _md_table(labels: Sequence[str], cells: Sequence[Sequence[str]]) -> list[str
     for label, row in zip(labels, cells):
         lines.append("| " + label + " | " + " | ".join(row) + " |")
     return lines
+
+
+_SUBSPACE_TITLES = (
+    ("horizontal_nullity_subspace", "horizontal nullity subspace"),
+    ("constant_subspace", "constant subspace"),
+)
 
 
 def render_markdown(report: dict) -> str:
@@ -702,17 +724,16 @@ def render_markdown(report: dict) -> str:
                 f"- derivations: dimension {derivations['dimension']}, inner "
                 f"{derivations['inner']}, outer {derivations['outer']}"
             )
-            ideals = algebra["abelian_coordinate_ideals"]
-            if ideals is None:
+            for key, title in _SUBSPACE_TITLES:
+                space = algebra[key]
+                if not space["dimension"]:
+                    lines.append(f"- {title}: none")
+                    continue
                 lines.append(
-                    "- abelian coordinate ideals: skipped "
-                    f"({algebra['abelian_coordinate_ideals_skipped']})"
+                    f"- {title}: dimension {space['dimension']} ({', '.join(space['basis'])}); "
+                    f"ideal: {'yes' if space['ideal'] else 'no'}; "
+                    f"abelian: {'yes' if space['abelian'] else 'no'}"
                 )
-            elif ideals:
-                rendered = "; ".join("{" + ", ".join(ideal) + "}" for ideal in ideals)
-                lines.append(f"- abelian coordinate ideals: {rendered}")
-            else:
-                lines.append("- abelian coordinate ideals: none")
             if "three_dim_class" in algebra:
                 lines.append(f"- 3-dim classification: {algebra['three_dim_class']}")
             lines.append("")
@@ -727,8 +748,7 @@ def render_markdown(report: dict) -> str:
             lines.append(
                 f"- [{item['row']},{item['col']}] in {item['set']}: expected "
                 f"{item['expected']}, computed {item['computed']} "
-                f"(deviation {item['expected_deviation']} vs {item['computed_deviation']}; "
-                f"oracle favours {item['verdict']}; {status})"
+                f"(deviation {item['expected_deviation']} vs {item['computed_deviation']}; {status})"
             )
     lines.append("")
     return "\n".join(lines)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import kernel_basis, rank
 from .symexpr import ZERO, CanonicalExpr, specialize, yvar
@@ -64,6 +64,8 @@ __all__ = [
     "in_nullity",
     "nullity_rank_numeric",
     "solve_in_span",
+    "horizontal_nullity_span",
+    "constant_span",
     "combine_fields",
 ]
 
@@ -620,8 +622,7 @@ def solve_in_span(
         raise ValueError("dictionary fields must share one dimension")
 
     # an isometry is a spray symmetry, so the spray obstruction is listed once
-    obstructions: list[list[CanonicalExpr]] = []
-    for field in dictionary:
+    def obstruction(field: BaseField) -> list[CanonicalExpr]:
         exprs: list[CanonicalExpr] = []
         if "spray-symmetry" in wanted or "isometry" in wanted:
             exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
@@ -629,12 +630,51 @@ def solve_in_span(
             exprs.append(_energy_residual(field, metric))
         if "horizontality" in wanted:
             exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
-        obstructions.append(exprs)
+        return exprs
 
-    # coefficient matching: one sparse row per (expression slot, term key)
+    return _matching_kernel(dictionary, obstruction)
+
+
+def horizontal_nullity_span(
+    dictionary: Sequence[BaseField], connection, curvature
+) -> list[tuple[Fraction, ...]]:
+    """Combinations whose horizontal lift is closed and that lie in the curvature nullity.
+
+    The conditions are those of `is_horizontal` and `in_nullity`; this is the
+    paper's horizontal-nullity candidate for a commutative ideal.
+    """
+    return _matching_kernel(
+        dictionary,
+        lambda field: [
+            e
+            for _lbl, e in _horizontal_obstruction(field, connection)
+            + _nullity_obstruction(field, curvature)
+        ],
+    )
+
+
+def constant_span(dictionary: Sequence[BaseField]) -> list[tuple[Fraction, ...]]:
+    """Combinations with constant components, d_l X^j = 0 for all j and l."""
+    return _matching_kernel(dictionary, _constant_obstruction)
+
+
+def _constant_obstruction(field: BaseField) -> list[CanonicalExpr]:
+    return [c.diff(f"x{l + 1}") for c in field.components for l in range(field.dim)]
+
+
+def _matching_kernel(
+    dictionary: Sequence[BaseField], obstruction: Callable[[BaseField], list[CanonicalExpr]]
+) -> list[tuple[Fraction, ...]]:
+    """Coefficient vectors over the dictionary whose combination has zero obstruction.
+
+    Each obstruction expression is linear in the field, so that of a
+    combination is the same combination of the per-field expressions, and the
+    kernel of the term-coefficient matrix is exactly the solution set.
+    """
+    # one sparse row per (expression slot, term key)
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, exprs in enumerate(obstructions):
-        for pos, expr in enumerate(exprs):
+    for col, field in enumerate(dictionary):
+        for pos, expr in enumerate(obstruction(field)):
             for key, c in expr.items():
                 rows.setdefault((pos, key), {})[col] = c
     basis = kernel_basis(rows.values(), ncols=len(dictionary))

@@ -14,12 +14,18 @@ Jacobi check, the Killing form and the linear systems for the center,
 derivations and Levi complements are assembled by iterating over that index,
 and the systems reach `linalg` as sparse rows, so their cost follows the
 nonzero constants rather than m^3 or m^4.
+
+Simplicity is decided from the bracket alone, whatever the basis: a
+semisimple algebra is simple exactly when its centroid, the endomorphisms
+commuting with every ad x, is a field (de Graaf, Lie Algebras: Theory and
+Algorithms, 2000, section 1.15 and chapter 4).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -45,8 +51,9 @@ __all__ = [
     "derived_subalgebra",
     "center",
     "radical",
+    "is_ideal",
+    "is_abelian",
     "abelian_ideal_check",
-    "find_abelian_ideals_coordinate",
     "derivations",
     "is_derivation",
     "in_inner_span",
@@ -54,9 +61,6 @@ __all__ = [
     "levi_decomposition",
     "classify_3dim_simple",
 ]
-
-IDEAL_SEARCH_MAX_DIM = 16
-
 
 class LieAlgebraError(Exception):
     """Base class for algebra-layer failures."""
@@ -184,9 +188,9 @@ class StructureConstants:
         return tuple(tuple(row) for row in killing_form(self))
 
     @functools.cached_property
-    def coordinate_ideals(self) -> list[tuple[int, ...]] | None:
-        """The coordinate-subset scan, run on first use and shared by its readers."""
-        return _coordinate_ideals(self)
+    def centroid(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Basis of the centroid, computed on first use and shared by its readers."""
+        return _centroid(self)
 
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -263,11 +267,11 @@ def structure_constants_from_fields(
 
 
 def jacobi_check(sc: StructureConstants):
-    """(True, None) or (False, witness indices (i, j, k, s)).
+    """(True, None) or (False, witness (i, j, k, s, residual)).
 
     The witness is the first failing i < j < k in combinations order, with
     the smallest s at which [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
-    has a nonzero coefficient.
+    has a nonzero coefficient, and that coefficient.
     """
     nonzero = sc.nonzero
     for i, j, k in itertools.combinations(range(sc.dim), 3):
@@ -278,7 +282,8 @@ def jacobi_check(sc: StructureConstants):
                     total[s] = total.get(s, 0) + q * r
         failing = [s for s, v in total.items() if v]
         if failing:
-            return False, (i, j, k, min(failing))
+            s = min(failing)
+            return False, (i, j, k, s, total[s])
     return True, None
 
 
@@ -342,12 +347,20 @@ def _is_solvable_subspace(sc: StructureConstants, space: Subspace) -> bool:
     return True
 
 
-def _is_ideal(sc: StructureConstants, space: Subspace) -> bool:
+def is_ideal(sc: StructureConstants, space: Subspace) -> bool:
+    """Does every bracket [b_i, v], v in the subspace, stay in it?"""
     for v in space.basis:
         for i in range(sc.dim):
             if not space.contains(sc.bracket_coords(linalg.unit_vector(sc.dim, i), v)):
                 return False
     return True
+
+
+def is_abelian(sc: StructureConstants, space: Subspace) -> bool:
+    """Do all brackets inside the subspace vanish?"""
+    return not any(
+        any(sc.bracket_coords(u, v)) for u, v in itertools.combinations(space.basis, 2)
+    )
 
 
 def radical(sc: StructureConstants) -> Subspace:
@@ -362,79 +375,148 @@ def radical(sc: StructureConstants) -> Subspace:
     derived = derived_subalgebra(sc)
     rows = [linalg.mat_vec(kappa, list(d)) for d in derived.basis]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
-    if not _is_ideal(sc, rad):
+    if not is_ideal(sc, rad):
         raise LieAlgebraError("computed radical is not an ideal (Jacobi violation upstream?)")
     if not _is_solvable_subspace(sc, rad):
         raise LieAlgebraError("computed radical is not solvable (Jacobi violation upstream?)")
     return rad
 
 
-def _coordinate_ideals(sc: StructureConstants) -> list[tuple[int, ...]] | None:
-    """Nonzero coordinate-aligned ideals, smallest first; None above the cap.
+def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
+    """Kernel of T[b_i, b_j] = [b_i, T b_j] over all ordered pairs (i, j).
 
-    This scans every subset of the given basis (2^m candidates), so it finds
-    basis-aligned ideals only; it is not a full ideal-lattice enumeration.
-    Above IDEAL_SEARCH_MAX_DIM the scan is skipped: a capability limit, not
-    a failure.
+    Unknowns are the m^2 entries of T, flattened like a derivation (column c
+    = image of b_c); row (i*m + j)*m + k is coordinate k of the constraint,
+    held sparsely.  The kernel holds the identity, so it is never empty.
     """
     m = sc.dim
-    if m > IDEAL_SEARCH_MAX_DIM:
-        return None
-    # a subset S spans an ideal iff reach[s] lies in S for each s in S, where
-    # reach[s] has bit k set when some [b_s, b_j] has a b_k part
-    reach = [0] * m
-    for (s, _j), entries in sc.nonzero.items():
-        for k, _q in entries:
-            reach[s] |= 1 << k
-    found = []
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            mask = sum(1 << s for s in subset)
-            if all(reach[s] | mask == mask for s in subset):
-                found.append(subset)
-    return found
+    rows: list[linalg.SparseRow] = [{} for _ in range(m**3)]
+    # T[b_i, b_j]: c^l_ij T[k][l], in every row k; each (row, column) once
+    for (i, j), entries in sc.nonzero.items():
+        for l, q in entries:
+            for k in range(m):
+                rows[(i * m + j) * m + k][k * m + l] = q
+    # [b_i, T b_t] through the b_j part of T b_t: c^l_ij T[j][t], in row (i, t, l)
+    for (i, j), entries in sc.nonzero.items():
+        for l, q in entries:
+            for t in range(m):
+                row = rows[(i * m + t) * m + l]
+                row[j * m + t] = row.get(j * m + t, 0) - q
+    # the kernel does not depend on the row order; short rows first fill in less
+    kernel = linalg.kernel_basis(sorted(filter(None, rows), key=len), ncols=m * m)
+    return tuple(tuple(v) for v in kernel)
+
+
+def _minimal_polynomial(matrix: Mat) -> Vec:
+    """Coefficients a_0, ..., a_{d-1}, 1 of the monic minimal polynomial over Q.
+
+    The powers I, c, c^2, ... are independent up to c^(d-1); the first
+    dependent power's kernel vector is 1 at its own column.
+    """
+    m = len(matrix)
+    powers = [linalg.identity(m)]
+    while True:
+        powers.append(linalg.mat_mul(powers[-1], matrix))
+        rows = [[p[r][c] for p in powers] for r in range(m) for c in range(m)]
+        kernel = linalg.kernel_basis(rows)
+        if kernel:
+            return kernel[0]
+
+
+def _sturm_sequence(p: Vec) -> list[Vec]:
+    """p, p', then negated remainders; coefficients low to high, to a constant or a gcd."""
+    seq = [list(p), [k * a for k, a in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        rem = list(seq[-2])
+        while len(rem) >= len(seq[-1]):
+            f, shift = rem[-1] / seq[-1][-1], len(rem) - len(seq[-1])
+            for k, b in enumerate(seq[-1]):
+                rem[shift + k] -= f * b
+            while rem and not rem[-1]:
+                rem.pop()
+        if not rem:
+            break
+        seq.append([-a for a in rem])
+    return seq
+
+
+def _value(p: Sequence[Fraction], t: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for a in reversed(p):
+        acc = acc * t + a
+    return acc
+
+
+def _has_rational_root(p: Vec) -> bool:
+    """Does the monic p over Q vanish at a rational point?
+
+    With D the lcm of p's denominators, D*p has integer coefficients and
+    leading coefficient D, so by the rational-root theorem every rational
+    root is n/D for an integer n, and |n| <= D*B for the Cauchy bound B.
+    Bisection over n keeps only the blocks whose ends (2n +- 1)/(2D) enclose
+    a real root by Sturm's count; an end is never a root, since its
+    denominator holds one more factor 2 than D does.  A
+    block of one n is decided by evaluating p at n/D.  At most deg p blocks
+    survive per level, so the cost is polynomial in the size of the
+    coefficients: nothing is factored.
+    """
+    denom = math.lcm(*(q.denominator for q in p))
+    seq = _sturm_sequence(p)
+
+    @functools.cache  # a split block's two halves share the middle end
+    def variations(t: Fraction) -> int:
+        signs = [v > 0 for v in (_value(f, t) for f in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    reach = math.ceil(denom * (1 + max(abs(a) for a in p[:-1])))
+    blocks = [(-reach, reach)]
+    while blocks:
+        lo, hi = blocks.pop()
+        if variations(Fraction(2 * lo - 1, 2 * denom)) == variations(
+            Fraction(2 * hi + 1, 2 * denom)
+        ):
+            continue
+        if lo == hi:
+            if not _value(p, Fraction(lo, denom)):
+                return True
+            continue
+        mid = (lo + hi) // 2
+        blocks += [(lo, mid), (mid + 1, hi)]
+    return False
 
 
 def is_simple(sc: StructureConstants) -> bool | None:
-    """Semisimple with no proper nonzero coordinate-aligned ideal.
+    """Semisimple with a centroid that is a field.
 
-    The ideal search is restricted to spans of basis subsets, which decides
-    the question for bases adapted to the algebra's structure; a simple
-    verdict is relative to that search space.  None when a semisimple
-    algebra is too large for the search.
+    The centroid C of a semisimple algebra is the product of the centroids
+    of its simple ideals, each a number field, so the algebra is simple
+    exactly when C is a field.  dim C = 1 decides it at once.  Otherwise c,
+    the first basis element of C outside Q*I, has a minimal polynomial p
+    over Q.  A rational root r of p makes c - r*I a zero divisor, so C is no
+    field.  With no rational root and dim C <= 3, C is a field: a product of
+    two or more number fields of total degree <= 3 has a factor Q, and c's
+    component there would be a rational root of p.  None, a limit and not a
+    guess, when p has no rational root and dim C >= 4.
     """
     if sc.dim == 0 or not is_semisimple(sc):
         return False
-    ideals = sc.coordinate_ideals
-    return None if ideals is None else all(len(ideal) == sc.dim for ideal in ideals)
+    centroid = sc.centroid
+    if len(centroid) == 1:
+        return True
+    m = sc.dim
+    scalar = [v for r in range(m) for v in linalg.unit_vector(m, r)]
+    c = next(v for v in centroid if linalg.rank([scalar, v]) == 2)
+    p = _minimal_polynomial([list(c[r * m : (r + 1) * m]) for r in range(m)])
+    if _has_rational_root(p):
+        return False
+    return True if len(centroid) <= 3 else None
 
 
 def abelian_ideal_check(sc: StructureConstants, space: Subspace) -> bool:
     """Is the subspace an ideal with all internal brackets zero?"""
     if space.ambient_dim != sc.dim:
         raise LieAlgebraError("subspace ambient dimension does not match the algebra")
-    if not _is_ideal(sc, space):
-        return False
-    for u, v in itertools.combinations(space.basis, 2):
-        if any(sc.bracket_coords(u, v)):
-            return False
-    return True
-
-
-def find_abelian_ideals_coordinate(sc: StructureConstants) -> list[Subspace] | None:
-    """The coordinate-aligned ideals that are abelian, as subspaces.
-
-    None above IDEAL_SEARCH_MAX_DIM, where the coordinate scan is skipped.
-    """
-    ideals = sc.coordinate_ideals
-    if ideals is None:
-        return None
-    m = sc.dim
-    return [
-        Subspace.from_vectors([linalg.unit_vector(m, i) for i in subset], m)
-        for subset in ideals
-        if not any(pair in sc.nonzero for pair in itertools.combinations(subset, 2))
-    ]
+    return is_ideal(sc, space) and is_abelian(sc, space)
 
 
 # ---------------------------------------------------------------------------

@@ -583,12 +583,18 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
     """Exact values of x-only expressions under one ring homomorphism to Q.
 
     With D the common denominator of every exponent coefficient in `exprs`,
-    x_i maps to point["x<i>"] and exp(x_i/D) to point["y<i>"], which must be
-    nonzero.  D is shared by the whole collection, so sums, products and
-    unit quotients of the expressions map to those of their values.
+    and g_i the gcd of the integer exponents q*D of x_i across them, x_i maps
+    to point["x<i>"] and exp(g_i*x_i/D) to point["y<i>"], which must be
+    nonzero.  D and g_i are shared by the whole collection, so sums, products
+    and unit quotients of the expressions map to those of their values, and
+    exp(10^12*x3) costs no more than exp(x3).
     """
     lins = [lin for expr in exprs for (_mono, lin), _c in expr.items()]
     denom = math.lcm(*(q.denominator for lin in lins for _i, q in lin.coeffs))
+    gcds: dict[int, int] = {}
+    for lin in lins:
+        for i, q in lin.coeffs:
+            gcds[i] = math.gcd(gcds.get(i, 0), int(q * denom))
     xvals, tvals = _split_point(point)
     values = []
     for expr in exprs:
@@ -598,7 +604,7 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
             for i, q in lin.coeffs:
                 if not tvals.get(i):
                     raise EvaluationError(f"no nonzero value assigned to y{i}")
-                term *= tvals[i] ** int(q * denom)
+                term *= tvals[i] ** (int(q * denom) // gcds[i])
             total += term
         values.append(total)
     return values

@@ -4,13 +4,14 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie import cli, geom
+from spraylie import cli, geom, liealg
 from spraylie.fields import nullity_rank_numeric
 from spraylie.symexpr import const
 
@@ -180,7 +181,6 @@ def test_analyze_section5_json_structure():
     assert doc["pipeline"]["numeric_nullity"]["nullity_dimension"] == 3
     cells = {(m["row"], m["col"]) for m in doc["discrepancies"]}
     assert cells == {("e2", "e8"), ("e8", "e2"), ("e10", "e7")}
-    assert all(m["verdict"] == "computation" for m in doc["discrepancies"])
     spray_set = next(s for s in doc["sets"] if s["name"] == "spray_symmetries")
     assert spray_set["algebra"]["derived_dimension"] == 11
     assert spray_set["algebra"]["radical"]["basis"] == [
@@ -203,7 +203,7 @@ def test_section5_verdicts_do_not_depend_on_the_sample_point(seed, capsys):
     assert cli.main([*argv, "--seed", str(seed)]) == 0
     discrepancies = json.loads(capsys.readouterr().out)["discrepancies"]
     assert len(discrepancies) == 3
-    assert all(m["verdict"] == "computation" and m["accepted_correction"] for m in discrepancies)
+    assert all(m["accepted_correction"] for m in discrepancies)
 
 
 def test_analyze_report_is_byte_deterministic(tmp_path):
@@ -223,7 +223,6 @@ def test_analyze_unmarked_mismatch_exits_two(tmp_path):
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 2
     assert "UNRESOLVED" in proc.stdout
-    assert "oracle favours computation" in proc.stdout
 
 
 def test_analyze_partially_marked_corrections_still_fail(tmp_path):
@@ -268,11 +267,14 @@ def _affine_problem(n: int) -> dict:
     }
 
 
-def test_analyze_above_the_ideal_search_cap_reports_it_skipped(tmp_path, capsys):
+def test_analyze_aff4_reports_every_invariant_and_its_translation_ideal(tmp_path, capsys):
     path = tmp_path / "aff4.json"
     path.write_text(json.dumps(_affine_problem(4)))
     assert cli.main(["analyze", str(path)]) == 0
-    assert "- abelian coordinate ideals: skipped (dimension 20 > cap 16)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    translations = "dimension 4 (e1, e2, e3, e4); ideal: yes; abelian: yes"
+    assert f"- horizontal nullity subspace: {translations}" in out
+    assert f"- constant subspace: {translations}" in out
     assert cli.main(["analyze", str(path), "--format", "json"]) == 0
     algebra = json.loads(capsys.readouterr().out)["sets"][0]["algebra"]
     assert algebra["dimension"] == 20
@@ -281,8 +283,6 @@ def test_analyze_above_the_ideal_search_cap_reports_it_skipped(tmp_path, capsys)
     assert algebra["center_dimension"] == 0
     assert algebra["derivations"]["dimension"] == 20
     assert algebra["simple"] is False
-    assert algebra["abelian_coordinate_ideals"] is None
-    assert algebra["abelian_coordinate_ideals_skipped"] == "dimension 20 > cap 16"
 
 
 def _rotation_problem(n: int) -> dict:
@@ -302,20 +302,59 @@ def _rotation_problem(n: int) -> dict:
     }
 
 
-def test_analyze_semisimple_set_above_the_cap_reports_simple_skipped(tmp_path, capsys):
+def test_analyze_so7_is_simple_from_its_centroid(tmp_path, capsys):
     path = tmp_path / "so7.json"
     path.write_text(json.dumps(_rotation_problem(7)))
     assert cli.main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "- semisimple: yes" in out
-    assert "- simple: skipped (dimension 21 > cap 16)" in out
+    assert "- simple: yes" in out
+    assert "- horizontal nullity subspace: none" in out
+    assert "- constant subspace: none" in out
     assert cli.main(["analyze", str(path), "--format", "json"]) == 0
     algebra = json.loads(capsys.readouterr().out)["sets"][0]["algebra"]
     assert algebra["dimension"] == 21
     assert algebra["semisimple"] is True
-    assert algebra["simple"] is None
-    assert algebra["simple_skipped"] == "dimension 21 > cap 16"
-    assert algebra["abelian_coordinate_ideals_skipped"] == "dimension 21 > cap 16"
+    assert algebra["simple"] is True
+    assert "simple_skipped" not in algebra
+    # a zero subspace carries no verdicts, so nothing passes vacuously
+    assert algebra["horizontal_nullity_subspace"] == {"dimension": 0, "basis": []}
+    assert algebra["constant_subspace"] == {"dimension": 0, "basis": []}
+
+
+def test_analyze_finishes_on_generators_scaled_by_large_primes(tmp_path):
+    # the set still closes, but the centroid's minimal polynomial gets
+    # prime-sized coefficients, which no rational-root search may factor
+    doc = json.loads((PROBLEMS / "example1.json").read_text())
+    primes = [1000000007, 998244353, 1000000009, 754974721, 167772161, 469762049]
+    doc["fields"] = {
+        name: [f"{p}*({c})" for c in comps]
+        for (name, comps), p in zip(doc["fields"].items(), primes)
+    }
+    del doc["expected_tables"]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "- simple: yes" in proc.stdout
+
+
+def test_jacobi_failure_names_generators_and_residual():
+    # [a,b] = a and [b,c] = b, antisymmetric, with Jacobi sum on (a, b, c)
+    # [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + [b,a] + 0 = -a
+    zero, one = Fraction(0), Fraction(1)
+    table = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 0), (1, 2, 1)):
+        table[i][j][k], table[j][i][k] = one, -one
+    sc = liealg.StructureConstants(
+        ("a", "b", "c"), tuple(tuple(tuple(r) for r in p) for p in table)
+    )
+    # the Jacobi check comes first, so no generators or pipeline are reached
+    with pytest.raises(geom.InvariantViolation) as info:
+        cli._analyze_algebra("broken", sc, [], None)
+    assert str(info.value) == (
+        "Jacobi identity failed for set 'broken' at generators (a, b, c): coefficient of a is -1"
+    )
 
 
 @pytest.mark.parametrize("name, rank", [("example1", 3), ("example2", 4), ("section5", 0)])
@@ -326,6 +365,21 @@ def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
         for count in (1, 10):
             points = cli.sample_points(problem.dim, count, seed)
             assert nullity_rank_numeric(curvature, points) == rank, (seed, count)
+
+
+def test_nullity_probe_finishes_on_a_huge_common_exponent(tmp_path, capsys):
+    # exp(10^12*x3) specializes through exp(x3) -> y3^(10^12) unless the
+    # exponent gcd of x3 is divided out first
+    huge = "exp(1000000000000*x3)"
+    doc = {"name": "huge", "dim": 3, "metric": {"kind": "diagonal", "entries": [huge, huge, "1"]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    # the unbounded specialization never finished; 10 s leaves room for a loaded runner
+    assert time.perf_counter() - start < 10.0
+    nullity = json.loads(capsys.readouterr().out)["pipeline"]["numeric_nullity"]
+    assert (nullity["rank"], nullity["nullity_dimension"]) == (3, 0)
 
 
 CURVATURE_IDENTITIES = ("curvature equals half the horizontal self-bracket",)

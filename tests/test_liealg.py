@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie import liealg as la
-from spraylie.fields import bracket_base, combine_fields
+from perfbench import workloads
+from spraylie import cli, liealg as la
+from spraylie.fields import bracket_base, combine_fields, constant_span, horizontal_nullity_span
 from spraylie.linalg import det, unit_vector
-from tests.conftest import base_field
+from tests.conftest import base_field, build_pipeline
 
 H = Fraction(1, 2)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +220,7 @@ def test_jacobi_detects_fault(shell_sc):
 
 
 def _dense_jacobi_witness(c):
-    """The defining m^4 loop: first failing (i, j, k) in combinations order, then s."""
+    """The defining m^4 loop: first failing (i, j, k) in combinations order, then s, and the sum."""
     m = len(c)
     for i, j, k in itertools.combinations(range(m), 3):
         for s in range(m):
@@ -226,7 +229,7 @@ def _dense_jacobi_witness(c):
                 for l in range(m)
             )
             if total:
-                return (i, j, k, s)
+                return (i, j, k, s, total)
     return None
 
 
@@ -380,27 +383,50 @@ def test_single_generator_span_is_not_an_ideal(shell_sc):
     assert not la.abelian_ideal_check(shell_sc, one)
 
 
-def test_coordinate_ideal_search(shell_sc, blocks_sc, flat_spray_sc):
-    assert la.find_abelian_ideals_coordinate(shell_sc) == []
-    assert la.find_abelian_ideals_coordinate(blocks_sc) == []
-    found = la.find_abelian_ideals_coordinate(flat_spray_sc)
-    decay_e = la.Subspace.from_vectors(
-        [unit_vector(12, 2), unit_vector(12, 6), unit_vector(12, 11)], 12
-    )
-    assert found == [decay_e]
+def _subspace(sc, vectors):
+    return la.Subspace.from_vectors(vectors, sc.dim)
 
 
-def test_coordinate_ideal_search_abelian_algebra():
-    sc = la.structure_constants_from_fields(
-        [base_field("1", "0"), base_field("0", "1")]
-    )
-    assert len(la.find_abelian_ideals_coordinate(sc)) == 3
+def test_commutative_ideal_subspaces(
+    shell_sc, shell_generators, shell_pipeline, flat_spray_sc, flat_spray_generators, flat_pipeline
+):
+    _metric, _spray, connection, curv = shell_pipeline
+    shell = list(shell_generators.values())
+    # the hyperbolic shell has full curvature rank, so no horizontal nullity
+    assert horizontal_nullity_span(shell, connection, curv) == []
+    constant = _subspace(shell_sc, constant_span(shell))
+    assert constant == _subspace(shell_sc, [unit_vector(6, 4), unit_vector(6, 5)])
+    assert la.is_abelian(shell_sc, constant) and not la.is_ideal(shell_sc, constant)
+
+    _metric, _spray, connection, curv = flat_pipeline
+    flat = list(flat_spray_generators.values())
+    decay_e = _subspace(flat_spray_sc, [unit_vector(12, 2), unit_vector(12, 6), unit_vector(12, 11)])
+    assert _subspace(flat_spray_sc, horizontal_nullity_span(flat, connection, curv)) == decay_e
+    assert la.abelian_ideal_check(flat_spray_sc, decay_e)
+    translations = _subspace(flat_spray_sc, constant_span(flat))
+    assert translations.dim == 3 and not la.is_ideal(flat_spray_sc, translations)
 
 
-def test_blocks_coordinate_ideals_non_abelian(blocks_sc):
-    # the two simple blocks are coordinate ideals but not abelian ones
-    ideals = la._coordinate_ideals(blocks_sc)
-    assert (0, 1, 2) in ideals and (3, 4, 5) in ideals
+def test_constant_subspace_of_an_abelian_algebra_is_everything():
+    fields = [base_field("1", "0"), base_field("0", "1")]
+    sc = la.structure_constants_from_fields(fields)
+    space = _subspace(sc, constant_span(fields))
+    assert space == la.Subspace.full(2)
+    assert la.abelian_ideal_check(sc, space)
+
+
+def test_blocks_constant_subspace_is_not_an_ideal(blocks_sc, blocks_generators, blocks_pipeline):
+    # the two simple blocks are ideals, but neither is abelian, and the
+    # constant fields e3, e6 span a subspace that is not an ideal
+    for block in ((0, 1, 2), (3, 4, 5)):
+        space = _subspace(blocks_sc, [unit_vector(6, i) for i in block])
+        assert la.is_ideal(blocks_sc, space) and not la.is_abelian(blocks_sc, space)
+    fields = list(blocks_generators.values())
+    constant = _subspace(blocks_sc, constant_span(fields))
+    assert constant == _subspace(blocks_sc, [unit_vector(6, 2), unit_vector(6, 5)])
+    assert not la.is_ideal(blocks_sc, constant)
+    _metric, _spray, connection, curv = blocks_pipeline
+    assert horizontal_nullity_span(fields, connection, curv) == []
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +614,186 @@ def test_family_known_answers(name):
     assert la.center(sc).dim == center
     assert la.derivations(sc).dimension == derivations
     assert la.is_simple(sc) is simple
+
+
+# ---------------------------------------------------------------------------
+# simplicity from the centroid, and the paper's two commutative-ideal subspaces
+# ---------------------------------------------------------------------------
+
+
+def _table(m: int, brackets: dict) -> la.StructureConstants:
+    """Constants from {(i, j): {k: c^k_ij}} for i < j, extended antisymmetrically."""
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for (i, j), out in brackets.items():
+        for k, q in out.items():
+            c[i][j][k] += q
+            c[j][i][k] -= q
+    labels = tuple(f"b{i + 1}" for i in range(m))
+    return la.StructureConstants(labels, tuple(tuple(tuple(r) for r in p) for p in c))
+
+
+def _direct_sum(*parts: tuple[int, dict]) -> la.StructureConstants:
+    """The table of (dimension, brackets) parts placed side by side."""
+    brackets, offset = {}, 0
+    for size, part in parts:
+        for (i, j), out in part.items():
+            brackets[(i + offset, j + offset)] = {k + offset: q for k, q in out.items()}
+        offset += size
+    return _table(offset, brackets)
+
+
+SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
+SL2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}  # h, e, f
+
+
+def _realified(brackets: dict, n: int) -> dict:
+    """A complex n-dim table over R: basis x, then i*x; [ix, y] = [x, iy] = i[x, y], [ix, iy] = -[x, y]."""
+    out = {}
+    for (a, b), c in brackets.items():
+        out[(a, b)] = c
+        out[(a, b + n)] = out[(a + n, b)] = {k + n: q for k, q in c.items()}
+        out[(a + n, b + n)] = {k: -q for k, q in c.items()}
+    return out
+
+
+SL2C = _realified(SL2, 3)
+
+
+def _lie_family(tag: str, seed: int, directory):
+    """Generators and table of one lie-families set, as the benchmark builds it at `seed`."""
+    workload = workloads.build("lie-families", seed, directory, PROBLEMS)
+    workload.write(directory)
+    problem = cli.load_problem(directory / f"{tag}.json")
+    generators = [problem.fields[name] for name in problem.sets[tag]]
+    return generators, la.structure_constants_from_fields(generators, problem.sets[tag])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_so4_is_not_simple_in_either_basis(seed, tmp_path):
+    _generators, sc = _lie_family("so4", seed, tmp_path)
+    assert la.is_semisimple(sc)
+    assert len(sc.centroid) == 2
+    assert la.is_simple(sc) is False
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_so_n_is_simple_with_a_one_dimensional_centroid(n):
+    sc = la.structure_constants_from_fields(_rotations(n))
+    assert la.is_simple(sc) is True
+    assert len(sc.centroid) == 1
+
+
+def test_realified_sl2c_is_simple_with_centroid_q_i():
+    sc = _table(6, SL2C)
+    assert la.is_semisimple(sc)
+    assert len(sc.centroid) == 2
+    assert la.is_simple(sc) is True
+
+
+@pytest.mark.parametrize(
+    "parts", [((3, SO3),) * 3, ((6, SL2C), (3, SO3))], ids=["so3^3", "sl2c+so3"]
+)
+def test_direct_sums_are_not_simple(parts):
+    sc = _direct_sum(*parts)
+    assert la.is_semisimple(sc)
+    assert len(sc.centroid) == 3
+    assert la.is_simple(sc) is False
+
+
+def _sl2_over_biquadratic() -> la.StructureConstants:
+    """sl(2, K) over Q for K = Q(sqrt2, sqrt3): basis x (x) a for x in h, e, f and a in 1, r2, r3, r6."""
+    # a_s * a_t = mult[s][t] as (scalar, index) over the basis 1, r2, r3, r6
+    mult = [
+        [(1, 0), (1, 1), (1, 2), (1, 3)],
+        [(1, 1), (2, 0), (1, 3), (2, 2)],
+        [(1, 2), (1, 3), (3, 0), (3, 1)],
+        [(1, 3), (2, 2), (3, 1), (6, 0)],
+    ]
+    brackets = {}
+    for (x, y), out in SL2.items():
+        for s in range(4):
+            for t in range(4):
+                q, u = mult[s][t]
+                brackets[(4 * x + s, 4 * y + t)] = {4 * k + u: q * v for k, v in out.items()}
+    return _table(12, brackets)
+
+
+def test_centroid_of_degree_four_without_rational_eigenvalue_is_a_limit():
+    # simple, with centroid K of degree 4: p is irreducible, so no rational
+    # root, and dim C = 4 leaves "field or product of two quadratic fields" open
+    sc = _sl2_over_biquadratic()
+    assert la.is_semisimple(sc)
+    assert len(sc.centroid) == 4
+    assert la.is_simple(sc) is None
+
+
+def _poly(*roots_and_factors) -> list[Fraction]:
+    """Product of monic factors, each given by its coefficients low to high."""
+    out = [Fraction(1)]
+    for factor in roots_and_factors:
+        prod = [Fraction(0)] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+BIG = Fraction(10**30 + 57, 10**29 + 3)
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (_poly([1, 0, 1]), False),
+        (_poly([-2, 0, 1]), False),
+        (_poly([Fraction(-1, 4), 0, 1]), True),
+        (_poly([0, 0, 1]), True),
+        (_poly([2, 0, 0, 1]), False),
+        (_poly([-1, 1], [-2, 1], [-3, 1]), True),
+        # prime-sized ends: (t - BIG)^2 + 1/BIG^2 and its shift by a rational root
+        (_poly([BIG**2 + 1 / BIG**2, -2 * BIG, 1]), False),
+        (_poly([BIG**2 + 1 / BIG**2, -2 * BIG, 1], [-BIG, 1]), True),
+        (_poly([BIG**2 + 1 / BIG**2, -2 * BIG, 1], [-2, 0, 1]), False),
+    ],
+)
+def test_rational_root_search_needs_no_factoring(p, expected):
+    assert la._has_rational_root([Fraction(a) for a in p]) is expected
+
+
+def test_shell_centroid_is_a_quadratic_field(shell_sc):
+    # so(3,1) is the realification of sl(2, C): centroid Q(i), still simple
+    assert len(shell_sc.centroid) == 2
+    assert la.is_simple(shell_sc) is True
+
+
+def _subspace_verdicts(sc, vectors):
+    space = _subspace(sc, vectors)
+    if not space.dim:
+        return (0,)
+    return (space.dim, la.is_ideal(sc, space), la.is_abelian(sc, space))
+
+
+@pytest.mark.parametrize("tag", [tag for tag, *_ in workloads.LIE_FAMILIES])
+def test_subspace_verdicts_do_not_depend_on_the_basis(tag, tmp_path):
+    seen = []
+    for seed in (0, 7):
+        generators, sc = _lie_family(tag, seed, tmp_path / str(seed))
+        _metric, _spray, connection, curv = build_pipeline(("1",) * generators[0].dim)
+        seen.append(
+            (
+                _subspace_verdicts(sc, horizontal_nullity_span(generators, connection, curv)),
+                _subspace_verdicts(sc, constant_span(generators)),
+            )
+        )
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_horizontal_subspace_is_the_translation_ideal(n):
+    generators = _affine(n)
+    sc = la.structure_constants_from_fields(generators)
+    _metric, _spray, connection, curv = build_pipeline(("1",) * n)
+    space = _subspace(sc, horizontal_nullity_span(generators, connection, curv))
+    assert space == _subspace(sc, [unit_vector(sc.dim, i) for i in range(n)])
+    assert la.abelian_ideal_check(sc, space)

@@ -20,12 +20,12 @@ from spraylie import cli
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 REPORT_SHA256 = {
-    ("example1", "md"): "e0a0aee0dcb217184c2ab2c8c97876fb04db24778b00ce5c7a9533bfceb8a58c",
-    ("example1", "json"): "bebb8a0fc33a2b3fe04aecc13a95a752d81f1c71ceff0efd5930fae58b986707",
-    ("example2", "md"): "2fa833ba0a01faa4b7f64bb3c069dfc16ba0bfcc2858036e800b1bf76131a4b5",
-    ("example2", "json"): "0805b6d034c7f53560f442b79e9346134d82a0f6067fd89122ba79c38a468e0b",
-    ("section5", "md"): "e592ee53764d31f5f828b8347d6603cf65962f6a7c25fa64ae10ec0d9f40c1ef",
-    ("section5", "json"): "c478d44e3fe91e3ab47a15cd73ab6f2e36bc0f2bcb8f0cd0abd251aff79776e9",
+    ("example1", "md"): "3a32bffca9da11e422185607af1a5e9163a62e0d89c8e40dd1698694fa3a02f1",
+    ("example1", "json"): "1e5fd154ea1766a721e637a5fe445c354e6f7fea4fe8c1f60f0d9d11114662f5",
+    ("example2", "md"): "0b0734af0d104736c34c78afb0cf6fc3798e4c58da314880bba92a814f5fdabd",
+    ("example2", "json"): "23663bb3a68becc435c640bcb88e79010ca628817cf9a53b5863b57d6b817f75",
+    ("section5", "md"): "d8a49e52cc19401cff6d143b5b22fd4ce747cb5905d9319c97901873c4878e85",
+    ("section5", "json"): "5ccfe43b7473ee05042dc637eb65cf5533ef275fb6f64e1baa6931f2866d2bec",
 }
 
 
@@ -102,12 +102,12 @@ def _basis_change(fields: list[list[str]]) -> list[list[str]]:
 FAMILIES = {"aff3": lambda: _aff(3), "so5": lambda: _so(5), "h5": lambda: _heisenberg(2)}
 
 FAMILY_JSON_SHA256 = {
-    ("aff3", False): "85142b72d5e6edf2e0216f0a99496dd9ae3a22170a78c8000c33790a2a25145b",
-    ("aff3", True): "34fcb57c1c79c7e0a6c678903de6c5da8ccbcc5e8d241a9496550903247b3411",
-    ("h5", False): "7392fd671edf1fc68af95d4cc7bc6609c4a6ce7e3e90a65b2395521c3eceff86",
-    ("h5", True): "ceb597a1b56b460110b74adf5a74b21eaad961a7849ced5d004f0772928ed4ed",
-    ("so5", False): "27fd9de74a32ee7144a9f98cf2d504e15c0a5951614cd7091b33b9c99d0b5132",
-    ("so5", True): "d11771c2ae11887fc8b7358aa9f7802bf5ff085c8e6d9d8c468c66e286b65605",
+    ("aff3", False): "7a2e43cf3fc3bbd665ffa6677b2087e77a9e7e411ebeedc7476b637eb7a9a41c",
+    ("aff3", True): "7d96bee01f41f2baaf6818d89dea8c42353794e6e5eeff63ef40a0af9853f4f6",
+    ("h5", False): "cb6bce497a216a9e67887c6d84b633e0ad5eb6ac0490678290916fc84009a7b3",
+    ("h5", True): "2bca7ab2bf0ffbd2cc3f1ebe14ee3de909726083430fada725725de96c7211a7",
+    ("so5", False): "019165358637c356a5c46409c8ce3659ee90138315ced9c4c7f384ee20abe4d1",
+    ("so5", True): "dc590e19e2acf82a5980aece69fd206ab4be4980244da573e054dc42ceab09d9",
 }
 
 
