@@ -40,7 +40,15 @@ from .fields import (
     nullity_rank_numeric,
     solve_in_span,
 )
-from .symexpr import MAX_DIGITS, CanonicalExpr, SymExprError, evaluate, parse_expr
+from .liealg import render_combination
+from .symexpr import (
+    MAX_DIGITS,
+    CanonicalExpr,
+    DegreeBoundError,
+    SymExprError,
+    evaluate,
+    parse_expr,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -294,19 +302,6 @@ def parse_combination(text: str, labels: Sequence[str]) -> list[Fraction]:
     return coeffs
 
 
-def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
-    parts = []
-    for coeff, label in zip(coeffs, labels):
-        if not coeff:
-            continue
-        magnitude = label if abs(coeff) == 1 else f"{abs(coeff)}*{label}"
-        if not parts:
-            parts.append(magnitude if coeff > 0 else f"-{magnitude}")
-        else:
-            parts.append(f"+ {magnitude}" if coeff > 0 else f"- {magnitude}")
-    return " ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # numeric sampling and deviations
 # ---------------------------------------------------------------------------
@@ -531,7 +526,13 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
             )
 
     points = sample_points(n, count, seed)
-    rank = nullity_rank_numeric(pipe.curvature, points)
+    nullity: dict = {"seed": seed, "points": count}
+    try:
+        rank = nullity_rank_numeric(pipe.curvature, points)
+    except DegreeBoundError as exc:  # a limit of the probe, not of the input
+        nullity["skipped"] = str(exc)
+    else:
+        nullity.update(rank=rank, nullity_dimension=n - rank)
     nonzero_curvature = sum(
         1
         for k in range(n)
@@ -562,12 +563,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
             "curvature_zero": pipe.curvature.is_zero(),
             "curvature_nonzero_components": nonzero_curvature,
             "identities": {k: "ok" for k in identities},
-            "numeric_nullity": {
-                "seed": seed,
-                "points": count,
-                "rank": rank,
-                "nullity_dimension": n - rank,
-            },
+            "numeric_nullity": nullity,
         },
     }
 
@@ -660,10 +656,13 @@ def render_markdown(report: dict) -> str:
     for name in pipeline["identities"]:
         lines.append(f"- identity ok: {name}")
     nullity = pipeline["numeric_nullity"]
-    lines.append(
-        f"- numeric nullity: rank {nullity['rank']}, nullity dimension "
-        f"{nullity['nullity_dimension']} (seed {nullity['seed']}, {nullity['points']} points)"
-    )
+    if "skipped" in nullity:
+        lines.append(f"- numeric nullity: skipped ({nullity['skipped']})")
+    else:
+        lines.append(
+            f"- numeric nullity: rank {nullity['rank']}, nullity dimension "
+            f"{nullity['nullity_dimension']} (seed {nullity['seed']}, {nullity['points']} points)"
+        )
     lines.append("")
 
     if "membership" in report:

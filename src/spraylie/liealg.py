@@ -53,13 +53,11 @@ __all__ = [
     "radical",
     "is_ideal",
     "is_abelian",
-    "abelian_ideal_check",
     "derivations",
-    "is_derivation",
-    "in_inner_span",
     "subalgebra_constants",
     "levi_decomposition",
     "classify_3dim_simple",
+    "render_combination",
 ]
 
 class LieAlgebraError(Exception):
@@ -206,10 +204,28 @@ class StructureConstants:
                         out[k] += f * q
         return out
 
-    def ad_matrix(self, i: int) -> Mat:
-        """Matrix of ad(b_i): column j holds [b_i, b_j]."""
-        m = self.dim
-        return [[Fraction(self.c[i][j][k]) for j in range(m)] for k in range(m)]
+    def ad(self, i: int, v: Sequence[Fraction]) -> linalg.SparseRow:
+        """[b_i, v] as a sparse row, read straight off the nonzero index."""
+        out: linalg.SparseRow = {}
+        for j, y in enumerate(v):
+            if y:
+                for k, q in self.nonzero.get((i, j), ()):
+                    out[k] = out.get(k, 0) + y * q
+        return {k: w for k, w in out.items() if w}
+
+
+def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
+    """`2*b1 - b3` style text of a coordinate vector; "0" for the zero vector."""
+    parts = []
+    for coeff, label in zip(coeffs, labels):
+        if not coeff:
+            continue
+        magnitude = label if abs(coeff) == 1 else f"{abs(coeff)}*{label}"
+        if not parts:
+            parts.append(magnitude if coeff > 0 else f"-{magnitude}")
+        else:
+            parts.append(f"+ {magnitude}" if coeff > 0 else f"- {magnitude}")
+    return " ".join(parts) if parts else "0"
 
 
 def _terms(f: BaseField) -> dict[tuple, Fraction]:
@@ -337,23 +353,32 @@ def _derived_of_subspace(sc: StructureConstants, space: Subspace) -> Subspace:
     return Subspace.from_vectors(vectors, sc.dim)
 
 
-def _is_solvable_subspace(sc: StructureConstants, space: Subspace) -> bool:
-    current = space
+def _stalled_derived_term(sc: StructureConstants, space: Subspace) -> tuple[int, Subspace] | None:
+    """None when the derived series of the subspace reaches zero; else the
+    first term whose derived subspace is no smaller, with its step number."""
+    current, step = space, 0
     while not current.is_zero():
         nxt = _derived_of_subspace(sc, current)
         if nxt.dim >= current.dim:
-            return False
-        current = nxt
-    return True
+            return step, current
+        current, step = nxt, step + 1
+    return None
+
+
+def _ideal_witness(sc: StructureConstants, space: Subspace) -> tuple[int, Vec, Vec] | None:
+    """The first (i, v, leftover) with [b_i, v] outside the subspace, v a
+    basis vector and leftover the remainder of [b_i, v] modulo it; or None."""
+    for v in space.basis:
+        for i in range(sc.dim):
+            leftover = space.reduce(sc.ad(i, v))
+            if any(leftover):
+                return i, list(v), leftover
+    return None
 
 
 def is_ideal(sc: StructureConstants, space: Subspace) -> bool:
     """Does every bracket [b_i, v], v in the subspace, stay in it?"""
-    for v in space.basis:
-        for i in range(sc.dim):
-            if not space.contains(sc.bracket_coords(linalg.unit_vector(sc.dim, i), v)):
-                return False
-    return True
+    return _ideal_witness(sc, space) is None
 
 
 def is_abelian(sc: StructureConstants, space: Subspace) -> bool:
@@ -375,11 +400,47 @@ def radical(sc: StructureConstants) -> Subspace:
     derived = derived_subalgebra(sc)
     rows = [linalg.mat_vec(kappa, list(d)) for d in derived.basis]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
-    if not is_ideal(sc, rad):
-        raise LieAlgebraError("computed radical is not an ideal (Jacobi violation upstream?)")
-    if not _is_solvable_subspace(sc, rad):
-        raise LieAlgebraError("computed radical is not solvable (Jacobi violation upstream?)")
+    labels = sc.labels
+    witness = _ideal_witness(sc, rad)
+    if witness:
+        i, v, leftover = witness
+        raise LieAlgebraError(
+            f"computed radical is not an ideal: [{labels[i]}, {render_combination(v, labels)}] "
+            f"leaves {render_combination(leftover, labels)} outside it (Jacobi violation upstream?)"
+        )
+    stalled = _stalled_derived_term(sc, rad)
+    if stalled:
+        step, term = stalled
+        basis = ", ".join(render_combination(v, labels) for v in term.basis)
+        raise LieAlgebraError(
+            f"computed radical is not solvable: its derived series stops shrinking at step {step}, "
+            f"dimension {term.dim} ({basis}) (Jacobi violation upstream?)"
+        )
     return rad
+
+
+def _kernel_containing(
+    rows: list[linalg.SparseRow], known: list[linalg.SparseRow], ncols: int
+) -> list[Vec]:
+    """`linalg.kernel_basis(rows, ncols)`, given vectors `known` in the kernel.
+
+    The kernel holds span(known), of dimension r, so the rows have rank at
+    most ncols - r, and elimination stops there.  A rank that reaches the
+    bound proves the kernel is span(known), with no kernel to compute:
+    kernel_basis gives, per free column in increasing order, the kernel
+    vector that is 1 there, 0 at the other free columns and 0 past its last
+    nonzero entry, which is the reduced echelon basis of `known` read from
+    the right (columns reversed, eliminated, and reversed back).
+    """
+    last = ncols - 1
+    flipped, _ = linalg._echelon({last - j: v for j, v in row.items()} for row in known)
+    bound = ncols - len(flipped)
+    if linalg.rank(rows, bound) < bound:
+        return linalg.kernel_basis(rows, ncols)
+    return [
+        linalg._dense({last - j: v for j, v in flipped[p].items()}, ncols)
+        for p in sorted(flipped, reverse=True)
+    ]
 
 
 def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
@@ -387,7 +448,8 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
 
     Unknowns are the m^2 entries of T, flattened like a derivation (column c
     = image of b_c); row (i*m + j)*m + k is coordinate k of the constraint,
-    held sparsely.  The kernel holds the identity, so it is never empty.
+    held sparsely.  The kernel holds the identity, so rank m^2 - 1 proves
+    that the centroid is Q*I.
     """
     m = sc.dim
     rows: list[linalg.SparseRow] = [{} for _ in range(m**3)]
@@ -402,9 +464,8 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
             for t in range(m):
                 row = rows[(i * m + t) * m + l]
                 row[j * m + t] = row.get(j * m + t, 0) - q
-    # the kernel does not depend on the row order; short rows first fill in less
-    kernel = linalg.kernel_basis(sorted(filter(None, rows), key=len), ncols=m * m)
-    return tuple(tuple(v) for v in kernel)
+    identity = {r * m + r: Fraction(1) for r in range(m)}
+    return tuple(tuple(v) for v in _kernel_containing(rows, [identity], m * m))
 
 
 def _minimal_polynomial(matrix: Mat) -> Vec:
@@ -512,13 +573,6 @@ def is_simple(sc: StructureConstants) -> bool | None:
     return True if len(centroid) <= 3 else None
 
 
-def abelian_ideal_check(sc: StructureConstants, space: Subspace) -> bool:
-    """Is the subspace an ideal with all internal brackets zero?"""
-    if space.ambient_dim != sc.dim:
-        raise LieAlgebraError("subspace ambient dimension does not match the algebra")
-    return is_ideal(sc, space) and is_abelian(sc, space)
-
-
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
@@ -552,7 +606,8 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     """Kernel of the Leibniz constraints D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j].
 
     Unknowns are the m^2 entries of D (column c = image of b_c).  Row (i, j, k)
-    is coordinate k of the constraint for i < j, held sparsely.
+    is coordinate k of the constraint for i < j, held sparsely.  Every ad x
+    is a derivation, so a Leibniz rank of m^2 - dim ad L proves Der L = ad L.
     """
     m = sc.dim
     nonzero = sc.nonzero
@@ -572,36 +627,12 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
                 for k, q in nonzero.get((i, l), ()):
                     block[k][l * m + j] = block[k].get(l * m + j, 0) - q
             rows.extend(block)
-    flat_basis = linalg.kernel_basis(rows, ncols=m * m)
+    ads = _flat_ads(sc)
     basis = tuple(
         tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
-        for vec in flat_basis
+        for vec in _kernel_containing(rows, ads, m * m)
     )
-    inner_dim = linalg.rank(_flat_ads(sc))
-    return DerivationSpace(basis, inner_dim)
-
-
-def is_derivation(sc: StructureConstants, matrix: Sequence[Sequence[Fraction]]) -> bool:
-    m = sc.dim
-    d = [[Fraction(v) for v in row] for row in matrix]
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = linalg.mat_vec(d, list(sc.c[i][j]))
-            di = [d[r][i] for r in range(m)]
-            dj = [d[r][j] for r in range(m)]
-            rhs_a = sc.bracket_coords(di, linalg.unit_vector(m, j))
-            rhs_b = sc.bracket_coords(linalg.unit_vector(m, i), dj)
-            if any(lhs[k] != rhs_a[k] + rhs_b[k] for k in range(m)):
-                return False
-    return True
-
-
-def in_inner_span(sc: StructureConstants, matrix: Sequence[Sequence[Fraction]]) -> bool:
-    m = sc.dim
-    flat = [Fraction(matrix[r][c]) for r in range(m) for c in range(m)]
-    inner_flat = _flat_ads(sc)
-    base_rank = linalg.rank(inner_flat)
-    return linalg.rank(inner_flat + [flat]) == base_rank
+    return DerivationSpace(basis, linalg.rank(ads))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +645,11 @@ def subalgebra_constants(
     space: Subspace,
     labels: Sequence[str] | None = None,
 ) -> StructureConstants:
-    """Structure constants of a subspace that is closed under the bracket."""
+    """Structure constants of a subspace that is closed under the bracket.
+
+    A bracket of two basis vectors outside the subspace raises a
+    LieAlgebraError naming the pair and what is left over modulo it.
+    """
     basis = [list(v) for v in space.basis]
     m = len(basis)
     if labels is None:
@@ -623,10 +658,14 @@ def subalgebra_constants(
     table = [[[zero] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            coeffs = space.coordinates(sc.bracket_coords(basis[i], basis[j]))
+            w = sc.bracket_coords(basis[i], basis[j])
+            coeffs = space.coordinates(w)
             if coeffs is None:
-                raise NonClosureError(
-                    f"v{i + 1}", f"v{j + 1}", BaseField(())
+                u, v = (render_combination(x, sc.labels) for x in (basis[i], basis[j]))
+                leftover = render_combination(space.reduce(w), sc.labels)
+                raise LieAlgebraError(
+                    f"subspace is not closed under the bracket: [{u}, {v}] leaves {leftover} "
+                    "outside it"
                 )
             table[i][j] = coeffs
             table[j][i] = [-q for q in coeffs]
@@ -644,11 +683,7 @@ def _quotient(sc: StructureConstants, ideal: Subspace):
     table = [[[zero] * q for _ in range(q)] for _ in range(q)]
     for a in range(q):
         for b in range(a + 1, q):
-            w = ideal.reduce(
-                sc.bracket_coords(
-                    linalg.unit_vector(m, free[a]), linalg.unit_vector(m, free[b])
-                )
-            )
+            w = ideal.reduce(dict(sc.nonzero.get((free[a], free[b]), ())))
             coeffs = [w[free[c]] for c in range(q)]
             table[a][b] = coeffs
             table[b][a] = [-v for v in coeffs]
@@ -678,15 +713,9 @@ def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     s = len(free)
     p = rad.dim
 
-    def support(vector: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-        return [(i, v) for i, v in enumerate(vector) if v]
-
-    x = [linalg.unit_vector(m, f) for f in free]
-    rad_basis = [list(v) for v in rad.basis]
-    rad_support = [support(v) for v in rad_basis]
-    ad_x_rad = [
-        [support(sc.bracket_coords(x[a], rad_basis[t])) for t in range(p)] for a in range(s)
-    ]
+    rad_support = [[(i, v) for i, v in enumerate(r) if v] for r in rad.basis]
+    # [x_a, rad_t] for the complement's coordinate vectors x_a = b_free[a]
+    ad_x_rad = [[sc.ad(f, r).items() for r in rad.basis] for f in free]
 
     # unknowns alpha[a][t]: correction of x_a by sum_t alpha[a][t] rad_t
     def col(a: int, t: int) -> int:
@@ -696,28 +725,36 @@ def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     # must equal the corrected combination its quotient coefficients name
     rows: list[linalg.SparseRow] = []
     rhs: list[Fraction] = []
-    for a in range(s):
-        for b in range(a + 1, s):
-            w = sc.bracket_coords(x[a], x[b])
-            reduced = rad.reduce(w)
-            cbar = [(c, reduced[f]) for c, f in enumerate(free) if reduced[f]]
-            block: list[linalg.SparseRow] = [{} for _ in range(m)]
-            for t in range(p):
-                for coord, v in ad_x_rad[a][t]:
-                    block[coord][col(b, t)] = block[coord].get(col(b, t), 0) + v
-                for coord, v in ad_x_rad[b][t]:
-                    block[coord][col(a, t)] = block[coord].get(col(a, t), 0) - v
-                for cpos, cv in cbar:
-                    for coord, v in rad_support[t]:
-                        block[coord][col(cpos, t)] = block[coord].get(col(cpos, t), 0) - cv * v
-            rows.extend(block)
-            rhs.extend(r - wi for wi, r in zip(w, reduced))
+    pairs = list(itertools.combinations(range(s), 2))
+    for a, b in pairs:
+        w = linalg._dense(dict(sc.nonzero.get((free[a], free[b]), ())), m)
+        reduced = rad.reduce(w)
+        cbar = [(c, reduced[f]) for c, f in enumerate(free) if reduced[f]]
+        block: list[linalg.SparseRow] = [{} for _ in range(m)]
+        for t in range(p):
+            for coord, v in ad_x_rad[a][t]:
+                block[coord][col(b, t)] = block[coord].get(col(b, t), 0) + v
+            for coord, v in ad_x_rad[b][t]:
+                block[coord][col(a, t)] = block[coord].get(col(a, t), 0) - v
+            for cpos, cv in cbar:
+                for coord, v in rad_support[t]:
+                    block[coord][col(cpos, t)] = block[coord].get(col(cpos, t), 0) - cv * v
+        rows.extend(block)
+        rhs.extend(r - wi for wi, r in zip(w, reduced))
     solution = linalg.solve(rows, rhs, ncols=s * p)
     if solution is None:
-        raise LieAlgebraError("no semisimple complement found for an abelian radical")
+        # a constraint that reduces to 0 = value names the pair and coordinate
+        _, steps = linalg._echelon({**row, s * p: r} for row, r in zip(rows, rhs))
+        at, value = next((n, v) for n, (lead, v) in enumerate(steps) if lead == s * p)
+        (a, b), k = pairs[at // m], at % m
+        raise LieAlgebraError(
+            f"no semisimple complement found for an abelian radical: no correction of "
+            f"{sc.labels[free[a]]} and {sc.labels[free[b]]} by the radical fixes the "
+            f"{sc.labels[k]} coordinate of their bracket; {value} is left over"
+        )
     out = []
     for a in range(s):
-        vec = list(x[a])
+        vec = linalg.unit_vector(m, free[a])
         for t in range(p):
             q = solution[col(a, t)]
             if q:
@@ -738,12 +775,8 @@ def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     h_vectors = [lift(v) for v in q_levi] + [list(v) for v in rad_derived.basis]
     h_space = Subspace.from_vectors(h_vectors, sc.dim)
     hsc = subalgebra_constants(sc, h_space)
-    rad_in_h = []
-    for v in rad_derived.basis:
-        coords = h_space.coordinates(v)
-        if coords is None:
-            raise LieAlgebraError("radical derived series left the lifted subalgebra")
-        rad_in_h.append(coords)
+    # [r, r] is among the vectors spanning h_space, so it has coordinates there
+    rad_in_h = [h_space.coordinates(v) for v in rad_derived.basis]
     inner = _levi_vectors(hsc, Subspace.from_vectors(rad_in_h, h_space.dim))
     # back from coordinates over h_space.basis to the ambient space
     return linalg.mat_mul(inner, h_space.basis)
@@ -759,11 +792,13 @@ def levi_decomposition(sc: StructureConstants) -> LeviResult:
     """Radical plus a semisimple complement subalgebra.
 
     The complement is found by lifting through the derived series of the
-    radical; before returning, the result is verified: the complement is
-    closed under the bracket, has nondegenerate intrinsic Killing form,
-    meets the radical trivially, and together they span everything.
+    radical; before returning, the result is verified: the complement and
+    the radical span everything and meet trivially, and the complement is
+    closed under the bracket (subalgebra_constants checks every pair) with
+    nondegenerate intrinsic Killing form.  A failure names its witness.
     """
     m = sc.dim
+    labels = sc.labels
     rad = radical(sc)
     if rad.dim == m:
         return LeviResult(rad, Subspace.zero(m))
@@ -772,13 +807,31 @@ def levi_decomposition(sc: StructureConstants) -> LeviResult:
     else:
         levi = Subspace.from_vectors(_levi_vectors(sc, rad), m)
     # verification
-    if levi.dim + rad.dim != m or levi.sum(rad).dim != m:
-        raise LieAlgebraError("Levi complement does not complement the radical")
-    for u, v in itertools.combinations(levi.basis, 2):
-        if not levi.contains(sc.bracket_coords(u, v)):
-            raise LieAlgebraError("Levi complement is not closed under the bracket")
-    if levi.dim and linalg.det(killing_form(subalgebra_constants(sc, levi))) == 0:
-        raise LieAlgebraError("Levi complement is not semisimple")
+    total = levi.sum(rad)
+    if total.dim != m:
+        i = next(i for i in range(m) if not total.contains(linalg.unit_vector(m, i)))
+        leftover = render_combination(total.reduce(linalg.unit_vector(m, i)), labels)
+        raise LieAlgebraError(
+            f"Levi complement and radical do not span: {labels[i]} leaves {leftover} outside them"
+        )
+    if levi.dim + rad.dim != m:
+        # they span, so some combination of the complement's basis lies in the radical
+        vectors = levi.basis + rad.basis
+        alpha = linalg.kernel_basis([list(col) for col in zip(*vectors)])[0]
+        meet = [sum(a * v[k] for a, v in zip(alpha, levi.basis)) for k in range(m)]
+        raise LieAlgebraError(
+            f"Levi complement meets the radical in {render_combination(meet, labels)}"
+        )
+    if levi.dim:
+        kappa = killing_form(subalgebra_constants(sc, levi))
+        null = linalg.kernel_basis(kappa)
+        if null:
+            # the Killing radical of the complement, back in the ambient basis
+            vector = [sum(a * v[k] for a, v in zip(null[0], levi.basis)) for k in range(m)]
+            raise LieAlgebraError(
+                f"Levi complement is not semisimple: {render_combination(vector, labels)} "
+                "is orthogonal to it under its Killing form"
+            )
     return LeviResult(rad, levi)
 
 

@@ -89,28 +89,34 @@ def _reduce(pivot_rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
 
 
 def _echelon(
-    rows: Iterable[Iterable | dict],
+    rows: Iterable[Iterable | dict], limit: int | None = None
 ) -> tuple[dict[int, SparseRow], list[tuple[int, Fraction]]]:
     """Insert rows one at a time into a reduced echelon basis held sparsely.
 
-    Each row, dense or a {column: value} mapping, is reduced by the pivot
-    rows found so far; a nonzero remainder is scaled to 1 at its leading
-    column, which becomes a new pivot, and that column is cleared from the
-    earlier pivot rows.  A pivot row's leading entry stays its pivot
-    throughout, and no pivot row has an entry in another's pivot column, so
-    the pivot rows sorted by column are the reduced row echelon form, which
-    is unique.  Only nonzero entries are stored or touched.
+    Every row, dense or a {column: value} mapping, is made sparse once, and
+    the rows are inserted fewest nonzeros first (stable among equal counts),
+    which fills in far less than insertion in input order.  Each row is
+    reduced by the pivot rows found so far; a nonzero remainder is scaled to
+    1 at its leading column, which becomes a new pivot, and that column is
+    cleared from the earlier pivot rows.  A pivot row's leading entry stays
+    its pivot throughout, and no pivot row has an entry in another's pivot
+    column, so the pivot rows sorted by column are the reduced row echelon
+    form, which is unique whatever the insertion order.  Only nonzero
+    entries are stored or touched.  With `limit`, insertion stops once that
+    many pivots are found.
 
-    Returns the pivot rows by column and, per input row in order, its pivot
-    column and the leading value it was divided by, or (-1, 0) when it
-    reduced to zero.
+    Returns the pivot rows by column and, per input row in input order, its
+    pivot column and the leading value it was divided by, or (-1, 0) when it
+    reduced to zero or was not reached.
     """
+    sparse = [_sparse(row) for row in rows]
     basis: dict[int, SparseRow] = {}
-    steps: list[tuple[int, Fraction]] = []
-    for row in rows:
-        residual = _reduce(basis, _sparse(row))
+    steps: list[tuple[int, Fraction]] = [(-1, Fraction(0))] * len(sparse)
+    for r in sorted(range(len(sparse)), key=lambda r: len(sparse[r])):
+        if limit is not None and len(basis) >= limit:
+            break
+        residual = _reduce(basis, sparse[r])
         if not residual:
-            steps.append((-1, Fraction(0)))
             continue
         lead = min(residual)
         value = residual[lead]
@@ -122,7 +128,7 @@ def _echelon(
             if f:
                 _subtract(other, f, residual, lead)
         basis[lead] = residual
-        steps.append((lead, value))
+        steps[r] = (lead, value)
     return basis, steps
 
 
@@ -142,8 +148,9 @@ def rref(matrix: Iterable[Iterable]) -> tuple[Mat, list[int]]:
     return reduced, pivots
 
 
-def rank(matrix: Iterable[Iterable | dict]) -> int:
-    return len(_echelon(matrix)[0])
+def rank(matrix: Iterable[Iterable | dict], limit: int | None = None) -> int:
+    """Rank of the rows, or `limit` once the rank reaches it: min(rank, limit)."""
+    return len(_echelon(matrix, limit)[0])
 
 
 def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> list[Vec]:
@@ -200,7 +207,8 @@ def det(matrix: Iterable[Iterable]) -> Fraction:
 
     Reducing a row by other rows keeps the determinant and scaling it by
     1/value divides it by value; the fully reduced square matrix is the
-    permutation taking each row to its pivot column.
+    permutation taking each row to its pivot column.  The steps come back
+    in input-row order, so the order rows were inserted in does not matter.
     """
     m = [list(row) for row in matrix]
     n = len(m)

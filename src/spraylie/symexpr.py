@@ -37,6 +37,7 @@ __all__ = [
     "ExpArgumentError",
     "EvaluationError",
     "TermBoundError",
+    "DegreeBoundError",
     "const",
     "xvar",
     "yvar",
@@ -51,6 +52,7 @@ __all__ = [
     "MAX_INDEX",
     "MAX_TERMS",
     "MAX_COEFFICIENT_DIGITS",
+    "MAX_REDUCED_DEGREE",
 ]
 
 MAX_NESTING = 100  # levels of parentheses and unary minus in one expression
@@ -59,6 +61,7 @@ MAX_EXPONENT = 100  # absolute value of a power exponent
 MAX_INDEX = 1000  # largest k in x<k> or y<k>; print order builds tuples of length k
 MAX_TERMS = 1000  # most terms a power may build, counted before multiplying
 MAX_COEFFICIENT_DIGITS = 100  # digits of a parsed coefficient's numerator or denominator
+MAX_REDUCED_DEGREE = 10_000  # largest power `specialize` raises a sample value to
 _COEFFICIENT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 _DIGITS = "0123456789"
 
@@ -88,6 +91,14 @@ class TermBoundError(SymExprError):
 
 class EvaluationError(SymExprError):
     """Raised when numeric evaluation is missing a variable assignment."""
+
+
+class DegreeBoundError(SymExprError):
+    """Exact specialization would raise a sample value above MAX_REDUCED_DEGREE."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"exponent degree {degree} > cap {MAX_REDUCED_DEGREE}")
+        self.degree = degree
 
 
 @functools.cache
@@ -587,7 +598,9 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
     to point["x<i>"] and exp(g_i*x_i/D) to point["y<i>"], which must be
     nonzero.  D and g_i are shared by the whole collection, so sums, products
     and unit quotients of the expressions map to those of their values, and
-    exp(10^12*x3) costs no more than exp(x3).
+    exp(10^12*x3) costs no more than exp(x3).  Mixed exponents such as
+    exp(10^12*x3) and exp(x3) keep a power q*D/g_i that large; above
+    MAX_REDUCED_DEGREE a DegreeBoundError is raised before any evaluation.
     """
     lins = [lin for expr in exprs for (_mono, lin), _c in expr.items()]
     denom = math.lcm(*(q.denominator for lin in lins for _i, q in lin.coeffs))
@@ -595,6 +608,9 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
     for lin in lins:
         for i, q in lin.coeffs:
             gcds[i] = math.gcd(gcds.get(i, 0), int(q * denom))
+    degree = max((abs(int(q * denom)) // gcds[i] for lin in lins for i, q in lin.coeffs), default=0)
+    if degree > MAX_REDUCED_DEGREE:
+        raise DegreeBoundError(degree)
     xvals, tvals = _split_point(point)
     values = []
     for expr in exprs:

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import strategies as st
 
-from spraylie import geom, linalg
+from spraylie import geom, liealg, linalg
 from spraylie.fields import BaseField
 from spraylie.symexpr import ZERO, parse_expr
 
@@ -83,6 +83,42 @@ def constant_nullity_kernel(curv) -> int:
                 for key, row in per_key.items():
                     rows[(k, i, j, key)] = row
     return len(linalg.kernel_basis(list(rows.values()), ncols=n))
+
+
+def ad_matrix(sc: liealg.StructureConstants, i: int) -> linalg.Mat:
+    """Matrix of ad(b_i): column j holds [b_i, b_j]."""
+    m = sc.dim
+    return [[Fraction(sc.c[i][j][k]) for j in range(m)] for k in range(m)]
+
+
+def is_derivation(sc: liealg.StructureConstants, matrix) -> bool:
+    """Does D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j] hold for every pair?"""
+    m = sc.dim
+    d = [[Fraction(v) for v in row] for row in matrix]
+    for i in range(m):
+        for j in range(i + 1, m):
+            lhs = linalg.mat_vec(d, list(sc.c[i][j]))
+            rhs_a = sc.bracket_coords([d[r][i] for r in range(m)], linalg.unit_vector(m, j))
+            rhs_b = sc.bracket_coords(linalg.unit_vector(m, i), [d[r][j] for r in range(m)])
+            if any(lhs[k] != rhs_a[k] + rhs_b[k] for k in range(m)):
+                return False
+    return True
+
+
+def in_inner_span(sc: liealg.StructureConstants, matrix) -> bool:
+    """Is the matrix a rational combination of the ad(b_i)?"""
+    m = sc.dim
+
+    def flat(a) -> list[Fraction]:
+        return [Fraction(a[r][c]) for r in range(m) for c in range(m)]
+
+    ads = [flat(ad_matrix(sc, i)) for i in range(m)]
+    return linalg.rank(ads + [flat(matrix)]) == linalg.rank(ads)
+
+
+def abelian_ideal_check(sc: liealg.StructureConstants, space: liealg.Subspace) -> bool:
+    """Is the subspace an ideal with all internal brackets zero?"""
+    return liealg.is_ideal(sc, space) and liealg.is_abelian(sc, space)
 
 
 @pytest.fixture(scope="session")

@@ -36,9 +36,12 @@ from tests.conftest import (
     HYPERBOLIC_SHELL,
     PRODUCT_BLOCKS,
     RANDOM_METRIC_SEEDS,
+    abelian_ideal_check,
     base_field,
     build_pipeline,
     constant_nullity_kernel,
+    in_inner_span,
+    is_derivation,
     random_diag_entries,
 )
 
@@ -219,7 +222,7 @@ def test_acceptance_04_flat_algebra_structure():
     decay_span = liealg.Subspace.from_vectors(
         [coords({"e3": 1}), coords({"e7": 1}), coords({"e12": 1})], m
     )
-    assert liealg.abelian_ideal_check(spray_sc, decay_span)
+    assert abelian_ideal_check(spray_sc, decay_span)
     _metric, _spray, connection, curv = build_pipeline(FLAT_EXPONENTIAL)
     generators = [problem.fields[name] for name in labels]
     horizontal = horizontal_nullity_span(generators, connection, curv)
@@ -244,14 +247,14 @@ def test_acceptance_04_flat_algebra_structure():
         ],
         6,
     )
-    assert liealg.abelian_ideal_check(iso_sc, translation_span)
+    assert abelian_ideal_check(iso_sc, translation_span)
     iso_der = liealg.derivations(iso_sc)
     assert (iso_der.dimension, iso_der.inner_dimension, iso_der.outer_dimension) == (7, 6, 1)
     diag = [[Fraction(0)] * 6 for _ in range(6)]
     for idx in (1, 3, 5):  # g2, g4, g6
         diag[idx][idx] = Fraction(1)
-    assert liealg.is_derivation(iso_sc, diag)
-    assert not liealg.in_inner_span(iso_sc, diag)
+    assert is_derivation(iso_sc, diag)
+    assert not in_inner_span(iso_sc, diag)
 
     levi_sc = _set_constants(problem, "isometry_levi")
     assert liealg.classify_3dim_simple(levi_sc) == "so3-type"

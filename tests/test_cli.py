@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface against the shipped corpus."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spraylie import cli, geom, liealg
 from spraylie.fields import nullity_rank_numeric
-from spraylie.symexpr import const
+from spraylie.symexpr import MAX_REDUCED_DEGREE, const
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -380,6 +381,30 @@ def test_nullity_probe_finishes_on_a_huge_common_exponent(tmp_path, capsys):
     assert time.perf_counter() - start < 10.0
     nullity = json.loads(capsys.readouterr().out)["pipeline"]["numeric_nullity"]
     assert (nullity["rank"], nullity["nullity_dimension"]) == (3, 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_nullity_probe_skips_mixed_exponents_above_the_degree_cap(fmt, tmp_path, capsys):
+    # exp(10^12*x3) beside exp(x3): the gcd of x3's exponents is 1, so the
+    # probe would raise a sample value to a power near 10^12; it is a limit
+    entries = ["exp(1000000000000*x3)", "exp(x3)", "1"]
+    doc = {"name": "mixed", "dim": 3, "metric": {"kind": "diagonal", "entries": entries}}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path), "--format", fmt]) == 0
+    # the uncapped specialization ran for more than 20 s; 10 s leaves room for a loaded runner
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        nullity = json.loads(out)["pipeline"]["numeric_nullity"]
+        assert "rank" not in nullity
+        skipped = nullity["skipped"]
+    else:
+        line = next(l for l in out.splitlines() if l.startswith("- numeric nullity:"))
+        skipped = line.removeprefix("- numeric nullity: skipped (").removesuffix(")")
+    degree, cap = re.fullmatch(r"exponent degree (\d+) > cap (\d+)", skipped).groups()
+    assert int(cap) == MAX_REDUCED_DEGREE < int(degree)
 
 
 CURVATURE_IDENTITIES = ("curvature equals half the horizontal self-bracket",)

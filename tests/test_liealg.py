@@ -9,6 +9,7 @@ the arbitration machinery).
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbench import workloads
-from spraylie import cli, liealg as la
+from spraylie import cli, liealg as la, linalg
 from spraylie.fields import bracket_base, combine_fields, constant_span, horizontal_nullity_span
 from spraylie.linalg import det, unit_vector
-from tests.conftest import base_field, build_pipeline
+from tests.conftest import (
+    abelian_ideal_check,
+    ad_matrix,
+    base_field,
+    build_pipeline,
+    in_inner_span,
+    is_derivation,
+)
 
 H = Fraction(1, 2)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -371,16 +379,16 @@ def test_abelian_ideal_checks(flat_spray_sc, flat_isometry_sc):
     decay_e = la.Subspace.from_vectors(
         [unit_vector(12, 2), unit_vector(12, 6), unit_vector(12, 11)], 12
     )
-    assert la.abelian_ideal_check(flat_spray_sc, decay_e)
+    assert abelian_ideal_check(flat_spray_sc, decay_e)
     decay_g = la.Subspace.from_vectors(
         [unit_vector(6, 1), unit_vector(6, 3), unit_vector(6, 5)], 6
     )
-    assert la.abelian_ideal_check(flat_isometry_sc, decay_g)
+    assert abelian_ideal_check(flat_isometry_sc, decay_g)
 
 
 def test_single_generator_span_is_not_an_ideal(shell_sc):
     one = la.Subspace.from_vectors([unit_vector(6, 0)], 6)
-    assert not la.abelian_ideal_check(shell_sc, one)
+    assert not abelian_ideal_check(shell_sc, one)
 
 
 def _subspace(sc, vectors):
@@ -402,7 +410,7 @@ def test_commutative_ideal_subspaces(
     flat = list(flat_spray_generators.values())
     decay_e = _subspace(flat_spray_sc, [unit_vector(12, 2), unit_vector(12, 6), unit_vector(12, 11)])
     assert _subspace(flat_spray_sc, horizontal_nullity_span(flat, connection, curv)) == decay_e
-    assert la.abelian_ideal_check(flat_spray_sc, decay_e)
+    assert abelian_ideal_check(flat_spray_sc, decay_e)
     translations = _subspace(flat_spray_sc, constant_span(flat))
     assert translations.dim == 3 and not la.is_ideal(flat_spray_sc, translations)
 
@@ -412,7 +420,7 @@ def test_constant_subspace_of_an_abelian_algebra_is_everything():
     sc = la.structure_constants_from_fields(fields)
     space = _subspace(sc, constant_span(fields))
     assert space == la.Subspace.full(2)
-    assert la.abelian_ideal_check(sc, space)
+    assert abelian_ideal_check(sc, space)
 
 
 def test_blocks_constant_subspace_is_not_an_ideal(blocks_sc, blocks_generators, blocks_pipeline):
@@ -448,20 +456,20 @@ def test_flat_isometry_has_one_outer_derivation(flat_isometry_sc):
     assert space.outer_dimension == 1
     diag = [[Fraction(0)] * 6 for _ in range(6)]
     diag[1][1] = diag[3][3] = diag[5][5] = Fraction(1)
-    assert la.is_derivation(flat_isometry_sc, diag)
-    assert not la.in_inner_span(flat_isometry_sc, diag)
+    assert is_derivation(flat_isometry_sc, diag)
+    assert not in_inner_span(flat_isometry_sc, diag)
 
 
 def test_every_ad_is_a_derivation(shell_sc):
     for i in range(shell_sc.dim):
-        ad = shell_sc.ad_matrix(i)
-        assert la.is_derivation(shell_sc, ad)
-        assert la.in_inner_span(shell_sc, ad)
+        ad = ad_matrix(shell_sc, i)
+        assert is_derivation(shell_sc, ad)
+        assert in_inner_span(shell_sc, ad)
 
 
 def test_derivation_basis_satisfies_leibniz(flat_isometry_sc):
     for matrix in la.derivations(flat_isometry_sc).basis:
-        assert la.is_derivation(flat_isometry_sc, [list(r) for r in matrix])
+        assert is_derivation(flat_isometry_sc, [list(r) for r in matrix])
 
 
 # ---------------------------------------------------------------------------
@@ -796,4 +804,121 @@ def test_affine_horizontal_subspace_is_the_translation_ideal(n):
     _metric, _spray, connection, curv = build_pipeline(("1",) * n)
     space = _subspace(sc, horizontal_nullity_span(generators, connection, curv))
     assert space == _subspace(sc, [unit_vector(sc.dim, i) for i in range(n)])
-    assert la.abelian_ideal_check(sc, space)
+    assert abelian_ideal_check(sc, space)
+
+
+# ---------------------------------------------------------------------------
+# rank certificates: Der L = ad L and C = Q*I without computing a kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tag", [tag for tag, *_ in workloads.LIE_FAMILIES])
+def test_rank_certificates_return_the_full_kernel(tag, seed, tmp_path, monkeypatch):
+    _generators, sc = _lie_family(tag, seed, tmp_path)
+    routes = []
+    kernel_basis = linalg.kernel_basis
+
+    def full_kernel(*args, **kwargs):
+        routes[-1] = "kernel"
+        return kernel_basis(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_basis", full_kernel)
+    fast = []
+    for compute in (lambda: la.derivations(sc).basis, lambda: la._centroid(sc)):
+        routes.append("certificate")
+        fast.append(compute())
+    # Heisenberg algebras have outer derivations and a centroid beyond Q*I,
+    # and so(4) = so(3) + so(3) has a two-dimensional centroid: only those
+    # compute a kernel
+    heisenberg = tag.startswith("h")
+    assert routes == [
+        "kernel" if heisenberg else "certificate",
+        "kernel" if heisenberg or tag == "so4" else "certificate",
+    ]
+    monkeypatch.setattr(
+        la, "_kernel_containing", lambda rows, known, ncols: kernel_basis(rows, ncols)
+    )
+    assert [la.derivations(sc).basis, la._centroid(sc)] == fast
+
+
+# ---------------------------------------------------------------------------
+# witnessed radical and Levi failures on tables that break Jacobi
+# ---------------------------------------------------------------------------
+
+
+def _random_table(seed: int) -> la.StructureConstants:
+    """A seeded antisymmetric table of dimension 3 to 5; Jacobi usually fails."""
+    rng = random.Random(seed)
+    m = rng.randint(3, 5)
+    brackets = {}
+    for i, j in itertools.combinations(range(m), 2):
+        out = {k: rng.choice([-2, -1, 1, 2]) for k in range(m) if rng.random() < 0.3}
+        brackets[(i, j)] = out
+    return _table(m, brackets)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (0, "computed radical is not an ideal: [b4, b3] leaves -2*b2 outside it"),
+        (
+            300,
+            "no semisimple complement found for an abelian radical: no correction of b3 and b5 "
+            "by the radical fixes the b2 coordinate of their bracket; 5 is left over",
+        ),
+        (1341, "subspace is not closed under the bracket: [b1, b2 + b3] leaves 2*b3 outside it"),
+        (
+            1755,
+            "Levi complement is not semisimple: 2*b1 + 2*b2 + b3 is orthogonal to it "
+            "under its Killing form",
+        ),
+    ],
+)
+def test_levi_failure_names_its_witness(seed, message):
+    sc = _random_table(seed)
+    assert la.jacobi_check(sc)[0] is False
+    with pytest.raises(la.LieAlgebraError) as err:
+        la.levi_decomposition(sc)
+    # not NonClosureError, which the command line reads as bad input
+    assert type(err.value) is la.LieAlgebraError
+    assert str(err.value).startswith(message)
+
+
+def test_unsolvable_radical_names_its_stalled_derived_term(monkeypatch):
+    # no seeded table reached this check; with the derived algebra taken as
+    # zero, the radical of so(3) is all of it, an ideal that is perfect
+    sc = _table(3, SO3)
+    monkeypatch.setattr(la, "derived_subalgebra", lambda sc: la.Subspace.zero(sc.dim))
+    with pytest.raises(la.LieAlgebraError) as err:
+        la.radical(sc)
+    assert str(err.value).startswith(
+        "computed radical is not solvable: its derived series stops shrinking at step 0, "
+        "dimension 3 (b1, b2, b3)"
+    )
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        # so(3) + R: the radical is b4; a complement missing b3 does not span
+        (
+            [[1, 0, 0, 0], [0, 1, 0, 0]],
+            "Levi complement and radical do not span: b3 leaves b3 outside them",
+        ),
+        (
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+            "Levi complement meets the radical in -b4",
+        ),
+    ],
+    ids=["short", "meeting"],
+)
+def test_levi_complement_that_fails_to_complement_names_its_witness(vectors, message, monkeypatch):
+    # the construction always complements the radical; a replaced one reaches the check
+    sc = _direct_sum((3, SO3), (1, {}))
+    monkeypatch.setattr(
+        la, "_levi_vectors", lambda sc, rad: [[Fraction(q) for q in v] for v in vectors]
+    )
+    with pytest.raises(la.LieAlgebraError) as err:
+        la.levi_decomposition(sc)
+    assert str(err.value) == message

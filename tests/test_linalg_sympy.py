@@ -91,3 +91,46 @@ def test_solve_takes_sparse_rows(a, data):
 @given(_matrices(square=True))
 def test_det_agrees_with_sympy(a):
     assert det(a) == _frac(_sym(a).det())
+
+
+def _inversions(perm: list[int]) -> int:
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+
+
+@st.composite
+def _staggered(draw):
+    """Square rows with distinct nonzero counts in shuffled order.
+
+    Inserting them fewest nonzeros first reorders them, so a determinant whose
+    steps were not mapped back to input order would get the wrong sign.
+    """
+    n = draw(st.integers(2, 6))
+    nonzero = _entries.filter(bool)
+    rows = []
+    for count in draw(st.permutations(range(1, n + 1))):
+        row = [Q(0)] * n
+        for j in draw(st.permutations(range(n)))[:count]:
+            row[j] = draw(nonzero)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(square=True), _staggered()), st.data())
+def test_answers_do_not_depend_on_the_row_order(a, data):
+    perm = data.draw(st.permutations(range(len(a))))
+    shuffled = [a[i] for i in perm]
+    assert rref(shuffled) == rref(a)
+    assert rank(shuffled) == rank(a)
+    assert kernel_basis(shuffled) == kernel_basis(a)
+    b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+    assert solve(shuffled, [b[i] for i in perm]) == solve(a, b)
+    assert det(a) == _frac(_sym(a).det())
+    assert det(shuffled) == (-1) ** _inversions(perm) * det(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.integers(0, 7))
+def test_rank_with_a_limit_is_the_smaller_of_the_two(a, limit):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+    assert rank(a, limit) == rank(sparse, limit) == min(rank(a), limit)

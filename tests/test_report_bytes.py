@@ -99,13 +99,25 @@ def _basis_change(fields: list[list[str]]) -> list[list[str]]:
     return out
 
 
-FAMILIES = {"aff3": lambda: _aff(3), "so5": lambda: _so(5), "h5": lambda: _heisenberg(2)}
+# aff(4) runs the two-level Levi recursion and the derivation certificate;
+# so(4) is semisimple but not simple, so its centroid takes the kernel route
+FAMILIES = {
+    "aff3": lambda: _aff(3),
+    "aff4": lambda: _aff(4),
+    "so4": lambda: _so(4),
+    "so5": lambda: _so(5),
+    "h5": lambda: _heisenberg(2),
+}
 
 FAMILY_JSON_SHA256 = {
     ("aff3", False): "7a2e43cf3fc3bbd665ffa6677b2087e77a9e7e411ebeedc7476b637eb7a9a41c",
     ("aff3", True): "7d96bee01f41f2baaf6818d89dea8c42353794e6e5eeff63ef40a0af9853f4f6",
+    ("aff4", False): "1f3b9df61f5638a01981790515f857183be4c80e692a9b61694dce3717583055",
+    ("aff4", True): "21a2a5452009b2fb6b196e5fc8fe9ba2a1bf40b8d322596c0c8b9e64b3e65427",
     ("h5", False): "cb6bce497a216a9e67887c6d84b633e0ad5eb6ac0490678290916fc84009a7b3",
     ("h5", True): "2bca7ab2bf0ffbd2cc3f1ebe14ee3de909726083430fada725725de96c7211a7",
+    ("so4", False): "00bbd49ff151f87043bfbbbc7ede785a47d7206d68cd9fe15d0f5e00e9a29583",
+    ("so4", True): "5268cec40887097eb499cec2e4c062d363b6d176c33006016183eabc1ae941e2",
     ("so5", False): "019165358637c356a5c46409c8ce3659ee90138315ced9c4c7f384ee20abe4d1",
     ("so5", True): "dc590e19e2acf82a5980aece69fd206ab4be4980244da573e054dc42ceab09d9",
 }

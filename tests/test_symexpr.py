@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from spraylie import symexpr
 from spraylie.symexpr import (
+    MAX_REDUCED_DEGREE,
     CanonicalExpr,
+    DegreeBoundError,
     EvaluationError,
     ExpArgumentError,
     LinForm,
@@ -412,6 +414,18 @@ def test_specialize_shares_one_denominator():
     half, whole = parse_expr("exp(x1/2)"), parse_expr("x1*exp(x1)")
     assert specialize([half, whole], {"x1": 3, "y1": 2}) == [2, 12]
     assert specialize([whole], {"x1": 3, "y1": 2}) == [6]
+
+
+def test_specialize_refuses_a_reduced_degree_above_the_cap():
+    # the gcd of x1's exponents is 1 here, so exp(x1) maps to y1 and the
+    # other term would need y1 to the power of its own coefficient
+    at_cap = [parse_expr(f"exp({MAX_REDUCED_DEGREE}*x1)"), parse_expr("exp(x1)")]
+    assert specialize(at_cap, {"x1": 0, "y1": 1}) == [1, 1]
+    above = [parse_expr(f"exp(-{MAX_REDUCED_DEGREE + 1}*x1)"), parse_expr("exp(x1)")]
+    with pytest.raises(DegreeBoundError) as err:
+        specialize(above, {"x1": 0, "y1": 1})
+    assert err.value.degree == MAX_REDUCED_DEGREE + 1
+    assert str(err.value) == f"exponent degree {MAX_REDUCED_DEGREE + 1} > cap {MAX_REDUCED_DEGREE}"
 
 
 def test_specialize_rejects_fibre_values_and_zero_exponential_values():
