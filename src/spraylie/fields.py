@@ -53,7 +53,6 @@ __all__ = [
     "apply_to_scalar",
     "lie_derivative_oneform",
     "fn_bracket",
-    "nijenhuis",
     "spray_field",
     "connection_oneform",
     "energy_from_metric",
@@ -168,10 +167,6 @@ class TMField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def is_projectable(self) -> bool:
-        n = self.dim
-        return all(not self.components[i].uses_y() for i in range(n))
-
     def __add__(self, other: "TMField") -> "TMField":
         return TMField(tuple(a + b for a, b in zip(self.components, other.components)))
 
@@ -183,12 +178,6 @@ class TMField:
 
     def scale(self, q: Fraction | int) -> "TMField":
         return TMField(tuple(c * q for c in self.components))
-
-
-def frame_field(n: int, slot: int) -> TMField:
-    comps = [CanonicalExpr()] * (2 * n)
-    comps[slot] = CanonicalExpr.const(1)
-    return TMField(tuple(comps))
 
 
 def complete_lift(field: BaseField) -> TMField:
@@ -383,11 +372,6 @@ def fn_bracket(k_form: VectorOneForm, l_form: VectorOneForm) -> VectorTwoForm:
             table[a][b] = value
             table[b][a] = -value
     return VectorTwoForm(tuple(tuple(row) for row in table))
-
-
-def nijenhuis(form: VectorOneForm) -> VectorTwoForm:
-    """Half of [L, L], e.g. zero for the tangent structure, curvature for h."""
-    return fn_bracket(form, form).scale(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

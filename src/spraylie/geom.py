@@ -55,7 +55,6 @@ __all__ = [
     "curvature_via_projector",
     "curvature_via_almost_product",
     "connection_via_bracket",
-    "curvature_potential",
 ]
 
 
@@ -393,19 +392,3 @@ def connection_via_bracket(spray: SprayData) -> VectorOneForm:
     n = spray.dim
     field = spray_field(spray)
     return lie_derivative_oneform(field, tangent_structure(n)).scale(-1)
-
-
-def curvature_potential(spray: SprayData, curv: CurvatureData):
-    """Contraction of the curvature with the spray: table[k][j] = y^i R^k_ij."""
-    n = curv.dim
-    out = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            acc = CanonicalExpr()
-            for i in range(n):
-                if curv.R1[k][i][j]:
-                    acc = acc + yvar(i + 1) * curv.R1[k][i][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)

@@ -435,8 +435,10 @@ def _kernel_containing(
     last = ncols - 1
     flipped, _ = linalg._echelon({last - j: v for j, v in row.items()} for row in known)
     bound = ncols - len(flipped)
-    if linalg.rank(rows, bound) < bound:
-        return linalg.kernel_basis(rows, ncols)
+    pivot_rows, _ = linalg._echelon(rows, bound)
+    if len(pivot_rows) < bound:
+        # short of the bound, elimination went through every row
+        return linalg._kernel(pivot_rows, ncols)
     return [
         linalg._dense({last - j: v for j, v in flipped[p].items()}, ncols)
         for p in sorted(flipped, reverse=True)
@@ -636,7 +638,7 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
 
 
 # ---------------------------------------------------------------------------
-# subalgebras, quotients, Levi complement
+# subalgebras, Levi complement
 # ---------------------------------------------------------------------------
 
 
@@ -673,113 +675,89 @@ def subalgebra_constants(
     return StructureConstants(tuple(labels), packed)
 
 
-def _quotient(sc: StructureConstants, ideal: Subspace):
-    """Quotient structure constants plus coordinate lift/reduce maps."""
-    m = sc.dim
-    pivots = set(ideal.pivots)
-    free = [i for i in range(m) if i not in pivots]
-    q = len(free)
-    zero = Fraction(0)
-    table = [[[zero] * q for _ in range(q)] for _ in range(q)]
-    for a in range(q):
-        for b in range(a + 1, q):
-            w = ideal.reduce(dict(sc.nonzero.get((free[a], free[b]), ())))
-            coeffs = [w[free[c]] for c in range(q)]
-            table[a][b] = coeffs
-            table[b][a] = [-v for v in coeffs]
-    qsc = StructureConstants(
-        tuple(f"q{c + 1}" for c in range(q)),
-        tuple(tuple(tuple(r) for r in plane) for plane in table),
-    )
-
-    def lift(qvec: Sequence[Fraction]) -> Vec:
-        out = [Fraction(0)] * m
-        for c, v in enumerate(qvec):
-            out[free[c]] = Fraction(v)
-        return out
-
-    def project(vector: Sequence[Fraction]) -> Vec:
-        w = ideal.reduce(vector)
-        return [w[free[c]] for c in range(q)]
-
-    return qsc, lift, project
-
-
-def _levi_abelian(sc: StructureConstants, rad: Subspace) -> list[Vec]:
-    """Correct a coordinate complement of an abelian radical into a subalgebra."""
-    m = sc.dim
-    pivots = set(rad.pivots)
-    free = [i for i in range(m) if i not in pivots]
-    s = len(free)
-    p = rad.dim
-
-    rad_support = [[(i, v) for i, v in enumerate(r) if v] for r in rad.basis]
-    # [x_a, rad_t] for the complement's coordinate vectors x_a = b_free[a]
-    ad_x_rad = [[sc.ad(f, r).items() for r in rad.basis] for f in free]
-
-    # unknowns alpha[a][t]: correction of x_a by sum_t alpha[a][t] rad_t
-    def col(a: int, t: int) -> int:
-        return a * p + t
-
-    # one row per (a < b, coordinate): the bracket of the corrected x_a, x_b
-    # must equal the corrected combination its quotient coefficients name
-    rows: list[linalg.SparseRow] = []
-    rhs: list[Fraction] = []
-    pairs = list(itertools.combinations(range(s), 2))
-    for a, b in pairs:
-        w = linalg._dense(dict(sc.nonzero.get((free[a], free[b]), ())), m)
-        reduced = rad.reduce(w)
-        cbar = [(c, reduced[f]) for c, f in enumerate(free) if reduced[f]]
-        block: list[linalg.SparseRow] = [{} for _ in range(m)]
-        for t in range(p):
-            for coord, v in ad_x_rad[a][t]:
-                block[coord][col(b, t)] = block[coord].get(col(b, t), 0) + v
-            for coord, v in ad_x_rad[b][t]:
-                block[coord][col(a, t)] = block[coord].get(col(a, t), 0) - v
-            for cpos, cv in cbar:
-                for coord, v in rad_support[t]:
-                    block[coord][col(cpos, t)] = block[coord].get(col(cpos, t), 0) - cv * v
-        rows.extend(block)
-        rhs.extend(r - wi for wi, r in zip(w, reduced))
-    solution = linalg.solve(rows, rhs, ncols=s * p)
-    if solution is None:
-        # a constraint that reduces to 0 = value names the pair and coordinate
-        _, steps = linalg._echelon({**row, s * p: r} for row, r in zip(rows, rhs))
-        at, value = next((n, v) for n, (lead, v) in enumerate(steps) if lead == s * p)
-        (a, b), k = pairs[at // m], at % m
-        raise LieAlgebraError(
-            f"no semisimple complement found for an abelian radical: no correction of "
-            f"{sc.labels[free[a]]} and {sc.labels[free[b]]} by the radical fixes the "
-            f"{sc.labels[k]} coordinate of their bracket; {value} is left over"
-        )
-    out = []
-    for a in range(s):
-        vec = linalg.unit_vector(m, free[a])
-        for t in range(p):
-            q = solution[col(a, t)]
-            if q:
-                for i, v in rad_support[t]:
-                    vec[i] += q * v
-        out.append(vec)
-    return out
-
-
 def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
-    rad_derived = _derived_of_subspace(sc, rad)
-    if rad_derived.is_zero():
-        return _levi_abelian(sc, rad)
-    # pass to the quotient by [r, r], find a complement there, pull back, recurse
-    qsc, lift, project = _quotient(sc, rad_derived)
-    qrad = Subspace.from_vectors([project(v) for v in rad.basis], qsc.dim)
-    q_levi = _levi_vectors(qsc, qrad)
-    h_vectors = [lift(v) for v in q_levi] + [list(v) for v in rad_derived.basis]
-    h_space = Subspace.from_vectors(h_vectors, sc.dim)
-    hsc = subalgebra_constants(sc, h_space)
-    # [r, r] is among the vectors spanning h_space, so it has coordinates there
-    rad_in_h = [h_space.coordinates(v) for v in rad_derived.basis]
-    inner = _levi_vectors(hsc, Subspace.from_vectors(rad_in_h, h_space.dim))
-    # back from coordinates over h_space.basis to the ambient space
-    return linalg.mat_mul(inner, h_space.basis)
+    """Basis of a complement of the radical that is closed under the bracket.
+
+    One loop down the derived series R^0 = rad > R^1 > ... > 0, with no
+    quotient algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).
+    The complement starts as the unit vectors y_a off the radical's pivots.
+    Entering level i, the y_a span a subalgebra modulo R^i: put in reduced
+    echelon form, [y_a, y_b] = sum_c g^c_ab y_c + e_ab with e_ab in R^i, and
+    g^c_ab is the remainder of [y_a, y_b] modulo R^i at the pivot of y_c.
+    Each y_a is corrected by z_a in R^i so that the bracket holds modulo
+    R^(i+1):
+
+        [y_a, z_b] - [y_b, z_a] - sum_c g^c_ab z_c = -e_ab   modulo R^(i+1),
+
+    which is linear in the z_a because [R^i, R^i] = R^(i+1).  The unknowns
+    are the coefficients of z_a over u_t, the reduced echelon basis of R^i
+    reduced modulo R^(i+1), and linalg.solve sets its free ones to zero.
+    That choice depends on the basis of the y_a, which the echelon form fixes
+    at every level.
+    """
+    m = sc.dim
+    labels = sc.labels
+    pivots = set(rad.pivots)
+    ys = [linalg.unit_vector(m, i) for i in range(m) if i not in pivots]
+    s = len(ys)
+    level = rad
+    while not level.is_zero():
+        below = _derived_of_subspace(sc, level)
+        us = Subspace.from_vectors([below.reduce(v) for v in level.basis], m).basis
+        p = len(us)
+        complement = Subspace.from_vectors(ys, m)
+        ys = [list(v) for v in complement.basis]
+        # [y_a, u_t] modulo R^(i+1)
+        ad_y_u = [[below._remainder(sc.bracket_coords(y, u)).items() for u in us] for y in ys]
+        u_support = [[(i, v) for i, v in enumerate(u) if v] for u in us]
+
+        # unknown a*p + t: the coefficient of u_t in z_a; one row per pair and
+        # coordinate that is not 0 = 0
+        rows: list[linalg.SparseRow] = []
+        rhs: list[Fraction] = []
+        where: list[tuple[int, int, int]] = []
+        for a, b in itertools.combinations(range(s), 2):
+            e = sc.bracket_coords(ys[a], ys[b])
+            rest = level.reduce(e)
+            g = [(c, rest[h]) for c, h in enumerate(complement.pivots) if rest[h]]
+            for c, q in g:
+                for i, v in enumerate(ys[c]):
+                    if v:
+                        e[i] -= q * v
+            block: list[linalg.SparseRow] = [{} for _ in range(m)]
+            for t in range(p):
+                for coord, v in ad_y_u[a][t]:
+                    block[coord][b * p + t] = block[coord].get(b * p + t, 0) + v
+                for coord, v in ad_y_u[b][t]:
+                    block[coord][a * p + t] = block[coord].get(a * p + t, 0) - v
+                for c, q in g:
+                    for coord, v in u_support[t]:
+                        block[coord][c * p + t] = block[coord].get(c * p + t, 0) - q * v
+            for k, v in enumerate(below.reduce(e)):
+                if block[k] or v:
+                    rows.append(block[k])
+                    rhs.append(-v)
+                    where.append((a, b, k))
+        solution = linalg.solve(rows, rhs, ncols=s * p)
+        if solution is None:
+            # a constraint that reduces to 0 = value names the pair and coordinate
+            _, steps = linalg._echelon({**row, s * p: r} for row, r in zip(rows, rhs))
+            at, value = next((n, v) for n, (lead, v) in enumerate(steps) if lead == s * p)
+            a, b, k = where[at]
+            raise LieAlgebraError(
+                f"no semisimple complement found for an abelian radical: no correction of "
+                f"{render_combination(ys[a], labels)} and {render_combination(ys[b], labels)} "
+                f"by the radical fixes the {labels[k]} coordinate of their bracket; "
+                f"{value} is left over"
+            )
+        for a, y in enumerate(ys):
+            for t in range(p):
+                q = solution[a * p + t]
+                if q:
+                    for i, v in u_support[t]:
+                        y[i] += q * v
+        level = below
+    return ys
 
 
 @dataclass(frozen=True)
@@ -791,11 +769,12 @@ class LeviResult:
 def levi_decomposition(sc: StructureConstants) -> LeviResult:
     """Radical plus a semisimple complement subalgebra.
 
-    The complement is found by lifting through the derived series of the
-    radical; before returning, the result is verified: the complement and
-    the radical span everything and meet trivially, and the complement is
-    closed under the bracket (subalgebra_constants checks every pair) with
-    nondegenerate intrinsic Killing form.  A failure names its witness.
+    The complement is corrected level by level down the derived series of
+    the radical (`_levi_vectors`); before returning, the result is verified:
+    the complement and the radical span everything and meet trivially, and
+    the complement is closed under the bracket (subalgebra_constants checks
+    every pair) with nondegenerate intrinsic Killing form.  A failure names
+    its witness in the algebra's own basis labels.
     """
     m = sc.dim
     labels = sc.labels

@@ -164,8 +164,15 @@ def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) ->
         if not m or isinstance(m[0], dict):
             raise ValueError("ncols is required for an empty or sparse matrix")
         ncols = len(m[0])
-    pivot_rows, _ = _echelon(m)
-    # free column j: x_j = 1, each pivot coordinate minus its row's entry at j
+    return _kernel(_echelon(m)[0], ncols)
+
+
+def _kernel(pivot_rows: dict[int, SparseRow], ncols: int) -> list[Vec]:
+    """The kernel of every row inserted into `pivot_rows` by `_echelon`.
+
+    Free column j gives x_j = 1, 0 at the other free columns, and each pivot
+    coordinate minus its row's entry at j.
+    """
     kernel = {j: unit_vector(ncols, j) for j in range(ncols) if j not in pivot_rows}
     for p, row in pivot_rows.items():
         for j, v in row.items():

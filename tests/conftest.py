@@ -10,8 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from spraylie import geom, liealg, linalg
-from spraylie.fields import BaseField
-from spraylie.symexpr import ZERO, parse_expr
+from spraylie.fields import BaseField, TMField, VectorOneForm, VectorTwoForm, fn_bracket
+from spraylie.symexpr import ZERO, CanonicalExpr, parse_expr, yvar
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +83,39 @@ def constant_nullity_kernel(curv) -> int:
                 for key, row in per_key.items():
                     rows[(k, i, j, key)] = row
     return len(linalg.kernel_basis(list(rows.values()), ncols=n))
+
+
+def frame_field(n: int, slot: int) -> TMField:
+    """The coordinate frame field d/dx^(slot+1), or d/dy^(slot-n+1) for slot >= n."""
+    comps = [CanonicalExpr()] * (2 * n)
+    comps[slot] = CanonicalExpr.const(1)
+    return TMField(tuple(comps))
+
+
+def is_projectable(field: TMField) -> bool:
+    """Are the base components free of the fibre variables y?"""
+    return all(not c.uses_y() for c in field.components[: field.dim])
+
+
+def nijenhuis(form: VectorOneForm) -> VectorTwoForm:
+    """Half of [L, L], e.g. zero for the tangent structure, curvature for h."""
+    return fn_bracket(form, form).scale(Fraction(1, 2))
+
+
+def curvature_potential(spray: geom.SprayData, curv: geom.CurvatureData):
+    """Contraction of the curvature with the spray: table[k][j] = y^i R^k_ij."""
+    n = curv.dim
+    out = []
+    for k in range(n):
+        row = []
+        for j in range(n):
+            acc = CanonicalExpr()
+            for i in range(n):
+                if curv.R1[k][i][j]:
+                    acc = acc + yvar(i + 1) * curv.R1[k][i][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def ad_matrix(sc: liealg.StructureConstants, i: int) -> linalg.Mat:

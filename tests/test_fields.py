@@ -22,7 +22,6 @@ from spraylie.fields import (
     complete_lift,
     connection_oneform,
     fn_bracket,
-    frame_field,
     in_AGamma,
     in_Ag,
     in_AS,
@@ -41,6 +40,8 @@ from tests.conftest import (
     base_field,
     build_pipeline,
     constant_nullity_kernel,
+    frame_field,
+    is_projectable,
     quadratic_sprays,
 )
 
@@ -61,7 +62,7 @@ def test_complete_lift_components():
 def test_complete_lift_rejects_nothing_but_projects():
     X = base_field("1", "0")
     lifted = complete_lift(X)
-    assert lifted.is_projectable()
+    assert is_projectable(lifted)
     assert lifted.components[2].is_zero() and lifted.components[3].is_zero()
 
 

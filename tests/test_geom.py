@@ -19,7 +19,6 @@ from spraylie.fields import (
     bracket_tm,
     fn_bracket,
     lie_derivative_oneform,
-    nijenhuis,
     spray_field,
 )
 from spraylie.symexpr import ZERO, parse_expr
@@ -29,6 +28,8 @@ from tests.conftest import (
     PRODUCT_BLOCKS,
     RANDOM_METRIC_SEEDS,
     build_pipeline,
+    curvature_potential,
+    nijenhuis,
     quadratic_sprays,
     random_diag_entries,
 )
@@ -153,7 +154,7 @@ def test_shell_curvature_nonzero_and_semibasic(shell_pipeline):
 
 def test_curvature_potential_contracts_spray(shell_pipeline):
     _, spray, _, curv = shell_pipeline
-    potential = geom.curvature_potential(spray, curv)
+    potential = curvature_potential(spray, curv)
     n = curv.dim
     for k in range(n):
         for j in range(n):

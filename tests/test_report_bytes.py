@@ -99,8 +99,9 @@ def _basis_change(fields: list[list[str]]) -> list[list[str]]:
     return out
 
 
-# aff(4) runs the two-level Levi recursion and the derivation certificate;
-# so(4) is semisimple but not simple, so its centroid takes the kernel route
+# aff(4) corrects its Levi complement on two levels of the radical and takes
+# the derivation certificate; so(4) is semisimple but not simple, so its
+# centroid takes the kernel route
 FAMILIES = {
     "aff3": lambda: _aff(3),
     "aff4": lambda: _aff(4),
