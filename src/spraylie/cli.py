@@ -767,7 +767,10 @@ def cmd_analyze(args) -> int:
     else:
         text = render_markdown(report)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)

@@ -141,7 +141,7 @@ class Subspace:
         """
         if not self.contains(vector):
             return None
-        return [Fraction(vector[p]) for p in self.pivots]
+        return [vector[p] for p in self.pivots]
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient_dim)
@@ -189,6 +189,12 @@ class StructureConstants:
     def centroid(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the centroid, computed on first use and shared by its readers."""
         return _centroid(self)
+
+    @functools.cached_property
+    def radical_series(self) -> tuple[Subspace, ...]:
+        """The radical's derived series down to zero, computed on first use and
+        shared by `radical` and the Levi complement."""
+        return _radical_series(self)
 
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -353,18 +359,6 @@ def _derived_of_subspace(sc: StructureConstants, space: Subspace) -> Subspace:
     return Subspace.from_vectors(vectors, sc.dim)
 
 
-def _stalled_derived_term(sc: StructureConstants, space: Subspace) -> tuple[int, Subspace] | None:
-    """None when the derived series of the subspace reaches zero; else the
-    first term whose derived subspace is no smaller, with its step number."""
-    current, step = space, 0
-    while not current.is_zero():
-        nxt = _derived_of_subspace(sc, current)
-        if nxt.dim >= current.dim:
-            return step, current
-        current, step = nxt, step + 1
-    return None
-
-
 def _ideal_witness(sc: StructureConstants, space: Subspace) -> tuple[int, Vec, Vec] | None:
     """The first (i, v, leftover) with [b_i, v] outside the subspace, v a
     basis vector and leftover the remainder of [b_i, v] modulo it; or None."""
@@ -395,6 +389,12 @@ def radical(sc: StructureConstants) -> Subspace:
     maximal solvable ideal; both defining properties are verified before the
     result is returned.
     """
+    return sc.radical_series[0]
+
+
+def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
+    """The radical R^0 > R^1 > ... > 0, R^(i+1) = [R^i, R^i], checked to be
+    an ideal and, by the series reaching zero, solvable."""
     m = sc.dim
     kappa = sc.killing
     derived = derived_subalgebra(sc)
@@ -408,41 +408,18 @@ def radical(sc: StructureConstants) -> Subspace:
             f"computed radical is not an ideal: [{labels[i]}, {render_combination(v, labels)}] "
             f"leaves {render_combination(leftover, labels)} outside it (Jacobi violation upstream?)"
         )
-    stalled = _stalled_derived_term(sc, rad)
-    if stalled:
-        step, term = stalled
-        basis = ", ".join(render_combination(v, labels) for v in term.basis)
-        raise LieAlgebraError(
-            f"computed radical is not solvable: its derived series stops shrinking at step {step}, "
-            f"dimension {term.dim} ({basis}) (Jacobi violation upstream?)"
-        )
-    return rad
-
-
-def _kernel_containing(
-    rows: list[linalg.SparseRow], known: list[linalg.SparseRow], ncols: int
-) -> list[Vec]:
-    """`linalg.kernel_basis(rows, ncols)`, given vectors `known` in the kernel.
-
-    The kernel holds span(known), of dimension r, so the rows have rank at
-    most ncols - r, and elimination stops there.  A rank that reaches the
-    bound proves the kernel is span(known), with no kernel to compute:
-    kernel_basis gives, per free column in increasing order, the kernel
-    vector that is 1 there, 0 at the other free columns and 0 past its last
-    nonzero entry, which is the reduced echelon basis of `known` read from
-    the right (columns reversed, eliminated, and reversed back).
-    """
-    last = ncols - 1
-    flipped, _ = linalg._echelon({last - j: v for j, v in row.items()} for row in known)
-    bound = ncols - len(flipped)
-    pivot_rows, _ = linalg._echelon(rows, bound)
-    if len(pivot_rows) < bound:
-        # short of the bound, elimination went through every row
-        return linalg._kernel(pivot_rows, ncols)
-    return [
-        linalg._dense({last - j: v for j, v in flipped[p].items()}, ncols)
-        for p in sorted(flipped, reverse=True)
-    ]
+    series = [rad]
+    while not series[-1].is_zero():
+        term = series[-1]
+        below = _derived_of_subspace(sc, term)
+        if below.dim >= term.dim:
+            basis = ", ".join(render_combination(v, labels) for v in term.basis)
+            raise LieAlgebraError(
+                f"computed radical is not solvable: its derived series stops shrinking at step "
+                f"{len(series) - 1}, dimension {term.dim} ({basis}) (Jacobi violation upstream?)"
+            )
+        series.append(below)
+    return tuple(series)
 
 
 def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
@@ -450,8 +427,9 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
 
     Unknowns are the m^2 entries of T, flattened like a derivation (column c
     = image of b_c); row (i*m + j)*m + k is coordinate k of the constraint,
-    held sparsely.  The kernel holds the identity, so rank m^2 - 1 proves
-    that the centroid is Q*I.
+    held sparsely.  The kernel holds the identity, so elimination stops at
+    rank m^2 - 1, which proves that the centroid is Q*I; short of it, every
+    row went in and the pivot rows give the kernel.
     """
     m = sc.dim
     rows: list[linalg.SparseRow] = [{} for _ in range(m**3)]
@@ -466,8 +444,11 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
             for t in range(m):
                 row = rows[(i * m + t) * m + l]
                 row[j * m + t] = row.get(j * m + t, 0) - q
-    identity = {r * m + r: Fraction(1) for r in range(m)}
-    return tuple(tuple(v) for v in _kernel_containing(rows, [identity], m * m))
+    bound = m * m - 1
+    pivot_rows, _ = linalg._echelon(rows, bound)
+    if len(pivot_rows) == bound:
+        return (tuple(v for row in linalg.identity(m) for v in row),)
+    return tuple(tuple(v) for v in linalg._kernel(pivot_rows, m * m))
 
 
 def _minimal_polynomial(matrix: Mat) -> Vec:
@@ -582,34 +563,22 @@ def is_simple(sc: StructureConstants) -> bool | None:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    dimension: int
     inner_dimension: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
     @property
     def outer_dimension(self) -> int:
         return self.dimension - self.inner_dimension
 
 
-def _flat_ads(sc: StructureConstants) -> list[linalg.SparseRow]:
-    """ad(b_i) for each i, flattened like a derivation: column r*m + c is ad(b_i)[r][c]."""
-    m = sc.dim
-    flat: list[linalg.SparseRow] = [{} for _ in range(m)]
-    for (i, j), entries in sc.nonzero.items():
-        for k, q in entries:
-            flat[i][k * m + j] = q
-    return flat
-
-
 def derivations(sc: StructureConstants) -> DerivationSpace:
-    """Kernel of the Leibniz constraints D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j].
+    """Dimensions of Der L, the kernel of D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j],
+    and of its inner part ad L.
 
     Unknowns are the m^2 entries of D (column c = image of b_c).  Row (i, j, k)
-    is coordinate k of the constraint for i < j, held sparsely.  Every ad x
-    is a derivation, so a Leibniz rank of m^2 - dim ad L proves Der L = ad L.
+    is coordinate k of the constraint for i < j, held sparsely.  ad: L -> Der L
+    has the center as kernel, and every ad x is a derivation, so the Leibniz
+    rank is at most m^2 - dim ad L, and elimination stops there.
     """
     m = sc.dim
     nonzero = sc.nonzero
@@ -629,12 +598,8 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
                 for k, q in nonzero.get((i, l), ()):
                     block[k][l * m + j] = block[k].get(l * m + j, 0) - q
             rows.extend(block)
-    ads = _flat_ads(sc)
-    basis = tuple(
-        tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
-        for vec in _kernel_containing(rows, ads, m * m)
-    )
-    return DerivationSpace(basis, linalg.rank(ads))
+    inner = m - center(sc).dim
+    return DerivationSpace(m * m - linalg.rank(rows, m * m - inner), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +640,12 @@ def subalgebra_constants(
     return StructureConstants(tuple(labels), packed)
 
 
-def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
+def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Vec]:
     """Basis of a complement of the radical that is closed under the bracket.
 
-    One loop down the derived series R^0 = rad > R^1 > ... > 0, with no
-    quotient algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).
+    One loop down the radical's derived series R^0 > R^1 > ... > 0, the one
+    `radical` checked, with no quotient algebra (de Graaf, Lie Algebras:
+    Theory and Algorithms, 2000).
     The complement starts as the unit vectors y_a off the radical's pivots.
     Entering level i, the y_a span a subalgebra modulo R^i: put in reduced
     echelon form, [y_a, y_b] = sum_c g^c_ab y_c + e_ab with e_ab in R^i, and
@@ -697,12 +663,10 @@ def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
     """
     m = sc.dim
     labels = sc.labels
-    pivots = set(rad.pivots)
+    pivots = set(series[0].pivots)
     ys = [linalg.unit_vector(m, i) for i in range(m) if i not in pivots]
     s = len(ys)
-    level = rad
-    while not level.is_zero():
-        below = _derived_of_subspace(sc, level)
+    for level, below in zip(series, series[1:]):
         us = Subspace.from_vectors([below.reduce(v) for v in level.basis], m).basis
         p = len(us)
         complement = Subspace.from_vectors(ys, m)
@@ -756,7 +720,6 @@ def _levi_vectors(sc: StructureConstants, rad: Subspace) -> list[Vec]:
                 if q:
                     for i, v in u_support[t]:
                         y[i] += q * v
-        level = below
     return ys
 
 
@@ -784,7 +747,7 @@ def levi_decomposition(sc: StructureConstants) -> LeviResult:
     if rad.is_zero():
         levi = Subspace.full(m)
     else:
-        levi = Subspace.from_vectors(_levi_vectors(sc, rad), m)
+        levi = Subspace.from_vectors(_levi_vectors(sc, sc.radical_series), m)
     # verification
     total = levi.sum(rad)
     if total.dim != m:
@@ -822,10 +785,9 @@ def classify_3dim_simple(sc: StructureConstants) -> str:
     """
     if sc.dim != 3:
         raise LieAlgebraError("classification requires a 3-dimensional algebra")
-    kappa = sc.killing
-    if linalg.det(kappa) == 0:
+    pos, neg, zero = linalg.congruence_signature(sc.killing)
+    if zero:  # by Sylvester's law, exactly when the Killing form is degenerate
         return "not-simple"
-    pos, neg, zero = linalg.congruence_signature(kappa)
     if (pos, neg) == (2, 1):
         return "sl2-type"
     if (pos, neg) == (0, 3):

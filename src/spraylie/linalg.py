@@ -203,7 +203,11 @@ def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -
         if m and isinstance(m[0], dict):
             raise ValueError("ncols is required for a sparse matrix")
         ncols = len(m[0]) if m else 0
-    pivot_rows, _ = _echelon({**_sparse(row), ncols: rv} for row, rv in zip(m, rhs))
+    augmented = (
+        {**(row if isinstance(row, dict) else dict(enumerate(row))), ncols: rv}
+        for row, rv in zip(m, rhs)
+    )
+    pivot_rows, _ = _echelon(augmented)
     if ncols in pivot_rows:
         return None
     return _dense({p: row[ncols] for p, row in pivot_rows.items() if ncols in row}, ncols)

@@ -149,11 +149,6 @@ class LinForm:
     def __neg__(self) -> "LinForm":
         return LinForm(tuple((i, -q) for i, q in self.coeffs))
 
-    def scaled(self, factor: Fraction) -> "LinForm":
-        if not factor:
-            return LinForm(())
-        return LinForm(tuple((i, q * factor) for i, q in self.coeffs))
-
     def max_index(self) -> int:
         return self.coeffs[-1][0] if self.coeffs else 0
 

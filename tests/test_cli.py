@@ -479,6 +479,15 @@ def test_analyze_missing_file_exits_one():
     assert "error:" in proc.stderr
 
 
+def test_analyze_unwritable_out_exits_one(tmp_path):
+    target = tmp_path / "missing" / "report.md"
+    proc = run_cli("analyze", str(PROBLEMS / "example1.json"), "--out", str(target))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write {target}:")
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
+
+
 def test_analyze_invalid_json_exits_one(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -467,11 +467,6 @@ def test_every_ad_is_a_derivation(shell_sc):
         assert in_inner_span(shell_sc, ad)
 
 
-def test_derivation_basis_satisfies_leibniz(flat_isometry_sc):
-    for matrix in la.derivations(flat_isometry_sc).basis:
-        assert is_derivation(flat_isometry_sc, [list(r) for r in matrix])
-
-
 # ---------------------------------------------------------------------------
 # Levi decomposition and classification
 # ---------------------------------------------------------------------------
@@ -808,38 +803,98 @@ def test_affine_horizontal_subspace_is_the_translation_ideal(n):
 
 
 # ---------------------------------------------------------------------------
-# rank certificates: Der L = ad L and C = Q*I without computing a kernel
+# rank certificates: Der L and C = Q*I from a rank bound
 # ---------------------------------------------------------------------------
+
+
+def _leibniz_rows(sc: la.StructureConstants) -> list[dict[int, Fraction]]:
+    """D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j], coordinate k, i < j, over D's
+    entries flattened like a derivation, read off the dense table."""
+    m, c = sc.dim, sc.c
+    rows = []
+    for (i, j), k in itertools.product(itertools.combinations(range(m), 2), range(m)):
+        row: dict[int, Fraction] = {}
+        for l in range(m):
+            terms = ((k * m + l, c[i][j][l]), (l * m + i, -c[l][j][k]), (l * m + j, -c[i][l][k]))
+            for col, v in terms:
+                row[col] = row.get(col, 0) + v
+        rows.append(row)
+    return rows
+
+
+def _centroid_rows(sc: la.StructureConstants) -> list[dict[int, Fraction]]:
+    """T[b_i, b_j] - [b_i, T b_j], coordinate k, over T flattened the same way."""
+    m, c = sc.dim, sc.c
+    rows = []
+    for i, j, k in itertools.product(range(m), repeat=3):
+        row: dict[int, Fraction] = {}
+        for l in range(m):
+            for col, v in ((k * m + l, c[i][j][l]), (l * m + j, -c[i][l][k])):
+                row[col] = row.get(col, 0) + v
+        rows.append(row)
+    return rows
+
+
+def _sympy_rank(rows: list[dict[int, Fraction]], ncols: int) -> int:
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import QQ
+
+    # the sparse format takes no empty row and no stored zero
+    rows = [{col: v for col, v in row.items() if v} for row in rows]
+    rows = [row for row in rows if row]
+    entries = {
+        r: {col: QQ(v.numerator, v.denominator) for col, v in row.items()}
+        for r, row in enumerate(rows)
+    }
+    return matrices.DomainMatrix(entries, (len(rows), ncols), QQ).rank()
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("tag", [tag for tag, *_ in workloads.LIE_FAMILIES])
 def test_rank_certificates_return_the_full_kernel(tag, seed, tmp_path, monkeypatch):
     _generators, sc = _lie_family(tag, seed, tmp_path)
+    m = sc.dim
+    space = la.derivations(sc)
+    assert space.dimension == m * m - _sympy_rank(_leibniz_rows(sc), m * m)
+    ads = [
+        {r * m + col: v for r, row in enumerate(ad_matrix(sc, i)) for col, v in enumerate(row)}
+        for i in range(m)
+    ]
+    assert space.inner_dimension == _sympy_rank(ads, m * m)
+
     routes = []
-    kernel_basis, kernel = linalg.kernel_basis, linalg._kernel
+    kernel = linalg._kernel
 
     def full_kernel(*args, **kwargs):
-        routes[-1] = "kernel"
+        routes.append("kernel")
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "_kernel", full_kernel)
-    fast = []
-    for compute in (lambda: la.derivations(sc).basis, lambda: la._centroid(sc)):
-        routes.append("certificate")
-        fast.append(compute())
-    # Heisenberg algebras have outer derivations and a centroid beyond Q*I,
-    # and so(4) = so(3) + so(3) has a two-dimensional centroid: only those
-    # compute a kernel
-    heisenberg = tag.startswith("h")
-    assert routes == [
-        "kernel" if heisenberg else "certificate",
-        "kernel" if heisenberg or tag == "so4" else "certificate",
-    ]
-    monkeypatch.setattr(
-        la, "_kernel_containing", lambda rows, known, ncols: kernel_basis(rows, ncols)
-    )
-    assert [la.derivations(sc).basis, la._centroid(sc)] == fast
+    centroid = la._centroid(sc)
+    monkeypatch.undo()
+    # Heisenberg algebras have a centroid beyond Q*I, and so(4) = so(3) +
+    # so(3) a two-dimensional one: only those compute a kernel
+    assert routes == (["kernel"] if tag.startswith("h") or tag == "so4" else [])
+    expected = linalg.kernel_basis(_centroid_rows(sc), m * m)
+    assert centroid == tuple(tuple(v) for v in expected)
+
+
+def test_levi_decomposition_walks_the_radical_series_once(tmp_path, monkeypatch):
+    _generators, sc = _lie_family("aff4", 7, tmp_path)
+    calls = []
+    derived = la._derived_of_subspace
+
+    def counted(*args):
+        calls.append(args)
+        return derived(*args)
+
+    monkeypatch.setattr(la, "_derived_of_subspace", counted)
+    result = la.levi_decomposition(sc)
+    # scalars and translations > translations > 0: one derived subspace per
+    # nonzero term, shared by the solvability check and the complement
+    assert [term.dim for term in sc.radical_series] == [5, 4, 0]
+    assert len(calls) == 2
+    _check_levi(sc, result)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +1026,7 @@ def test_levi_complement_that_fails_to_complement_names_its_witness(vectors, mes
     # the construction always complements the radical; a replaced one reaches the check
     sc = _direct_sum((3, SO3), (1, {}))
     monkeypatch.setattr(
-        la, "_levi_vectors", lambda sc, rad: [[Fraction(q) for q in v] for v in vectors]
+        la, "_levi_vectors", lambda sc, series: [[Fraction(q) for q in v] for v in vectors]
     )
     with pytest.raises(la.LieAlgebraError) as err:
         la.levi_decomposition(sc)
