@@ -57,6 +57,7 @@ EXIT_INTERNAL = 3
 
 DEFAULT_SEED = 0
 DEFAULT_POINTS = 10
+MAX_POINTS = 1000  # sample points are all built before any work starts
 IDENTITY_REL_TOL = 1e-12
 FD_REL_TOL = 1e-6
 FD_STEP = Fraction(1, 10_000)
@@ -965,8 +966,10 @@ def _positive_int(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if not 1 <= value <= MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer at most {MAX_POINTS}, got {value}"
+        )
     return value
 
 

@@ -242,14 +242,16 @@ class VectorOneForm:
         return len(self.matrix) // 2
 
     def apply(self, field: TMField) -> TMField:
-        size = len(self.matrix)
+        """The image field, summed over the field's nonzero components only."""
+        support = [(a, c) for a, c in enumerate(field.components) if c]
+        if not support:
+            return field
         comps = []
-        for b in range(size):
-            acc = CanonicalExpr()
-            row = self.matrix[b]
-            for a in range(size):
-                if row[a] and field.components[a]:
-                    acc = acc + row[a] * field.components[a]
+        for row in self.matrix:
+            acc = ZERO
+            for a, c in support:
+                if row[a]:
+                    acc = acc + row[a] * c
             comps.append(acc)
         return TMField(tuple(comps))
 
@@ -306,38 +308,47 @@ def lie_derivative_oneform(field: TMField, form: VectorOneForm) -> VectorOneForm
 
 @dataclass(frozen=True)
 class VectorTwoForm:
-    """Antisymmetric table of tangent-bundle fields indexed by frame pairs."""
+    """Antisymmetric table of tangent-bundle fields indexed by frame pairs.
 
-    entries: tuple[tuple[TMField, ...], ...]
+    Only the pairs a < b are stored: upper[a][b - a - 1] is the value on
+    (d_a, d_b).  `entry` reads the rest off antisymmetry, the negation below
+    the diagonal and zero on it.
+    """
+
+    upper: tuple[tuple[TMField, ...], ...]
 
     def entry(self, a: int, b: int) -> TMField:
-        return self.entries[a][b]
+        if a < b:
+            return self.upper[a][b - a - 1]
+        if a > b:
+            return -self.upper[b][a - b - 1]
+        return TMField.zero(self.dim)
 
     @property
     def dim(self) -> int:
-        return len(self.entries) // 2
+        return len(self.upper) // 2
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
+        return all(f.is_zero() for row in self.upper for f in row)
 
     def labelled(self) -> Iterator[tuple[str, CanonicalExpr]]:
         """Components on the frame pairs a < b, labelled by the pair and the slot variable."""
         names = _slot_vars(self.dim)
-        for a in range(len(self.entries)):
-            for b in range(a + 1, len(self.entries)):
-                for var, comp in zip(names, self.entries[a][b].components):
+        for a, row in enumerate(self.upper):
+            for b, value in enumerate(row, start=a + 1):
+                for var, comp in zip(names, value.components):
                     yield f"frame pair ({names[a]},{names[b]}) component {var}", comp
 
     def __sub__(self, other: "VectorTwoForm") -> "VectorTwoForm":
         return VectorTwoForm(
             tuple(
                 tuple(p - q for p, q in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
+                for r1, r2 in zip(self.upper, other.upper)
             )
         )
 
     def scale(self, q: Fraction | int) -> "VectorTwoForm":
-        return VectorTwoForm(tuple(tuple(f.scale(q) for f in row) for row in self.entries))
+        return VectorTwoForm(tuple(tuple(f.scale(q) for f in row) for row in self.upper))
 
 
 def fn_bracket(k_form: VectorOneForm, l_form: VectorOneForm) -> VectorTwoForm:
@@ -349,29 +360,28 @@ def fn_bracket(k_form: VectorOneForm, l_form: VectorOneForm) -> VectorTwoForm:
     On frame fields X = d_a, Y = d_b the bracket [X,Y] vanishes and
     [Z, d_b] = -d_b Z, so the value there is
     [K d_a, L d_b] + [L d_a, K d_b] + K(d_b L d_a - d_a L d_b) + L(d_b K d_a - d_a K d_b).
+    It is computed on the pairs a < b, the ones a two-form stores.
     """
     size = len(k_form.matrix)
-    n = k_form.dim
     if len(l_form.matrix) != size:
         raise ValueError("bracket of forms with different dimensions")
 
     k_images = [k_form.frame_image(s) for s in range(size)]
     l_images = [l_form.frame_image(s) for s in range(size)]
 
-    table: list[list[TMField]] = [[TMField.zero(n)] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            ka, kb = k_images[a], k_images[b]
-            la, lb = l_images[a], l_images[b]
-            value = (
-                bracket_tm(ka, lb)
-                + bracket_tm(la, kb)
-                + k_form.apply(_partial(la, b) - _partial(lb, a))
-                + l_form.apply(_partial(ka, b) - _partial(kb, a))
-            )
-            table[a][b] = value
-            table[b][a] = -value
-    return VectorTwoForm(tuple(tuple(row) for row in table))
+    def value(a: int, b: int) -> TMField:
+        ka, kb = k_images[a], k_images[b]
+        la, lb = l_images[a], l_images[b]
+        return (
+            bracket_tm(ka, lb)
+            + bracket_tm(la, kb)
+            + k_form.apply(_partial(la, b) - _partial(lb, a))
+            + l_form.apply(_partial(ka, b) - _partial(kb, a))
+        )
+
+    return VectorTwoForm(
+        tuple(tuple(value(a, b) for b in range(a + 1, size)) for a in range(size))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +432,12 @@ def _verdict(predicate: str, labeled: Iterable[tuple[str, CanonicalExpr]]) -> Me
 def energy_from_metric(metric) -> CanonicalExpr:
     """E = g_ij y^i y^j / 2."""
     n = metric.dim
-    acc = CanonicalExpr()
+    ys = [yvar(l + 1) for l in range(n)]
+    acc = ZERO
     for i in range(n):
         for j in range(n):
             if metric.g[i][j]:
-                acc = acc + metric.g[i][j] * yvar(i + 1) * yvar(j + 1)
+                acc = acc + metric.g[i][j] * ys[i] * ys[j]
     return acc * Fraction(1, 2)
 
 
@@ -546,20 +557,31 @@ def nullity_rank_numeric(curvature, points: Sequence[Mapping[str, Fraction]]) ->
 
     Each point specializes the entries exactly (symexpr.specialize); such a
     rank never exceeds the generic rank and equals it off a proper algebraic
-    subset of points (Schwartz-Zippel).
+    subset of points (Schwartz-Zippel).  Only the rows (k, i, j) with a
+    nonzero entry are kept: with none the rank is 0 and no point is
+    specialized, and the scan stops at the first point whose rank reaches
+    min(rows, n), which no later point can exceed.
     """
     if not points:
         raise ValueError("at least one sample point is required")
-    n = len(curvature.R2)
-    entries = [
-        curvature.R2[k][l][i][j]
-        for k in range(n)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for l in range(n)
+    R2 = curvature.R2
+    n = len(R2)
+    rows = [
+        row
+        for row in (
+            [R2[k][l][i][j] for l in range(n)]
+            for k in range(n)
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        if any(row)
     ]
+    entries = [e for row in rows for e in row]
+    full = min(len(rows), n)
     best = 0
     for point in points:
+        if best == full:
+            break
         values = specialize(entries, point)
         best = max(best, rank(values[r : r + n] for r in range(0, len(values), n)))
     return best

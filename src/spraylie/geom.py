@@ -31,7 +31,7 @@ from .fields import (
     lie_derivative_oneform,
     spray_field,
 )
-from .symexpr import CanonicalExpr, yvar
+from .symexpr import ZERO, CanonicalExpr, yvar
 
 __all__ = [
     "GeometryError",
@@ -174,11 +174,13 @@ class ConnectionData:
                     if self.gamma2[j][i][l] != self.gamma2[j][l][i]:
                         raise InvariantViolation("second connection coefficients must be symmetric")
         # gamma1 must be the y-contraction of gamma2
+        ys = [yvar(l + 1) for l in range(n)]
         for j in range(n):
             for i in range(n):
-                acc = CanonicalExpr()
-                for l in range(n):
-                    acc = acc + self.gamma2[j][i][l] * yvar(l + 1)
+                acc = ZERO
+                for l, coeff in enumerate(self.gamma2[j][i]):
+                    if coeff:
+                        acc = acc + coeff * ys[l]
                 if acc != self.gamma1[j][i]:
                     raise InvariantViolation("gamma1 is not the fiber contraction of gamma2")
 
@@ -194,14 +196,16 @@ class CurvatureData:
 
     def __post_init__(self):
         n = len(self.R1)
+        ys = [yvar(l + 1) for l in range(n)]
         for k in range(n):
             for i in range(n):
                 for j in range(n):
                     if self.R1[k][i][j] != -self.R1[k][j][i]:
                         raise InvariantViolation("curvature is not antisymmetric in its lower pair")
-                    acc = CanonicalExpr()
+                    acc = ZERO
                     for l in range(n):
-                        acc = acc + yvar(l + 1) * self.R2[k][l][i][j]
+                        if self.R2[k][l][i][j]:
+                            acc = acc + ys[l] * self.R2[k][l][i][j]
                     if acc != self.R1[k][i][j]:
                         raise InvariantViolation("curvature coefficient extraction mismatch")
 
@@ -258,7 +262,7 @@ def christoffel_upper(metric: MetricSpec, lower=None):
             for j in range(n):
                 acc = CanonicalExpr()
                 for l in range(n):
-                    if inv[k][l]:
+                    if inv[k][l] and lower[i][l][j]:
                         acc = acc + inv[k][l] * lower[i][l][j]
                 row.append(acc)
             plane.append(tuple(row))
@@ -270,13 +274,14 @@ def spray_from_metric(metric: MetricSpec) -> SprayData:
     """G^k = y^i y^j gamma^k_ij / 2."""
     n = metric.dim
     upper = christoffel_upper(metric)
+    ys = [yvar(l + 1) for l in range(n)]
     coeffs = []
     for k in range(n):
-        acc = CanonicalExpr()
+        acc = ZERO
         for i in range(n):
             for j in range(n):
                 if upper[k][i][j]:
-                    acc = acc + yvar(i + 1) * yvar(j + 1) * upper[k][i][j]
+                    acc = acc + ys[i] * ys[j] * upper[k][i][j]
         coeffs.append(acc * Fraction(1, 2))
     return SprayData(tuple(coeffs))
 
@@ -325,18 +330,20 @@ def curvature(connection: ConnectionData) -> CurvatureData:
                + Gamma^l_i dGamma^k_j/dy^l - Gamma^l_j dGamma^k_i/dy^l."""
     n = connection.dim
     g1 = connection.gamma1
+    xs = [f"x{l + 1}" for l in range(n)]
+    ys = [f"y{l + 1}" for l in range(n)]
     r1 = []
     for k in range(n):
         plane = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = g1[k][i].diff(f"x{j + 1}") - g1[k][j].diff(f"x{i + 1}")
+                acc = g1[k][i].diff(xs[j]) - g1[k][j].diff(xs[i])
                 for l in range(n):
                     if g1[l][i]:
-                        acc = acc + g1[l][i] * g1[k][j].diff(f"y{l + 1}")
+                        acc = acc + g1[l][i] * g1[k][j].diff(ys[l])
                     if g1[l][j]:
-                        acc = acc - g1[l][j] * g1[k][i].diff(f"y{l + 1}")
+                        acc = acc - g1[l][j] * g1[k][i].diff(ys[l])
                 row.append(acc)
             plane.append(tuple(row))
         r1.append(tuple(plane))
@@ -361,14 +368,22 @@ def curvature(connection: ConnectionData) -> CurvatureData:
 
 
 def curvature_two_form(curv: CurvatureData) -> VectorTwoForm:
-    """Embed the component curvature as a semi-basic vector two-form."""
+    """Embed the component curvature as a semi-basic vector two-form.
+
+    Only the horizontal pairs i < j < n carry R^k_ij; every other stored pair
+    shares one zero field.
+    """
     n = curv.dim
-    table = [[TMField.zero(n) for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            comps = [CanonicalExpr()] * n + [curv.R1[k][i][j] for k in range(n)]
-            table[i][j] = TMField(tuple(comps))
-    return VectorTwoForm(tuple(tuple(row) for row in table))
+    zero = TMField.zero(n)
+
+    def value(i: int, j: int) -> TMField:
+        if j >= n:
+            return zero
+        return TMField((ZERO,) * n + tuple(curv.R1[k][i][j] for k in range(n)))
+
+    return VectorTwoForm(
+        tuple(tuple(value(i, j) for j in range(i + 1, 2 * n)) for i in range(2 * n))
+    )
 
 
 def curvature_via_projector(connection: ConnectionData) -> VectorTwoForm:

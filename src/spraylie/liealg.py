@@ -186,6 +186,12 @@ class StructureConstants:
         return tuple(tuple(row) for row in killing_form(self))
 
     @functools.cached_property
+    def killing_determinant(self) -> Fraction:
+        """det of the Killing form, computed once and shared by the report and
+        the semisimplicity test."""
+        return linalg.det(self.killing)
+
+    @functools.cached_property
     def centroid(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the centroid, computed on first use and shared by its readers."""
         return _centroid(self)
@@ -329,7 +335,7 @@ def killing_form(sc: StructureConstants) -> Mat:
 
 
 def killing_det(sc: StructureConstants) -> Fraction:
-    return linalg.det(sc.killing)
+    return sc.killing_determinant
 
 
 def is_semisimple(sc: StructureConstants) -> bool:

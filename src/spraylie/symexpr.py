@@ -299,9 +299,11 @@ class CanonicalExpr:
 
     The term map is built once, in `__init__`, and never written afterwards,
     so results may share operands.  The ring short-circuits on zero: `a + 0`
-    and `a - 0` return `a` itself, `0 + a` returns `a`, `-0` returns the same
-    zero, and a product with a zero factor is `ZERO`.  `evaluate` gives 0.0
-    for a zero value without sorting its terms.
+    and `a - 0` return `a` itself, `0 + a` returns `a`, `-0` and every partial
+    derivative of a zero return the same zero, and a product with a zero
+    factor is `ZERO` (a zero expression times a rational is settled before
+    the rational is converted).  `evaluate` gives 0.0 for a zero value
+    without sorting its terms.
     """
 
     __slots__ = ("_terms",)
@@ -412,9 +414,9 @@ class CanonicalExpr:
 
     def __mul__(self, other) -> "CanonicalExpr":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q or not self._terms:
+            if not self._terms or not other:
                 return ZERO
+            q = Fraction(other)
             return CanonicalExpr({k: c * q for k, c in self._terms.items()})
         if not isinstance(other, CanonicalExpr):
             return NotImplemented
@@ -473,7 +475,9 @@ class CanonicalExpr:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "CanonicalExpr":
-        """Exact partial derivative with respect to a named variable."""
+        """Exact partial derivative with respect to a named variable; a zero is its own."""
+        if not self._terms:
+            return self
         kind, idx = _var_key(var)
         acc: dict[TermKey, Fraction] = {}
         for (mono, lin), c in self._terms.items():

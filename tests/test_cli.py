@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spraylie import cli, geom, liealg
 from spraylie.fields import nullity_rank_numeric
-from spraylie.symexpr import MAX_REDUCED_DEGREE, const
+from spraylie.symexpr import MAX_REDUCED_DEGREE, const, specialize
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -366,6 +366,40 @@ def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
         for count in (1, 10):
             points = cli.sample_points(problem.dim, count, seed)
             assert nullity_rank_numeric(curvature, points) == rank, (seed, count)
+
+
+def _nullity_rank_by_brute_force(curvature, points):
+    """Max over every point of the rank of every row (k, i, j), zero rows included."""
+    sympy = pytest.importorskip("sympy")
+    n = curvature.dim
+    entries = [
+        curvature.R2[k][l][i][j]
+        for k in range(n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for l in range(n)
+    ]
+    best = 0
+    for point in points:
+        values = specialize(entries, point)
+        rows = [values[r : r + n] for r in range(0, len(values), n)]
+        best = max(best, sympy.Matrix(rows).rank() if rows else 0)
+    return best
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "section5", "flat-h7"])
+def test_nullity_rank_equals_the_brute_force_maximum(name):
+    if name == "flat-h7":
+        dim, metric = 7, geom.diagonal_metric([const(1)] * 7)
+    else:
+        problem = cli.load_problem(PROBLEMS / f"{name}.json")
+        dim, metric = problem.dim, problem.metric
+    curvature = cli.build_pipeline(metric).curvature
+    for seed in (0, 7):
+        for count in (1, 3, 10):
+            points = cli.sample_points(dim, count, seed)
+            expected = _nullity_rank_by_brute_force(curvature, points)
+            assert nullity_rank_numeric(curvature, points) == expected, (seed, count)
 
 
 def test_nullity_probe_finishes_on_a_huge_common_exponent(tmp_path, capsys):
@@ -795,7 +829,7 @@ def test_solve_unknown_dictionary_exits_one():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("points", ["0", "-3", "many"])
+@pytest.mark.parametrize("points", ["0", "-3", "many", "1001", "9" * 30])
 @pytest.mark.parametrize(
     "command", [("analyze",), ("oracle", "--check", "R-vs-half-hh")], ids=["analyze", "oracle"]
 )

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie import geom, linalg
+from spraylie import fields, geom, linalg
 from spraylie.fields import (
     BaseField,
     TMField,
@@ -146,6 +146,24 @@ def test_derivation_kernel_matches_the_plain_definition(a, b, p, q):
     assert complete_lift(BaseField(p)).components == lift
 
 
+def _mostly_zero(pool):
+    """Zero on about half the draws, else a sparse sum from the pool."""
+    return st.one_of(st.just(CanonicalExpr()), _sums(pool))
+
+
+_sparse_tm_components = st.tuples(*[_mostly_zero(_CONSTANT_OR_X + _Y_DEPENDENT)] * 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[_sparse_tm_components] * 4), _sparse_tm_components)
+def test_oneform_apply_matches_the_dense_sum(rows, components):
+    # image component b is sum_a L[b][a] Y^a, every entry multiplied and added
+    dense = tuple(
+        sum((rows[b][a] * components[a] for a in range(4)), CanonicalExpr()) for b in range(4)
+    )
+    assert VectorOneForm(rows).apply(TMField(components)).components == dense
+
+
 def test_frame_field_and_oneform_apply():
     J = geom.tangent_structure(2)
     dx1 = frame_field(2, 0)
@@ -173,8 +191,18 @@ def test_fn_bracket_graded_antisymmetry_degree_one():
     hh = fn_bracket(h, h)
     assert not hh.is_zero()
     for a in range(4):
+        assert hh.entry(a, a).is_zero()
         for b in range(4):
             assert (hh.entry(a, b) + hh.entry(b, a)).is_zero()
+    # labelled() walks the pairs a < b row by row, each pair's slots in frame order
+    names = ["x1", "x2", "y1", "y2"]
+    expected = [
+        (f"frame pair ({names[a]},{names[b]}) component {var}", comp)
+        for a in range(4)
+        for b in range(a + 1, 4)
+        for var, comp in zip(names, hh.entry(a, b).components)
+    ]
+    assert list(hh.labelled()) == expected
 
 
 def _fn_bracket_by_definition(K: VectorOneForm, L: VectorOneForm, x: TMField, y: TMField):
@@ -374,6 +402,15 @@ def test_numeric_nullity_ranks():
     assert nullity_rank_numeric(shell_curv, points(3)) == 3
     assert nullity_rank_numeric(blocks_curv, points(4)) == 4
     assert nullity_rank_numeric(flat_curv, points(3)) == 0
+
+
+def test_nullity_rank_of_a_zero_curvature_specializes_nothing(monkeypatch):
+    _, _, _, flat_curv = build_pipeline(("1",) * 7)
+    calls = []
+    monkeypatch.setattr(fields, "specialize", lambda *args: calls.append(args))
+    point = {f"{axis}{i}": Fraction(1, 2) for axis in ("x", "y") for i in range(1, 8)}
+    assert nullity_rank_numeric(flat_curv, [point] * 3) == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

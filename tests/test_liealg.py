@@ -9,6 +9,7 @@ the arbitration machinery).
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -669,6 +670,23 @@ def _lie_family(tag: str, seed: int, directory):
     problem = cli.load_problem(directory / f"{tag}.json")
     generators = [problem.fields[name] for name in problem.sets[tag]]
     return generators, la.structure_constants_from_fields(generators, problem.sets[tag])
+
+
+def test_analyze_takes_the_killing_determinant_once_per_set(tmp_path, monkeypatch, capsys):
+    workload = workloads.build("lie-families", 7, tmp_path, PROBLEMS)
+    workload.write(tmp_path)
+    calls = []
+
+    def counted_det(matrix):
+        calls.append(len(matrix))
+        return det(matrix)
+
+    monkeypatch.setattr(linalg, "det", counted_det)
+    path = str(tmp_path / "aff4.json")
+    assert cli.main(["analyze", path, "--format", "json", "--seed", "7"]) == 0
+    sets = json.loads(capsys.readouterr().out)["sets"]
+    assert [entry["algebra"]["dimension"] for entry in sets] == [20]
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
