@@ -542,6 +542,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
         if not pipe.curvature.R1[k][i][j].is_zero()
     )
 
+    energy = geom.energy_from_metric(pipe.metric)
     report: dict = {
         "problem": {
             "name": problem.name,
@@ -553,7 +554,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
             else None,
         },
         "pipeline": {
-            "energy": str(geom.energy_from_metric(pipe.metric)),
+            "energy": str(energy),
             "spray": [str(g) for g in pipe.spray.G],
             "connection_nonzero": [
                 {"row": j + 1, "col": i + 1, "value": str(pipe.connection.gamma1[j][i])}
@@ -578,7 +579,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
                     "field": name,
                     "spray_symmetry": spray_symmetry,
                     "connection_symmetry": bool(in_AGamma(field, pipe.connection)),
-                    "isometry": spray_symmetry and _energy_residual(field, pipe.metric).is_zero(),
+                    "isometry": spray_symmetry and _energy_residual(field, energy).is_zero(),
                 }
             )
         report["membership"] = rows

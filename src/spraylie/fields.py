@@ -29,11 +29,13 @@ field C (Grifone 1972), so for every base field X:
   vertical values; `in_AGamma` is that block, n^2 conditions read straight
   from Gamma^j_i, Gamma^j_il and the first and second x-derivatives of X.
 The full tangent-bundle route (`bracket_tm`, `lie_derivative_oneform`) stays
-the reference that the tests compare these with.
+the reference that the tests compare these with.  A base field builds its
+complete lift once (`BaseField.lift`), so [X^c, S] and X^c(E) share it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -141,6 +143,11 @@ class BaseField:
     def scale(self, q: Fraction | int) -> "BaseField":
         return BaseField(tuple(c * q for c in self.components))
 
+    @functools.cached_property
+    def lift(self) -> "TMField":
+        """The complete lift, built on first use and shared by every membership test."""
+        return complete_lift(self)
+
 
 @dataclass(frozen=True)
 class TMField:
@@ -177,7 +184,7 @@ class TMField:
         return TMField(tuple(-a for a in self.components))
 
     def scale(self, q: Fraction | int) -> "TMField":
-        return TMField(tuple(c * q for c in self.components))
+        return TMField(tuple(c * q if c else c for c in self.components))
 
 
 def complete_lift(field: BaseField) -> TMField:
@@ -276,7 +283,7 @@ class VectorOneForm:
         return self.scale(-1)
 
     def scale(self, q: Fraction | int) -> "VectorOneForm":
-        return VectorOneForm(tuple(tuple(v * q for v in row) for row in self.matrix))
+        return VectorOneForm(tuple(tuple(v * q if v else v for v in row) for row in self.matrix))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.matrix for v in row)
@@ -448,7 +455,7 @@ def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr
     """
     n = field.dim
     names = _slot_vars(n)
-    lift = complete_lift(field).components
+    lift = field.lift.components
     spray_comps = spray_field(spray).components
     return [
         (
@@ -488,9 +495,9 @@ def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     return out
 
 
-def _energy_residual(field: BaseField, metric) -> CanonicalExpr:
-    """X^c(E): zero for a spray symmetry exactly when it is an isometry."""
-    return apply_to_scalar(complete_lift(field), energy_from_metric(metric))
+def _energy_residual(field: BaseField, energy: CanonicalExpr) -> CanonicalExpr:
+    """X^c(E) for the energy E: zero for a spray symmetry exactly when it is an isometry."""
+    return apply_to_scalar(field.lift, energy)
 
 
 def in_AS(field: BaseField, spray) -> MembershipVerdict:
@@ -511,7 +518,8 @@ def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
     verdict = _verdict("in_Ag", _spray_obstruction(field, spray))
     if not verdict:
         return verdict
-    return _verdict("in_Ag", [("energy derivative", _energy_residual(field, metric))])
+    energy = energy_from_metric(metric)
+    return _verdict("in_Ag", [("energy derivative", _energy_residual(field, energy))])
 
 
 def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
@@ -627,13 +635,15 @@ def solve_in_span(
     if len(dims) != 1:
         raise ValueError("dictionary fields must share one dimension")
 
+    energy = energy_from_metric(metric) if "isometry" in wanted else None
+
     # an isometry is a spray symmetry, so the spray obstruction is listed once
     def obstruction(field: BaseField) -> list[CanonicalExpr]:
         exprs: list[CanonicalExpr] = []
         if "spray-symmetry" in wanted or "isometry" in wanted:
             exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
         if "isometry" in wanted:
-            exprs.append(_energy_residual(field, metric))
+            exprs.append(_energy_residual(field, energy))
         if "horizontality" in wanted:
             exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
         return exprs

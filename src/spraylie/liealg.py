@@ -15,6 +15,13 @@ derivations and Levi complements are assembled by iterating over that index,
 and the systems reach `linalg` as sparse rows, so their cost follows the
 nonzero constants rather than m^3 or m^4.
 
+The invariants that several readers need -- Killing form and determinant,
+center, derived algebra, the radical's derived series, the Levi
+decomposition and the centroid -- are cached properties of the table, each
+computed once.  Der L is read off the Levi decomposition L = S + R: by
+Whitehead's first lemma it is ad L plus the derivations that vanish on S,
+whose system has dim R * m unknowns instead of m^2 (see `derivations`).
+
 Simplicity is decided from the bracket alone, whatever the basis: a
 semisimple algebra is simple exactly when its centroid, the endomorphisms
 commuting with every ad x, is a field (de Graaf, Lie Algebras: Theory and
@@ -197,10 +204,26 @@ class StructureConstants:
         return _centroid(self)
 
     @functools.cached_property
+    def center(self) -> Subspace:
+        """The center, computed on first use and shared by the report and `derivations`."""
+        return _center(self)
+
+    @functools.cached_property
+    def derived(self) -> Subspace:
+        """[L, L], computed on first use and shared by the report and the radical."""
+        return _derived_subalgebra(self)
+
+    @functools.cached_property
     def radical_series(self) -> tuple[Subspace, ...]:
         """The radical's derived series down to zero, computed on first use and
         shared by `radical` and the Levi complement."""
         return _radical_series(self)
+
+    @functools.cached_property
+    def levi(self) -> "LeviResult":
+        """The verified Levi decomposition, computed on first use and shared by
+        `levi_decomposition` and `derivations`."""
+        return _levi_decomposition(self)
 
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -343,12 +366,20 @@ def is_semisimple(sc: StructureConstants) -> bool:
 
 
 def derived_subalgebra(sc: StructureConstants) -> Subspace:
+    return sc.derived
+
+
+def _derived_subalgebra(sc: StructureConstants) -> Subspace:
     m = sc.dim
     vectors = [list(sc.c[i][j]) for i in range(m) for j in range(i + 1, m)]
     return Subspace.from_vectors(vectors, m)
 
 
 def center(sc: StructureConstants) -> Subspace:
+    return sc.center
+
+
+def _center(sc: StructureConstants) -> Subspace:
     m = sc.dim
     # row (j, k) holds c[i][j][k] over i: one equation per output coordinate
     rows: dict[tuple[int, int], linalg.SparseRow] = {}
@@ -578,13 +609,51 @@ class DerivationSpace:
 
 
 def derivations(sc: StructureConstants) -> DerivationSpace:
-    """Dimensions of Der L, the kernel of D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j],
-    and of its inner part ad L.
+    """Dimensions of Der L, the derivations D[x, y] = [Dx, y] + [x, Dy], and
+    of its inner part ad L, read off the Levi decomposition L = S + R.
 
-    Unknowns are the m^2 entries of D (column c = image of b_c).  Row (i, j, k)
-    is coordinate k of the constraint for i < j, held sparsely.  ad: L -> Der L
-    has the center as kernel, and every ad x is a derivation, so the Leibniz
-    rank is at most m^2 - dim ad L, and elimination stops there.
+    ad: L -> Der L has the center Z as kernel, so ad L has dimension m - dim Z.
+    By Whitehead's first lemma, H^1(S, M) = 0 for S semisimple and M any
+    finite-dimensional S-module in characteristic 0 (Jacobson, Lie Algebras,
+    1962, chapter III).  Taking M = L, every D restricted to S is some ad x
+    there, so D - ad x lies in Der_S = {D : D(S) = 0} and Der L = ad L + Der_S.
+    Their meet is ad C for C = C_L(S), the centralizer of S, of dimension
+    dim C - dim Z, which gives
+
+        dim Der L = m + dim Der_S - dim C.
+
+    - R = 0: Z lies in R, so Der L = ad L has dimension m, with no elimination.
+    - S = 0: Der_S is Der L, and its system is the full Leibniz system over
+      the m^2 entries of D (`_leibniz_rows`).
+    - Otherwise the unknowns are the images D r_b of the radical's basis,
+      dim R * m of them (`_radical_rows`), and dim C is m minus the rank of
+      the stacked ad s_a over the complement's basis.
+
+    Every ad x is a derivation, and ad C lies in Der_S, so each rank is at
+    most its unknowns minus the dimension of those inner derivations, and
+    elimination stops there.
+    """
+    m = sc.dim
+    levi = sc.levi
+    if levi.radical.is_zero():
+        return DerivationSpace(m, m)
+    inner = m - sc.center.dim
+    if levi.levi.is_zero():
+        return DerivationSpace(m * m - linalg.rank(_leibniz_rows(sc), m * m - inner), inner)
+    ad_s = [_ad_rows(sc, v) for v in levi.levi.basis]
+    # C holds Z, so the stacked ad s_a have rank at most m - dim Z
+    centralizer = m - linalg.rank((row for ad in ad_s for row in ad), inner)
+    unknowns = levi.radical.dim * m
+    bound = unknowns - (centralizer - (m - inner))
+    der_s = unknowns - linalg.rank(_radical_rows(sc, levi, ad_s), bound)
+    return DerivationSpace(m + der_s - centralizer, inner)
+
+
+def _leibniz_rows(sc: StructureConstants) -> list[linalg.SparseRow]:
+    """D[b_i,b_j] - [D b_i, b_j] - [b_i, D b_j] over the m^2 entries of D.
+
+    Column l*m + c is entry (l, c) of D (column c = image of b_c); row
+    (i, j, k) is coordinate k of the constraint for i < j, held sparsely.
     """
     m = sc.dim
     nonzero = sc.nonzero
@@ -604,8 +673,66 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
                 for k, q in nonzero.get((i, l), ()):
                     block[k][l * m + j] = block[k].get(l * m + j, 0) - q
             rows.extend(block)
-    inner = m - center(sc).dim
-    return DerivationSpace(m * m - linalg.rank(rows, m * m - inner), inner)
+    return rows
+
+
+def _ad_rows(sc: StructureConstants, x: Sequence[Fraction]) -> list[linalg.SparseRow]:
+    """ad x as m sparse rows: row k holds the coordinate k of [x, b_j] at column j."""
+    rows: list[linalg.SparseRow] = [{} for _ in range(sc.dim)]
+    for (i, j), entries in sc.nonzero.items():
+        if x[i]:
+            for k, q in entries:
+                rows[k][j] = rows[k].get(j, 0) + x[i] * q
+    return [{j: v for j, v in row.items() if v} for row in rows]
+
+
+def _radical_rows(
+    sc: StructureConstants, levi: "LeviResult", ad_s: Sequence[list[linalg.SparseRow]]
+) -> list[linalg.SparseRow]:
+    """The system of Der_S over d_b = D r_b, coordinate k of d_b at column b*m + k.
+
+    A pair (x, r_b) has [x, r_b] = sum_e beta_e r_e, because R is an ideal;
+    its basis is in reduced echelon form, so beta_e is the bracket's entry
+    at the pivot of r_e.  Then D[x, r_b] = sum_e beta_e d_e, and each pair
+    gives m rows:
+
+        sum_e beta_e d_e - ad(s_a) d_b                for (s_a, r_b),
+        sum_e beta_e d_e + ad(r_c) d_b - ad(r_b) d_c  for (r_b, r_c), b < c.
+
+    Pairs inside S impose nothing: their bracket lies in S, where D is zero.
+    """
+    m = sc.dim
+    radical = levi.radical
+    pivots = radical.pivots
+    ad_r = [_ad_rows(sc, v) for v in radical.basis]
+    rows: list[linalg.SparseRow] = []
+
+    def negated(ad: list[linalg.SparseRow]) -> list[linalg.SparseRow]:
+        return [{j: -v for j, v in row.items()} for row in ad]
+
+    def constrain(w: Vec, terms: list[tuple[list[linalg.SparseRow], int]]) -> None:
+        block: list[linalg.SparseRow] = [{} for _ in range(m)]
+        for e, p in enumerate(pivots):
+            if w[p]:
+                for k, row in enumerate(block):
+                    row[e * m + k] = w[p]
+        # a signed ad(x) d_b: ad(x)[k][j] at column b*m + j of row k
+        for ad, b in terms:
+            for row, ad_row in zip(block, ad):
+                for j, v in ad_row.items():
+                    old = row.get(b * m + j)
+                    row[b * m + j] = v if old is None else old + v
+        rows.extend(block)
+
+    for s, ad in zip(levi.levi.basis, ad_s):
+        minus = negated(ad)
+        for b, r in enumerate(radical.basis):
+            constrain(sc.bracket_coords(s, r), [(minus, b)])
+    minus_r = [negated(ad) for ad in ad_r]
+    for b, c in itertools.combinations(range(radical.dim), 2):
+        w = sc.bracket_coords(radical.basis[b], radical.basis[c])
+        constrain(w, [(ad_r[c], b), (minus_r[b], c)])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +863,12 @@ class LeviResult:
 
 
 def levi_decomposition(sc: StructureConstants) -> LeviResult:
+    """Radical plus a semisimple complement subalgebra, built once per table
+    (`StructureConstants.levi`) and shared with `derivations`."""
+    return sc.levi
+
+
+def _levi_decomposition(sc: StructureConstants) -> LeviResult:
     """Radical plus a semisimple complement subalgebra.
 
     The complement is corrected level by level down the derived series of

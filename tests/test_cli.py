@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie import cli, geom, liealg
+from spraylie import cli, fields, geom, liealg
 from spraylie.fields import nullity_rank_numeric
 from spraylie.symexpr import MAX_REDUCED_DEGREE, const, specialize
 
@@ -194,6 +194,28 @@ def test_analyze_section5_json_structure():
     assert levi_set["algebra"]["three_dim_class"] == "so3-type"
     iso_set = next(s for s in doc["sets"] if s["name"] == "isometries")
     assert iso_set["algebra"]["derivations"] == {"dimension": 7, "inner": 6, "outer": 1}
+
+
+def test_analyze_lifts_each_field_once_and_builds_one_energy(monkeypatch, capsys):
+    lifted, energies = [], []
+    lift, energy = fields.complete_lift, geom.energy_from_metric
+
+    def counted_lift(field):
+        lifted.append(id(field))
+        return lift(field)
+
+    def counted_energy(metric):
+        energies.append(metric)
+        return energy(metric)
+
+    monkeypatch.setattr(fields, "complete_lift", counted_lift)
+    monkeypatch.setattr(geom, "energy_from_metric", counted_energy)
+    assert cli.main(["analyze", str(PROBLEMS / "section5.json"), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["membership"]
+    # isometry rows need X^c(E) beside [X^c, S], from the same lift
+    assert any(row["isometry"] for row in rows)
+    assert len(lifted) == len(set(lifted)) == len(rows) == 18
+    assert len(energies) == 1
 
 
 @pytest.mark.parametrize("seed", [13, 14, 24, 28, 40])

@@ -689,6 +689,27 @@ def test_analyze_takes_the_killing_determinant_once_per_set(tmp_path, monkeypatc
     assert calls == [20]
 
 
+def test_analyze_computes_center_derived_algebra_and_levi_once_per_set(
+    tmp_path, monkeypatch, capsys
+):
+    workload = workloads.build("lie-families", 7, tmp_path, PROBLEMS)
+    workload.write(tmp_path)
+    calls = []
+    for name in ("_center", "_derived_subalgebra", "_levi_decomposition"):
+        original = getattr(la, name)
+
+        def counted(sc, name=name, original=original):
+            calls.append((name, sc.dim))
+            return original(sc)
+
+        monkeypatch.setattr(la, name, counted)
+    path = str(tmp_path / "aff4.json")
+    assert cli.main(["analyze", path, "--format", "json", "--seed", "7"]) == 0
+    algebra = json.loads(capsys.readouterr().out)["sets"][0]["algebra"]
+    assert (algebra["center_dimension"], algebra["derived_dimension"]) == (0, 19)
+    assert sorted(calls) == [("_center", 20), ("_derived_subalgebra", 20), ("_levi_decomposition", 20)]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_so4_is_not_simple_in_either_basis(seed, tmp_path):
     _generators, sc = _lie_family("so4", seed, tmp_path)
@@ -895,6 +916,135 @@ def test_rank_certificates_return_the_full_kernel(tag, seed, tmp_path, monkeypat
     assert routes == (["kernel"] if tag.startswith("h") or tag == "so4" else [])
     expected = linalg.kernel_basis(_centroid_rows(sc), m * m)
     assert centroid == tuple(tuple(v) for v in expected)
+
+
+# ---------------------------------------------------------------------------
+# Der L through the Levi decomposition, against the full Leibniz rank
+# ---------------------------------------------------------------------------
+
+
+def _parabolic(blocks: tuple[int, ...], special: bool, seed: int | None) -> la.StructureConstants:
+    """Block upper-triangular n x n matrices with diagonal blocks of the given
+    sizes, trace-free when `special`, as the linear fields A -> A_ij x_j d_i.
+
+    A matrix E_ij (i != j) in the pattern, then E_ii, or E_ii - E_(i+1)(i+1)
+    when special.  The fields bracket like the matrices up to sign, so they
+    span the opposite algebra, which A -> -A identifies with the algebra
+    itself.  With a seed, generator r gains seeded multiples in {-1, 0, 1} of
+    the generators after it: one unitriangular change of basis.
+    """
+    n = sum(blocks)
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    mats = [{(i, j): 1} for i in range(n) for j in range(n) if i != j and block_of[i] <= block_of[j]]
+    if special:
+        mats += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    else:
+        mats += [{(i, i): 1} for i in range(n)]
+    generators = [
+        base_field(
+            *(" + ".join(f"{q}*x{j + 1}" for (r, j), q in a.items() if r == i) or "0" for i in range(n))
+        )
+        for a in mats
+    ]
+    if seed is not None:
+        rng = random.Random(seed)
+        m = len(generators)
+        generators = [
+            combine_fields(
+                generators,
+                [Fraction(1 if c == r else rng.choice((-1, 0, 1)) if c > r else 0) for c in range(m)],
+            )
+            for r in range(m)
+        ]
+    return la.structure_constants_from_fields(generators)
+
+
+# (blocks, special, seed, dim Der L, derived levels of the radical); the
+# seeded [2, 2, 1] and [3, 2] cases cost 6 to 26 s of sympy rank, so they run
+# in the standard basis only
+PARABOLICS = [
+    ((2, 1), False, None, 8, 2),
+    ((2, 1), True, None, 6, 2),
+    ((2, 2), False, None, 13, 2),
+    ((2, 1, 1), False, None, 13, 3),
+    ((2, 2, 1), False, None, 19, 3),
+    ((3, 2), False, None, 20, 2),
+    ((3, 2), True, None, 18, 2),
+    ((2, 1), False, 1, 8, 2),
+    ((2, 2), True, 1, 11, 2),
+    ((2, 1, 1), False, 1, 13, 3),
+    ((3, 1), False, 1, 14, 2),
+    ((3, 1), True, 1, 12, 2),
+]
+
+
+def _route(monkeypatch) -> list[str]:
+    """Records "leibniz" whenever derivations builds the full m^2 system."""
+    routes = []
+    leibniz = la._leibniz_rows
+
+    def counted(sc):
+        routes.append("leibniz")
+        return leibniz(sc)
+
+    monkeypatch.setattr(la, "_leibniz_rows", counted)
+    return routes
+
+
+@pytest.mark.parametrize(
+    "blocks, special, seed, dimension, levels",
+    PARABOLICS,
+    ids=[f"{'sl' if sp else 'gl'}{list(b)}-{'std' if s is None else f'seed{s}'}" for b, sp, s, *_ in PARABOLICS],
+)
+def test_parabolic_derivations_match_the_leibniz_rank(
+    blocks, special, seed, dimension, levels, monkeypatch
+):
+    sc = _parabolic(blocks, special, seed)
+    m = sc.dim
+    result = la.levi_decomposition(sc)
+    assert result.radical.dim and result.levi.dim
+    assert len(sc.radical_series) - 1 == levels
+    routes = _route(monkeypatch)
+    space = la.derivations(sc)
+    assert routes == []
+    assert space.dimension == dimension == m * m - _sympy_rank(_leibniz_rows(sc), m * m)
+    # gl has the scalars as center, sl none; gl [2, 1] is 7-dimensional with
+    # two outer derivations
+    assert space.inner_dimension == m - (0 if special else 1)
+
+
+@pytest.mark.parametrize("name", ["so4", "sl2c", "sl2-biquadratic"])
+def test_semisimple_derivations_need_no_elimination(name, tmp_path, monkeypatch):
+    if name == "so4":
+        sc = _lie_family("so4", 7, tmp_path)[1]
+    else:
+        sc = _table(6, SL2C) if name == "sl2c" else _sl2_over_biquadratic()
+    m = sc.dim
+    assert len(sc.centroid) > 1
+    la.levi_decomposition(sc)
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    space = la.derivations(sc)
+    monkeypatch.undo()
+    assert calls == []
+    assert space.dimension == space.inner_dimension == m
+    assert m == m * m - _sympy_rank(_leibniz_rows(sc), m * m)
+
+
+@pytest.mark.parametrize("tag", ["h3", "h7"])
+def test_solvable_derivations_take_the_full_leibniz_route(tag, tmp_path, monkeypatch):
+    sc = _lie_family(tag, 7, tmp_path)[1]
+    assert la.levi_decomposition(sc).levi.is_zero()
+    routes = _route(monkeypatch)
+    k = (sc.dim - 1) // 2
+    assert la.derivations(sc).dimension == 2 * k * k + 3 * k + 1
+    assert routes == ["leibniz"]
 
 
 def test_levi_decomposition_walks_the_radical_series_once(tmp_path, monkeypatch):
