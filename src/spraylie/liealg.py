@@ -623,11 +623,11 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
         dim Der L = m + dim Der_S - dim C.
 
     - R = 0: Z lies in R, so Der L = ad L has dimension m, with no elimination.
-    - S = 0: Der_S is Der L, and its system is the full Leibniz system over
-      the m^2 entries of D (`_leibniz_rows`).
     - Otherwise the unknowns are the images D r_b of the radical's basis,
       dim R * m of them (`_radical_rows`), and dim C is m minus the rank of
-      the stacked ad s_a over the complement's basis.
+      the stacked ad s_a over the complement's basis.  When S = 0 the
+      radical's basis is the standard one, C is L, and the system is the
+      full Leibniz system over the m^2 entries of D.
 
     Every ad x is a derivation, and ad C lies in Der_S, so each rank is at
     most its unknowns minus the dimension of those inner derivations, and
@@ -638,8 +638,6 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     if levi.radical.is_zero():
         return DerivationSpace(m, m)
     inner = m - sc.center.dim
-    if levi.levi.is_zero():
-        return DerivationSpace(m * m - linalg.rank(_leibniz_rows(sc), m * m - inner), inner)
     ad_s = [_ad_rows(sc, v) for v in levi.levi.basis]
     # C holds Z, so the stacked ad s_a have rank at most m - dim Z
     centralizer = m - linalg.rank((row for ad in ad_s for row in ad), inner)
@@ -647,33 +645,6 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     bound = unknowns - (centralizer - (m - inner))
     der_s = unknowns - linalg.rank(_radical_rows(sc, levi, ad_s), bound)
     return DerivationSpace(m + der_s - centralizer, inner)
-
-
-def _leibniz_rows(sc: StructureConstants) -> list[linalg.SparseRow]:
-    """D[b_i,b_j] - [D b_i, b_j] - [b_i, D b_j] over the m^2 entries of D.
-
-    Column l*m + c is entry (l, c) of D (column c = image of b_c); row
-    (i, j, k) is coordinate k of the constraint for i < j, held sparsely.
-    """
-    m = sc.dim
-    nonzero = sc.nonzero
-    rows: list[linalg.SparseRow] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            block: list[dict[int, Fraction]] = [{} for _ in range(m)]
-            # D applied to the bracket: c^l_ij D[k][l], in every row k
-            for l, q in nonzero.get((i, j), ()):
-                for k, row in enumerate(block):
-                    row[k * m + l] = row.get(k * m + l, 0) + q
-            for l in range(m):
-                # [D b_i, b_j]: D[l][i] c^k_lj
-                for k, q in nonzero.get((l, j), ()):
-                    block[k][l * m + i] = block[k].get(l * m + i, 0) - q
-                # [b_i, D b_j]: D[l][j] c^k_il
-                for k, q in nonzero.get((i, l), ()):
-                    block[k][l * m + j] = block[k].get(l * m + j, 0) - q
-            rows.extend(block)
-    return rows
 
 
 def _ad_rows(sc: StructureConstants, x: Sequence[Fraction]) -> list[linalg.SparseRow]:
@@ -707,31 +678,31 @@ def _radical_rows(
     ad_r = [_ad_rows(sc, v) for v in radical.basis]
     rows: list[linalg.SparseRow] = []
 
-    def negated(ad: list[linalg.SparseRow]) -> list[linalg.SparseRow]:
-        return [{j: -v for j, v in row.items()} for row in ad]
-
-    def constrain(w: Vec, terms: list[tuple[list[linalg.SparseRow], int]]) -> None:
+    def constrain(w: Vec, terms: list[tuple[list[linalg.SparseRow], int, int]]) -> None:
         block: list[linalg.SparseRow] = [{} for _ in range(m)]
         for e, p in enumerate(pivots):
             if w[p]:
                 for k, row in enumerate(block):
                     row[e * m + k] = w[p]
-        # a signed ad(x) d_b: ad(x)[k][j] at column b*m + j of row k
-        for ad, b in terms:
+        # sign * ad(x) d_b: ad(x)[k][j] at column b*m + j of row k; a fresh
+        # column takes +-v as it is, which spares a Fraction sum or product
+        for ad, b, sign in terms:
             for row, ad_row in zip(block, ad):
                 for j, v in ad_row.items():
-                    old = row.get(b * m + j)
-                    row[b * m + j] = v if old is None else old + v
+                    col = b * m + j
+                    old = row.get(col)
+                    if old is None:
+                        row[col] = v if sign > 0 else -v
+                    else:
+                        row[col] = old + v if sign > 0 else old - v
         rows.extend(block)
 
     for s, ad in zip(levi.levi.basis, ad_s):
-        minus = negated(ad)
         for b, r in enumerate(radical.basis):
-            constrain(sc.bracket_coords(s, r), [(minus, b)])
-    minus_r = [negated(ad) for ad in ad_r]
+            constrain(sc.bracket_coords(s, r), [(ad, b, -1)])
     for b, c in itertools.combinations(range(radical.dim), 2):
         w = sc.bracket_coords(radical.basis[b], radical.basis[c])
-        constrain(w, [(ad_r[c], b), (minus_r[b], c)])
+        constrain(w, [(ad_r[c], b, 1), (ad_r[b], c, -1)])
     return rows
 
 

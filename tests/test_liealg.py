@@ -978,35 +978,18 @@ PARABOLICS = [
 ]
 
 
-def _route(monkeypatch) -> list[str]:
-    """Records "leibniz" whenever derivations builds the full m^2 system."""
-    routes = []
-    leibniz = la._leibniz_rows
-
-    def counted(sc):
-        routes.append("leibniz")
-        return leibniz(sc)
-
-    monkeypatch.setattr(la, "_leibniz_rows", counted)
-    return routes
-
-
 @pytest.mark.parametrize(
     "blocks, special, seed, dimension, levels",
     PARABOLICS,
     ids=[f"{'sl' if sp else 'gl'}{list(b)}-{'std' if s is None else f'seed{s}'}" for b, sp, s, *_ in PARABOLICS],
 )
-def test_parabolic_derivations_match_the_leibniz_rank(
-    blocks, special, seed, dimension, levels, monkeypatch
-):
+def test_parabolic_derivations_match_the_leibniz_rank(blocks, special, seed, dimension, levels):
     sc = _parabolic(blocks, special, seed)
     m = sc.dim
     result = la.levi_decomposition(sc)
     assert result.radical.dim and result.levi.dim
     assert len(sc.radical_series) - 1 == levels
-    routes = _route(monkeypatch)
     space = la.derivations(sc)
-    assert routes == []
     assert space.dimension == dimension == m * m - _sympy_rank(_leibniz_rows(sc), m * m)
     # gl has the scalars as center, sl none; gl [2, 1] is 7-dimensional with
     # two outer derivations
@@ -1038,13 +1021,19 @@ def test_semisimple_derivations_need_no_elimination(name, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("tag", ["h3", "h7"])
-def test_solvable_derivations_take_the_full_leibniz_route(tag, tmp_path, monkeypatch):
+def test_solvable_derivations_solve_the_full_leibniz_system(tag, tmp_path):
+    """With S = 0 the radical's basis is the standard one, and the Der_S rows
+    are the Leibniz rows with D's entries (k, b) read at column b*m + k."""
     sc = _lie_family(tag, 7, tmp_path)[1]
-    assert la.levi_decomposition(sc).levi.is_zero()
-    routes = _route(monkeypatch)
-    k = (sc.dim - 1) // 2
+    levi = la.levi_decomposition(sc)
+    assert levi.levi.is_zero()
+    m = sc.dim
+    k = (m - 1) // 2
     assert la.derivations(sc).dimension == 2 * k * k + 3 * k + 1
-    assert routes == ["leibniz"]
+    transposed = [
+        {(col % m) * m + col // m: v for col, v in row.items() if v} for row in _leibniz_rows(sc)
+    ]
+    assert la._radical_rows(sc, levi, []) == transposed
 
 
 def test_levi_decomposition_walks_the_radical_series_once(tmp_path, monkeypatch):
