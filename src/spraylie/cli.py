@@ -181,7 +181,8 @@ def load_problem(path: str | Path) -> Problem:
     except geom.MetricError as exc:
         raise InputError(f"metric: {exc}") from exc
 
-    # after the metric, whose dim x dim matrix bounds dim by the file's size
+    # after the metric; dim is bounded by the file's size only for a nested
+    # entry matrix, not for a flat diagonal list
     coords = tuple(_block(doc, "coordinates", list, [f"x{i}" for i in range(1, dim + 1)]))
     if len(coords) != dim or not all(isinstance(c, str) for c in coords):
         raise InputError(f"coordinates must list {dim} names")
@@ -247,8 +248,12 @@ def load_problem(path: str | Path) -> Problem:
         if item not in known:
             raise InputError(f"unknown analysis {item!r}")
 
+    name = path.stem if doc.get("name") is None else doc["name"]
+    if not isinstance(name, str):
+        raise InputError("name must be a string")
+
     return Problem(
-        name=str(doc.get("name", path.stem)),
+        name=name,
         dim=dim,
         coordinates=coords,
         metric=metric,
@@ -542,7 +547,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
         if not pipe.curvature.R1[k][i][j].is_zero()
     )
 
-    energy = geom.energy_from_metric(pipe.metric)
+    energy = pipe.metric.energy
     report: dict = {
         "problem": {
             "name": problem.name,
@@ -818,7 +823,7 @@ def _oracle_connection(problem, pipe, points):
 
 def _oracle_fd(problem, pipe, points, target: str):
     if target == "E":
-        expr = geom.energy_from_metric(pipe.metric)
+        expr = pipe.metric.energy
     elif target.startswith("G"):
         try:
             k = int(target[1:])

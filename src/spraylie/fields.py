@@ -518,8 +518,7 @@ def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
     verdict = _verdict("in_Ag", _spray_obstruction(field, spray))
     if not verdict:
         return verdict
-    energy = energy_from_metric(metric)
-    return _verdict("in_Ag", [("energy derivative", _energy_residual(field, energy))])
+    return _verdict("in_Ag", [("energy derivative", _energy_residual(field, metric.energy))])
 
 
 def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
@@ -635,7 +634,7 @@ def solve_in_span(
     if len(dims) != 1:
         raise ValueError("dictionary fields must share one dimension")
 
-    energy = energy_from_metric(metric) if "isometry" in wanted else None
+    energy = metric.energy if "isometry" in wanted else None
 
     # an isometry is a spray symmetry, so the spray obstruction is listed once
     def obstruction(field: BaseField) -> list[CanonicalExpr]:

@@ -1,15 +1,14 @@
 """Metric-to-curvature pipeline.
 
 From a metric whose entries are exact exponential-polynomial scalars this
-module produces, in order: lowered and raised Christoffel data, the geodesic
-spray, the induced linear connection, horizontal/vertical projectors, and the
-curvature.  The curvature is computed twice on demand -- once from the
-component formula and once through the Frolicher-Nijenhuis bracket of the
-horizontal projector -- and the two routes are required to agree exactly.
+module produces, in order: the energy, the geodesic spray read off the
+energy's Euler-Lagrange equations, the induced linear connection,
+horizontal/vertical projectors, and the curvature.  The curvature is
+computed twice on demand -- once from the component formula and once through
+the Frolicher-Nijenhuis bracket of the horizontal projector -- and the two
+routes are required to agree exactly.
 
 Index conventions (0-based arrays over 1-based variables):
-    lower[i][k][j]  = gamma_ikj   (middle index is the lowered one)
-    upper[k][i][j]  = gamma^k_ij
     gamma1[j][i]    = Gamma^j_i   = dG^j/dy^i          (y-linear)
     gamma2[j][i][l] = Gamma^j_il  = d^2 G^j/dy^i dy^l  (x-only)
     R1[k][i][j]     = R^k_ij      (y-linear, antisymmetric in i, j)
@@ -18,7 +17,8 @@ Index conventions (0-based arrays over 1-based variables):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (
@@ -41,8 +41,6 @@ __all__ = [
     "SprayData",
     "ConnectionData",
     "CurvatureData",
-    "christoffel_lower",
-    "christoffel_upper",
     "spray_from_metric",
     "connection_from_spray",
     "projectors",
@@ -129,6 +127,12 @@ class MetricSpec:
             )
         assert self.g_inv is not None
         return self.g_inv
+
+    @functools.cached_property
+    def energy(self) -> CanonicalExpr:
+        """E = g_ij y^i y^j / 2, built on first use and shared by the spray and
+        every isometry test."""
+        return energy_from_metric(self)
 
 
 def diagonal_metric(entries) -> MetricSpec:
@@ -227,61 +231,33 @@ class CurvatureData:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_lower(metric: MetricSpec):
-    """gamma_ikj = (d_i g_kj + d_j g_ik - d_k g_ij) / 2."""
-    n = metric.dim
-    half = Fraction(1, 2)
-    out = []
-    for i in range(n):
-        plane = []
-        for k in range(n):
-            row = []
-            for j in range(n):
-                term = (
-                    metric.g[k][j].diff(f"x{i + 1}")
-                    + metric.g[i][k].diff(f"x{j + 1}")
-                    - metric.g[i][j].diff(f"x{k + 1}")
-                )
-                row.append(term * half)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
-def christoffel_upper(metric: MetricSpec, lower=None):
-    """gamma^k_ij = g^kl gamma_ilj."""
-    n = metric.dim
-    if lower is None:
-        lower = christoffel_lower(metric)
-    inv = metric.inverse()
-    out = []
-    for k in range(n):
-        plane = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = CanonicalExpr()
-                for l in range(n):
-                    if inv[k][l] and lower[i][l][j]:
-                        acc = acc + inv[k][l] * lower[i][l][j]
-                row.append(acc)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
 def spray_from_metric(metric: MetricSpec) -> SprayData:
-    """G^k = y^i y^j gamma^k_ij / 2."""
+    """G^k read off the energy's Euler-Lagrange equations:
+
+        2 G^k = g^kl (y^j d_(x^j) d_(y^l) E - d_(x^l) E),
+
+    which is y^i y^j gamma^k_ij with the Christoffel symbols of g.
+    """
     n = metric.dim
-    upper = christoffel_upper(metric)
+    energy = metric.energy
+    xs = [f"x{l + 1}" for l in range(n)]
     ys = [yvar(l + 1) for l in range(n)]
+    lowered = []  # 2 g_lk G^k
+    for l in range(n):
+        momentum = energy.diff(f"y{l + 1}")
+        acc = -energy.diff(xs[l])
+        for j in range(n):
+            d = momentum.diff(xs[j])
+            if d:
+                acc = acc + ys[j] * d
+        lowered.append(acc)
+    inv = metric.inverse()
     coeffs = []
     for k in range(n):
         acc = ZERO
-        for i in range(n):
-            for j in range(n):
-                if upper[k][i][j]:
-                    acc = acc + ys[i] * ys[j] * upper[k][i][j]
+        for l in range(n):
+            if inv[k][l] and lowered[l]:
+                acc = acc + inv[k][l] * lowered[l]
         coeffs.append(acc * Fraction(1, 2))
     return SprayData(tuple(coeffs))
 

@@ -100,14 +100,6 @@ class Subspace:
         reduced, pivots = linalg.rref(rows)
         return Subspace(ambient_dim, tuple(tuple(reduced[r]) for r in range(len(pivots))))
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(linalg.identity(ambient_dim), ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -271,7 +263,6 @@ def _terms(f: BaseField) -> dict[tuple, Fraction]:
 def structure_constants_from_fields(
     fields: Sequence[BaseField],
     labels: Sequence[str] | None = None,
-    bracket=bracket_base,
 ) -> StructureConstants:
     """Bracket table of a generator list; fails if dependent or not closed."""
     m = len(fields)
@@ -302,7 +293,7 @@ def structure_constants_from_fields(
     table = [[[zero] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            w = bracket(fields[i], fields[j])
+            w = bracket_base(fields[i], fields[j])
             t = _terms(w)
             if not t.keys() <= keys.keys():
                 raise NonClosureError(labels[i], labels[j], w)
@@ -414,9 +405,7 @@ def is_ideal(sc: StructureConstants, space: Subspace) -> bool:
 
 def is_abelian(sc: StructureConstants, space: Subspace) -> bool:
     """Do all brackets inside the subspace vanish?"""
-    return not any(
-        any(sc.bracket_coords(u, v)) for u, v in itertools.combinations(space.basis, 2)
-    )
+    return _derived_of_subspace(sc, space).is_zero()
 
 
 def radical(sc: StructureConstants) -> Subspace:
@@ -711,20 +700,15 @@ def _radical_rows(
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_constants(
-    sc: StructureConstants,
-    space: Subspace,
-    labels: Sequence[str] | None = None,
-) -> StructureConstants:
-    """Structure constants of a subspace that is closed under the bracket.
+def subalgebra_constants(sc: StructureConstants, space: Subspace) -> StructureConstants:
+    """Structure constants of a subspace that is closed under the bracket,
+    over its basis labelled s1, ..., sm.
 
     A bracket of two basis vectors outside the subspace raises a
     LieAlgebraError naming the pair and what is left over modulo it.
     """
     basis = [list(v) for v in space.basis]
     m = len(basis)
-    if labels is None:
-        labels = [f"s{i + 1}" for i in range(m)]
     zero = Fraction(0)
     table = [[[zero] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
@@ -741,7 +725,7 @@ def subalgebra_constants(
             table[i][j] = coeffs
             table[j][i] = [-q for q in coeffs]
     packed = tuple(tuple(tuple(r) for r in plane) for plane in table)
-    return StructureConstants(tuple(labels), packed)
+    return StructureConstants(tuple(f"s{i + 1}" for i in range(m)), packed)
 
 
 def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Vec]:
@@ -763,7 +747,8 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Ve
     are the coefficients of z_a over u_t, the reduced echelon basis of R^i
     reduced modulo R^(i+1), and linalg.solve sets its free ones to zero.
     That choice depends on the basis of the y_a, which the echelon form fixes
-    at every level.
+    at every level.  A semisimple algebra (R = 0) keeps every unit vector and
+    a solvable one (R = L) has none, with nothing to correct in either case.
     """
     m = sc.dim
     labels = sc.labels
@@ -852,12 +837,7 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
     m = sc.dim
     labels = sc.labels
     rad = radical(sc)
-    if rad.dim == m:
-        return LeviResult(rad, Subspace.zero(m))
-    if rad.is_zero():
-        levi = Subspace.full(m)
-    else:
-        levi = Subspace.from_vectors(_levi_vectors(sc, sc.radical_series), m)
+    levi = Subspace.from_vectors(_levi_vectors(sc, sc.radical_series), m)
     # verification
     total = levi.sum(rad)
     if total.dim != m:
@@ -874,16 +854,15 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
         raise LieAlgebraError(
             f"Levi complement meets the radical in {render_combination(meet, labels)}"
         )
-    if levi.dim:
-        kappa = killing_form(subalgebra_constants(sc, levi))
-        null = linalg.kernel_basis(kappa)
-        if null:
-            # the Killing radical of the complement, back in the ambient basis
-            vector = [sum(a * v[k] for a, v in zip(null[0], levi.basis)) for k in range(m)]
-            raise LieAlgebraError(
-                f"Levi complement is not semisimple: {render_combination(vector, labels)} "
-                "is orthogonal to it under its Killing form"
-            )
+    kappa = killing_form(subalgebra_constants(sc, levi))
+    null = linalg.kernel_basis(kappa, ncols=levi.dim)
+    if null:
+        # the Killing radical of the complement, back in the ambient basis
+        vector = [sum(a * v[k] for a, v in zip(null[0], levi.basis)) for k in range(m)]
+        raise LieAlgebraError(
+            f"Levi complement is not semisimple: {render_combination(vector, labels)} "
+            "is orthogonal to it under its Killing form"
+        )
     return LeviResult(rad, levi)
 
 

@@ -252,8 +252,13 @@ def _permutation_sign(perm: list[int]) -> int:
 def congruence_signature(matrix: Iterable[Iterable]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric rational matrix.
 
-    Diagonalizes by simultaneous row/column operations, which preserves the
-    signature (Sylvester's law); no eigenvalues and no floats involved.
+    The characteristic polynomial p(x) = det(xI - A) comes from n matrix
+    products (Faddeev-LeVerrier): with A M_0 = 0 and c_n = 1,
+    M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k.  A symmetric
+    real matrix has only real eigenvalues, so Descartes' rule of signs is
+    exact: the sign changes of p(x) count the positive eigenvalues and those
+    of p(-x) the negative ones, with multiplicity; the rest are zero.  No
+    eigenvalues and no floats are involved.
     """
     m = to_fractions(matrix)
     n = len(m)
@@ -263,46 +268,19 @@ def congruence_signature(matrix: Iterable[Iterable]) -> tuple[int, int, int]:
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("signature requires a symmetric matrix")
-
-    def add_row_col(dst: int, src: int, factor: Fraction) -> None:
-        for j in range(n):
-            m[dst][j] += factor * m[src][j]
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0
+    product = zeros(n, n)  # A M_(k-1)
+    for k in range(1, n + 1):
         for i in range(n):
-            m[i][dst] += factor * m[i][src]
+            product[i][i] += coeffs[-1]
+        product = mat_mul(m, product)
+        coeffs.append(-sum(product[i][i] for i in range(n)) / k)
 
-    def swap_row_col(a: int, b: int) -> None:
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
+    def sign_changes(seq: Iterable[Fraction]) -> int:
+        signs = [c > 0 for c in seq if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    for k in range(n):
-        if not m[k][k]:
-            moved = False
-            for i in range(k + 1, n):
-                if m[i][i]:
-                    swap_row_col(k, i)
-                    moved = True
-                    break
-            if not moved:
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j]:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    break  # remaining block is zero
-                i, j = off
-                add_row_col(i, j, Fraction(1))  # makes m[i][i] = 2*m[i][j] != 0
-                if i != k:
-                    swap_row_col(k, i)
-        if not m[k][k]:
-            continue
-        for i in range(k + 1, n):
-            if m[i][k]:
-                add_row_col(i, k, -m[i][k] / m[k][k])
-    pos = sum(1 for i in range(n) if m[i][i] > 0)
-    neg = sum(1 for i in range(n) if m[i][i] < 0)
+    pos = sign_changes(coeffs)
+    # p(-x) up to the overall sign (-1)^n: flip every other coefficient
+    neg = sign_changes(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
     return pos, neg, n - pos - neg

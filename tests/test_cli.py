@@ -577,6 +577,8 @@ def _small_problem(**blocks) -> dict:
         {"analyses": 5},
         {"accepted_corrections": {"s": 5}},
         {"sets": {"s": [["a"]]}},
+        {"name": 7},
+        {"name": ["a"]},
         *(
             pytest.param({"metric": {"kind": "diagonal", "entries": [entry, "1"]}}, id=f"metric {name}")
             for name, entry in (
@@ -612,6 +614,21 @@ def test_malformed_block_exits_one_with_a_message(tmp_path, blocks):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", [7, ["a"]])
+def test_a_name_that_is_not_a_string_exits_one(tmp_path, capsys, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(_small_problem(name=name)))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: name must be a string\n"
+
+
+def test_a_null_name_takes_the_file_stem(tmp_path, capsys):
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(_small_problem(name=None)))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("# Analysis report: unnamed\n")
 
 
 def test_oracle_malformed_table_cell_exits_one_naming_the_cell(tmp_path):

@@ -1,4 +1,4 @@
-"""Geometry pipeline: Christoffel data, sprays, connections, curvature.
+"""Geometry pipeline: energy, sprays, connections, curvature.
 
 Frozen values come from the three worked diagonal exponential metrics; the
 structural identities are checked on those, on seeded random metrics, and on
@@ -81,17 +81,6 @@ def test_shell_horizontal_frame(shell_pipeline):
     assert images[2] == ["0", "0", "1", "-1/2*y1", "-1/2*y2", "0"]
 
 
-def test_blocks_christoffel_upper():
-    metric, _, _, _ = build_pipeline(PRODUCT_BLOCKS)
-    upper = geom.christoffel_upper(metric)
-    assert upper[0][0][1] == E("1/2")
-    assert upper[0][1][0] == E("1/2")
-    assert upper[1][0][0] == E("-exp(x2)/2")
-    assert upper[2][2][3] == E("1/2")
-    assert upper[3][2][2] == E("-exp(x4)/2")
-    assert upper[1][1][1].is_zero()
-
-
 def test_blocks_spray_and_connection(blocks_pipeline):
     _, spray, connection, _ = blocks_pipeline
     assert spray.G[0] == E("y1*y2/2")
@@ -122,10 +111,6 @@ def test_flat_spray_is_quarter_squares(flat_pipeline):
 
 def test_euclidean_metric_is_trivial():
     metric = geom.diagonal_metric([E("1"), E("1")])
-    lower = geom.christoffel_lower(metric)
-    assert all(
-        lower[i][k][j].is_zero() for i in range(2) for k in range(2) for j in range(2)
-    )
     spray = geom.spray_from_metric(metric)
     assert all(g.is_zero() for g in spray.G)
     assert geom.curvature(geom.connection_from_spray(spray)).is_zero()

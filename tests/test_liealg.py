@@ -420,7 +420,7 @@ def test_constant_subspace_of_an_abelian_algebra_is_everything():
     fields = [base_field("1", "0"), base_field("0", "1")]
     sc = la.structure_constants_from_fields(fields)
     space = _subspace(sc, constant_span(fields))
-    assert space == la.Subspace.full(2)
+    assert space == la.Subspace.from_vectors(linalg.identity(2), 2)
     assert abelian_ideal_check(sc, space)
 
 
@@ -1151,7 +1151,7 @@ def test_unsolvable_radical_names_its_stalled_derived_term(monkeypatch):
     # no seeded table reached this check; with the derived algebra taken as
     # zero, the radical of so(3) is all of it, an ideal that is perfect
     sc = _table(3, SO3)
-    monkeypatch.setattr(la, "derived_subalgebra", lambda sc: la.Subspace.zero(sc.dim))
+    monkeypatch.setattr(la, "derived_subalgebra", lambda sc: la.Subspace(sc.dim, ()))
     with pytest.raises(la.LieAlgebraError) as err:
         la.radical(sc)
     assert str(err.value).startswith(

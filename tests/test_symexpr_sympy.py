@@ -45,11 +45,13 @@ def _rat(q: Q) -> "sympy.Rational":
 
 
 def _sym_term(c, xs, ys, lin):
-    term = _rat(c) * sympy.exp(sympy.Add(*(_rat(q) * S[f"x{i}"] for i, q in lin.items())))
+    """The sympy term; symbols are made by name, so any index is allowed."""
+    lin_sum = sympy.Add(*(_rat(q) * sympy.Symbol(f"x{i}") for i, q in lin.items()))
+    term = _rat(c) * sympy.exp(lin_sum)
     for i, e in xs.items():
-        term *= S[f"x{i}"] ** e
+        term *= sympy.Symbol(f"x{i}") ** e
     for i, e in ys.items():
-        term *= S[f"y{i}"] ** e
+        term *= sympy.Symbol(f"y{i}") ** e
     return term
 
 
