@@ -43,6 +43,7 @@ from .fields import (
 from .liealg import render_combination
 from .symexpr import (
     MAX_DIGITS,
+    MAX_INDEX,
     CanonicalExpr,
     DegreeBoundError,
     SymExprError,
@@ -127,19 +128,25 @@ def _square(rows, dim: int, what: str) -> None:
 def load_problem(path: str | Path) -> Problem:
     path = Path(path)
     try:
-        raw = path.read_text()
+        raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
 
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError("dim must be a positive integer")
+    if dim > MAX_INDEX:  # no coordinate above x<MAX_INDEX> can be named
+        raise InputError(f"dim {dim} exceeds {MAX_INDEX}, the largest coordinate index")
 
     metric_doc = doc.get("metric")
     if not isinstance(metric_doc, dict):
@@ -148,22 +155,25 @@ def load_problem(path: str | Path) -> Problem:
     if kind not in ("diagonal", "general"):
         raise InputError("metric kind must be 'diagonal' or 'general'")
     entries = metric_doc.get("entries")
-    if isinstance(entries, list) and entries and not isinstance(entries[0], list):
+    flat = isinstance(entries, list) and bool(entries) and not isinstance(entries[0], list)
+    if flat:
         if kind != "diagonal":
             raise InputError("flat metric entry list is only allowed for diagonal metrics")
         if len(entries) != dim:
             raise InputError(f"flat metric entry list must hold {dim} entries")
-        matrix = [["0"] * dim for _ in range(dim)]
-        for i, cell in enumerate(entries):
-            matrix[i][i] = cell
-        entries = matrix
-    _square(entries, dim, "metric entries")
-    g = tuple(
-        tuple(_parse_entry(entries[i][j], f"metric entry ({i + 1},{j + 1})") for j in range(dim))
-        for i in range(dim)
-    )
+        diagonal = [
+            _parse_entry(cell, f"metric entry ({i + 1},{i + 1})") for i, cell in enumerate(entries)
+        ]
+    else:
+        _square(entries, dim, "metric entries")
+        g = tuple(
+            tuple(_parse_entry(entries[i][j], f"metric entry ({i + 1},{j + 1})") for j in range(dim))
+            for i in range(dim)
+        )
     try:
-        if kind == "general":
+        if flat:
+            metric = geom.diagonal_metric(diagonal)
+        elif kind == "general":
             inverse = metric_doc.get("inverse")
             if inverse is None:
                 raise InputError("general metrics require an 'inverse' matrix")
@@ -181,8 +191,7 @@ def load_problem(path: str | Path) -> Problem:
     except geom.MetricError as exc:
         raise InputError(f"metric: {exc}") from exc
 
-    # after the metric; dim is bounded by the file's size only for a nested
-    # entry matrix, not for a flat diagonal list
+    # dim is at most MAX_INDEX, so the default names are cheap to build
     coords = tuple(_block(doc, "coordinates", list, [f"x{i}" for i in range(1, dim + 1)]))
     if len(coords) != dim or not all(isinstance(c, str) for c in coords):
         raise InputError(f"coordinates must list {dim} names")
@@ -353,26 +362,13 @@ def _format_points(points) -> list[dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# pipeline assembly
+# structural identities
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    metric: geom.MetricSpec
-    spray: geom.SprayData
-    connection: geom.ConnectionData
-    curvature: geom.CurvatureData
-
-
-def build_pipeline(metric: geom.MetricSpec) -> Pipeline:
-    spray = geom.spray_from_metric(metric)
-    connection = geom.connection_from_spray(spray)
-    curvature = geom.curvature(connection)
-    return Pipeline(metric, spray, connection, curvature)
-
-
-def _check_structural_identities(pipe: Pipeline) -> dict[str, MembershipVerdict]:
+def _check_structural_identities(
+    spray: geom.SprayData, connection: geom.ConnectionData, curvature: geom.CurvatureData
+) -> dict[str, MembershipVerdict]:
     """Exact verdicts on the two identities that compare independent routes.
 
     The component curvature must be half the self-bracket of the horizontal
@@ -383,10 +379,10 @@ def _check_structural_identities(pipe: Pipeline) -> dict[str, MembershipVerdict]
     """
     residuals = {
         "curvature equals half the horizontal self-bracket": (
-            geom.curvature_two_form(pipe.curvature) - geom.curvature_via_projector(pipe.connection)
+            geom.curvature_two_form(curvature) - geom.curvature_via_projector(connection)
         ),
         "spray-tangent bracket reproduces the connection": (
-            geom.connection_via_bracket(pipe.spray) - geom.connection_oneform(pipe.connection)
+            geom.connection_via_bracket(spray) - geom.connection_oneform(connection)
         ),
     }
     return {name: _verdict(name, form.labelled()) for name, form in residuals.items()}
@@ -469,7 +465,11 @@ def _subspace(sc: liealg.StructureConstants, vectors) -> dict:
 
 
 def _analyze_algebra(
-    set_name: str, sc: liealg.StructureConstants, generators: Sequence[BaseField], pipe: Pipeline
+    set_name: str,
+    sc: liealg.StructureConstants,
+    generators: Sequence[BaseField],
+    connection: geom.ConnectionData,
+    curvature: geom.CurvatureData,
 ) -> dict:
     labels = sc.labels
     jacobi_ok, witness = liealg.jacobi_check(sc)
@@ -508,7 +508,7 @@ def _analyze_algebra(
             "outer": derivation_space.outer_dimension,
         },
         "horizontal_nullity_subspace": _subspace(
-            sc, horizontal_nullity_span(generators, pipe.connection, pipe.curvature)
+            sc, horizontal_nullity_span(generators, connection, curvature)
         ),
         "constant_subspace": _subspace(sc, constant_span(generators)),
     }
@@ -522,9 +522,11 @@ def _analyze_algebra(
 
 
 def build_report(problem: Problem, seed: int, count: int) -> dict:
-    pipe = build_pipeline(problem.metric)
+    spray = geom.spray_from_metric(problem.metric)
+    connection = geom.connection_from_spray(spray)
+    curvature = geom.curvature(connection)
     n = problem.dim
-    identities = _check_structural_identities(pipe)
+    identities = _check_structural_identities(spray, connection, curvature)
     for name, verdict in identities.items():
         if not verdict:
             raise geom.InvariantViolation(
@@ -534,7 +536,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
     points = sample_points(n, count, seed)
     nullity: dict = {"seed": seed, "points": count}
     try:
-        rank = nullity_rank_numeric(pipe.curvature, points)
+        rank = nullity_rank_numeric(curvature, points)
     except DegreeBoundError as exc:  # a limit of the probe, not of the input
         nullity["skipped"] = str(exc)
     else:
@@ -544,30 +546,30 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
         for k in range(n)
         for i in range(n)
         for j in range(i + 1, n)
-        if not pipe.curvature.R1[k][i][j].is_zero()
+        if not curvature.R1[k][i][j].is_zero()
     )
 
-    energy = pipe.metric.energy
+    energy = problem.metric.energy
     report: dict = {
         "problem": {
             "name": problem.name,
             "dim": n,
             "coordinates": list(problem.coordinates),
             "metric_kind": problem.metric.kind,
-            "metric_diagonal": [str(pipe.metric.g[i][i]) for i in range(n)]
+            "metric_diagonal": [str(problem.metric.g[i][i]) for i in range(n)]
             if problem.metric.kind == "diagonal"
             else None,
         },
         "pipeline": {
             "energy": str(energy),
-            "spray": [str(g) for g in pipe.spray.G],
+            "spray": [str(g) for g in spray.G],
             "connection_nonzero": [
-                {"row": j + 1, "col": i + 1, "value": str(pipe.connection.gamma1[j][i])}
+                {"row": j + 1, "col": i + 1, "value": str(connection.gamma1[j][i])}
                 for j in range(n)
                 for i in range(n)
-                if not pipe.connection.gamma1[j][i].is_zero()
+                if not connection.gamma1[j][i].is_zero()
             ],
-            "curvature_zero": pipe.curvature.is_zero(),
+            "curvature_zero": curvature.is_zero(),
             "curvature_nonzero_components": nonzero_curvature,
             "identities": {k: "ok" for k in identities},
             "numeric_nullity": nullity,
@@ -578,12 +580,12 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
         rows = []
         for name, field in problem.fields.items():
             # in_Ag is in_AS plus X^c(E) = 0; the spray verdict is not recomputed
-            spray_symmetry = bool(in_AS(field, pipe.spray))
+            spray_symmetry = bool(in_AS(field, spray))
             rows.append(
                 {
                     "field": name,
                     "spray_symmetry": spray_symmetry,
-                    "connection_symmetry": bool(in_AGamma(field, pipe.connection)),
+                    "connection_symmetry": bool(in_AGamma(field, connection)),
                     "isometry": spray_symmetry and _energy_residual(field, energy).is_zero(),
                 }
             )
@@ -608,7 +610,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
                     entry["expected_comparison"] = {"present": False}
             if "algebra" in problem.analyses:
                 generators = [problem.fields[name] for name in sc.labels]
-                entry["algebra"] = _analyze_algebra(set_name, sc, generators, pipe)
+                entry["algebra"] = _analyze_algebra(set_name, sc, generators, connection, curvature)
             set_reports.append(entry)
     report["sets"] = set_reports
     report["discrepancies"] = discrepancies
@@ -800,20 +802,22 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _oracle_curvature(problem, pipe, points, flavour: str):
-    component_form = geom.curvature_two_form(pipe.curvature)
+def _oracle_curvature(metric, points, flavour: str):
+    connection = geom.connection_from_spray(geom.spray_from_metric(metric))
+    component_form = geom.curvature_two_form(geom.curvature(connection))
     if flavour == "projector":
-        other = geom.curvature_via_projector(pipe.connection)
+        other = geom.curvature_via_projector(connection)
         label = "curvature component formula vs half horizontal self-bracket"
     else:
-        other = geom.curvature_via_almost_product(pipe.connection)
+        other = geom.curvature_via_almost_product(connection)
         label = "curvature component formula vs eighth connection self-bracket"
     return label, _form_max_dev(component_form, other, points), IDENTITY_REL_TOL
 
 
-def _oracle_connection(problem, pipe, points):
-    a = geom.connection_via_bracket(pipe.spray)
-    b = geom.connection_oneform(pipe.connection)
+def _oracle_connection(metric, points):
+    spray = geom.spray_from_metric(metric)
+    a = geom.connection_via_bracket(spray)
+    b = geom.connection_oneform(geom.connection_from_spray(spray))
     return (
         "spray-tangent bracket vs assembled connection",
         _form_max_dev(a, b, points),
@@ -821,9 +825,9 @@ def _oracle_connection(problem, pipe, points):
     )
 
 
-def _oracle_fd(problem, pipe, points, target: str):
+def _oracle_fd(problem, points, target: str):
     if target == "E":
-        expr = pipe.metric.energy
+        expr = problem.metric.energy
     elif target.startswith("G"):
         try:
             k = int(target[1:])
@@ -831,7 +835,7 @@ def _oracle_fd(problem, pipe, points, target: str):
             raise InputError(f"unknown derivative target {target!r}")
         if not 1 <= k <= problem.dim:
             raise InputError(f"spray index out of range in {target!r}")
-        expr = pipe.spray.G[k - 1]
+        expr = geom.spray_from_metric(problem.metric).G[k - 1]
     elif target in problem.fields:
         raise InputError("derivative targets are E or G<k>, not field names")
     else:
@@ -848,7 +852,7 @@ def _oracle_fd(problem, pipe, points, target: str):
     return f"symbolic derivative of {target} vs central differences", worst, FD_REL_TOL
 
 
-def _oracle_table_cell(problem, pipe, points, tokens: list[str]):
+def _oracle_table_cell(problem, points, tokens: list[str]):
     if len(tokens) == 3:
         set_name, f1, f2 = tokens
         if set_name not in problem.sets:
@@ -880,22 +884,21 @@ def _oracle_table_cell(problem, pipe, points, tokens: list[str]):
 
 def cmd_oracle(args) -> int:
     problem = load_problem(args.file)
-    pipe = build_pipeline(problem.metric)
     points = sample_points(problem.dim, args.points, args.seed)
     tokens = args.check.split()
     if not tokens:
         raise InputError("empty selector")
     head, rest = tokens[0], tokens[1:]
     if head in ("R-vs-half-[h,h]", "R-vs-half-hh") and not rest:
-        label, deviation, tolerance = _oracle_curvature(problem, pipe, points, "projector")
+        label, deviation, tolerance = _oracle_curvature(problem.metric, points, "projector")
     elif head in ("R-vs-eighth-[Gamma,Gamma]", "R-vs-eighth-GG") and not rest:
-        label, deviation, tolerance = _oracle_curvature(problem, pipe, points, "almost-product")
+        label, deviation, tolerance = _oracle_curvature(problem.metric, points, "almost-product")
     elif head == "connection-vs-bracket" and not rest:
-        label, deviation, tolerance = _oracle_connection(problem, pipe, points)
+        label, deviation, tolerance = _oracle_connection(problem.metric, points)
     elif head == "diff-vs-fd" and len(rest) == 1:
-        label, deviation, tolerance = _oracle_fd(problem, pipe, points, rest[0])
+        label, deviation, tolerance = _oracle_fd(problem, points, rest[0])
     elif head == "table-cell":
-        label, deviation, tolerance = _oracle_table_cell(problem, pipe, points, rest)
+        label, deviation, tolerance = _oracle_table_cell(problem, points, rest)
     else:
         raise InputError(f"unknown selector {args.check!r}")
     ok = deviation <= tolerance
@@ -928,15 +931,15 @@ def cmd_solve(args) -> int:
         conditions.append("horizontality")
     if not conditions:
         raise InputError("choose at least one of --spray-symmetry, --isometry, --horizontal")
-    pipe = build_pipeline(problem.metric)
+    spray = geom.spray_from_metric(problem.metric)
     labels = problem.sets[args.dict]
     dictionary = [problem.fields[name] for name in labels]
     solutions = solve_in_span(
         dictionary,
         conditions,
-        metric=pipe.metric,
-        spray=pipe.spray,
-        connection=pipe.connection,
+        metric=problem.metric,
+        spray=spray,
+        connection=geom.connection_from_spray(spray),
     )
     lines = [
         f"# Solve report: {problem.name}",

@@ -12,8 +12,8 @@ where the component X^s is nonzero, and multiplies and adds only where the
 partial d_s f is nonzero too.  Two facts of the coordinate frame then spare
 the frame brackets: frame fields commute, [d_a, d_b] = 0, and bracketing
 with one is a componentwise partial derivative, [Z, d_b] = -d_b Z.  The
-Frolicher-Nijenhuis bracket and the Lie derivative of an endomorphism field
-are evaluated on frame fields that way.
+Frolicher-Nijenhuis self-bracket [K, K] and the Lie derivative of an
+endomorphism field are evaluated on frame fields that way.
 
 The membership predicates take the geometry pipeline's output objects (spray,
 connection, curvature, metric) as plain data and report the first nonzero
@@ -358,33 +358,21 @@ class VectorTwoForm:
         return VectorTwoForm(tuple(tuple(f.scale(q) for f in row) for row in self.upper))
 
 
-def fn_bracket(k_form: VectorOneForm, l_form: VectorOneForm) -> VectorTwoForm:
-    """Frolicher-Nijenhuis bracket of two endomorphism fields on frame pairs.
+def fn_bracket(form: VectorOneForm) -> VectorTwoForm:
+    """Frolicher-Nijenhuis self-bracket [K, K] of an endomorphism field on frame pairs.
 
-    [K,L](X,Y) = [KX,LY] + [LX,KY] + KL[X,Y] + LK[X,Y]
-                 - K[LX,Y] - L[KX,Y] - K[X,LY] - L[X,KY]
+    [K,K](X,Y) = 2([KX,KY] + K^2[X,Y] - K[KX,Y] - K[X,KY])
 
     On frame fields X = d_a, Y = d_b the bracket [X,Y] vanishes and
-    [Z, d_b] = -d_b Z, so the value there is
-    [K d_a, L d_b] + [L d_a, K d_b] + K(d_b L d_a - d_a L d_b) + L(d_b K d_a - d_a K d_b).
+    [Z, d_b] = -d_b Z, so the value there is 2([K d_a, K d_b] + K(d_b K d_a - d_a K d_b)).
     It is computed on the pairs a < b, the ones a two-form stores.
     """
-    size = len(k_form.matrix)
-    if len(l_form.matrix) != size:
-        raise ValueError("bracket of forms with different dimensions")
-
-    k_images = [k_form.frame_image(s) for s in range(size)]
-    l_images = [l_form.frame_image(s) for s in range(size)]
+    size = len(form.matrix)
+    images = [form.frame_image(s) for s in range(size)]
 
     def value(a: int, b: int) -> TMField:
-        ka, kb = k_images[a], k_images[b]
-        la, lb = l_images[a], l_images[b]
-        return (
-            bracket_tm(ka, lb)
-            + bracket_tm(la, kb)
-            + k_form.apply(_partial(la, b) - _partial(lb, a))
-            + l_form.apply(_partial(ka, b) - _partial(kb, a))
-        )
+        ka, kb = images[a], images[b]
+        return (bracket_tm(ka, kb) + form.apply(_partial(ka, b) - _partial(kb, a))).scale(2)
 
     return VectorTwoForm(
         tuple(tuple(value(a, b) for b in range(a + 1, size)) for a in range(size))

@@ -5,7 +5,7 @@ module produces, in order: the energy, the geodesic spray read off the
 energy's Euler-Lagrange equations, the induced linear connection,
 horizontal/vertical projectors, and the curvature.  The curvature is
 computed twice on demand -- once from the component formula and once through
-the Frolicher-Nijenhuis bracket of the horizontal projector -- and the two
+the Frolicher-Nijenhuis self-bracket of the horizontal projector -- and the two
 routes are required to agree exactly.
 
 Index conventions (0-based arrays over 1-based variables):
@@ -365,13 +365,12 @@ def curvature_two_form(curv: CurvatureData) -> VectorTwoForm:
 def curvature_via_projector(connection: ConnectionData) -> VectorTwoForm:
     """Curvature as half the self-bracket of the horizontal projector."""
     h, _v = projectors(connection)
-    return fn_bracket(h, h).scale(Fraction(1, 2))
+    return fn_bracket(h).scale(Fraction(1, 2))
 
 
 def curvature_via_almost_product(connection: ConnectionData) -> VectorTwoForm:
     """Curvature as one eighth of the self-bracket of 2h - I."""
-    product = connection_oneform(connection)
-    return fn_bracket(product, product).scale(Fraction(1, 8))
+    return fn_bracket(connection_oneform(connection)).scale(Fraction(1, 8))
 
 
 def connection_via_bracket(spray: SprayData) -> VectorOneForm:

@@ -90,7 +90,7 @@ class TermBoundError(SymExprError):
 
 
 class EvaluationError(SymExprError):
-    """Raised when numeric evaluation is missing a variable assignment."""
+    """Raised when numeric evaluation lacks a variable assignment or leaves the double range."""
 
 
 class DegreeBoundError(SymExprError):
@@ -630,18 +630,25 @@ def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]
 
     The point is split once.  Each expression sums its terms in print order,
     each term's rational part exactly, with exp applied last per term; a zero
-    expression is 0.0 without sorting.
+    expression is 0.0 without sorting.  A value beyond the double range raises
+    EvaluationError: an inf or nan would compare as no deviation at all.
     """
     xvals, yvals = _split_point(point)
     values = []
     for expr in exprs:
         total = 0.0
-        for (mono, lin), c in expr._sorted_terms() if expr else ():
-            exact = c * mono.eval(xvals, yvals)
-            if lin.is_zero():
-                total += float(exact)
-            else:
-                total += float(exact) * math.exp(float(lin.eval(xvals)))
+        try:
+            for (mono, lin), c in expr._sorted_terms() if expr else ():
+                exact = c * mono.eval(xvals, yvals)
+                if lin.is_zero():
+                    total += float(exact)
+                else:
+                    total += float(exact) * math.exp(float(lin.eval(xvals)))
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            where = ", ".join(f"{name}={value}" for name, value in point.items())
+            raise EvaluationError(f"a value overflows a double at the sample point {where}")
         values.append(total)
     return values
 

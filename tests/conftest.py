@@ -99,7 +99,7 @@ def is_projectable(field: TMField) -> bool:
 
 def nijenhuis(form: VectorOneForm) -> VectorTwoForm:
     """Half of [L, L], e.g. zero for the tangent structure, curvature for h."""
-    return fn_bracket(form, form).scale(Fraction(1, 2))
+    return fn_bracket(form).scale(Fraction(1, 2))
 
 
 def curvature_potential(spray: geom.SprayData, curv: geom.CurvatureData):

@@ -296,9 +296,8 @@ def test_acceptance_06_structural_identities_exact():
     metrics = [HYPERBOLIC_SHELL, PRODUCT_BLOCKS, FLAT_EXPONENTIAL]
     metrics += [random_diag_entries(seed, 3) for seed in RANDOM_METRIC_SEEDS]
     for entries in metrics:
-        metric, spray, connection, curv = build_pipeline(entries)
-        pipe = cli.Pipeline(metric, spray, connection, curv)
-        results = cli._check_structural_identities(pipe)
+        _metric, spray, connection, curv = build_pipeline(entries)
+        results = cli._check_structural_identities(spray, connection, curv)
         for name, ok in results.items():
             assert ok, f"{entries}: {name}"
 
@@ -330,7 +329,6 @@ def test_acceptance_06_structural_identities_exact():
 def test_acceptance_07_numeric_oracles_within_tolerance():
     for entries in (HYPERBOLIC_SHELL, PRODUCT_BLOCKS, FLAT_EXPONENTIAL):
         metric, spray, connection, curv = build_pipeline(entries)
-        pipe = cli.Pipeline(metric, spray, connection, curv)
         n = metric.dim
         points = cli.sample_points(n, 10, 0)
 
@@ -347,7 +345,7 @@ def test_acceptance_07_numeric_oracles_within_tolerance():
             analyses=(),
         )
         for target in ["E"] + [f"G{k}" for k in range(1, n + 1)]:
-            _label, worst, _tol = cli._oracle_fd(problem_stub, pipe, points, target)
+            _label, worst, _tol = cli._oracle_fd(problem_stub, points, target)
             assert worst <= 1e-6, f"{entries}: {target} deviation {worst}"
 
         # every structural identity evaluated pointwise

@@ -95,6 +95,28 @@ def test_load_problem_flat_diagonal_entry_list(tmp_path):
     assert str(problem.metric.g[0][0]) == "exp(x1)"
 
 
+def test_flat_diagonal_list_loads_the_metric_of_the_nested_matrix(tmp_path):
+    dim = 200
+    diagonal = ["1" if i % 2 else f"2*exp(x{i + 1})" for i in range(dim)]
+    nested = [[diagonal[i] if i == j else "0" for j in range(dim)] for i in range(dim)]
+    metrics = []
+    for entries in (diagonal, nested):
+        path = tmp_path / "p.json"
+        doc = {"dim": dim, "metric": {"kind": "diagonal", "entries": entries}}
+        path.write_text(json.dumps(doc))
+        metrics.append(cli.load_problem(path).metric)
+    assert metrics[0] == metrics[1]
+
+
+def test_a_dim_above_the_largest_coordinate_index_exits_one(tmp_path):
+    path = tmp_path / "wide.json"
+    doc = {"dim": 1001, "metric": {"kind": "diagonal", "entries": ["1"] * 1001}}
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: dim 1001 exceeds 1000, the largest coordinate index\n"
+
+
 def test_load_problem_rejects_fibre_dependent_field(tmp_path):
     doc = {
         "dim": 2,
@@ -372,18 +394,25 @@ def test_jacobi_failure_names_generators_and_residual():
     sc = liealg.StructureConstants(
         ("a", "b", "c"), tuple(tuple(tuple(r) for r in p) for p in table)
     )
-    # the Jacobi check comes first, so no generators or pipeline are reached
+    # the Jacobi check comes first, so no generators, connection or curvature are reached
     with pytest.raises(geom.InvariantViolation) as info:
-        cli._analyze_algebra("broken", sc, [], None)
+        cli._analyze_algebra("broken", sc, [], None, None)
     assert str(info.value) == (
         "Jacobi identity failed for set 'broken' at generators (a, b, c): coefficient of a is -1"
     )
 
 
+def _stages(metric: geom.MetricSpec):
+    """Spray, connection and curvature of a metric."""
+    spray = geom.spray_from_metric(metric)
+    connection = geom.connection_from_spray(spray)
+    return spray, connection, geom.curvature(connection)
+
+
 @pytest.mark.parametrize("name, rank", [("example1", 3), ("example2", 4), ("section5", 0)])
 def test_numeric_nullity_rank_is_known_at_every_seed(name, rank):
     problem = cli.load_problem(PROBLEMS / f"{name}.json")
-    curvature = cli.build_pipeline(problem.metric).curvature
+    _spray, _connection, curvature = _stages(problem.metric)
     for seed in range(50):
         for count in (1, 10):
             points = cli.sample_points(problem.dim, count, seed)
@@ -416,7 +445,7 @@ def test_nullity_rank_equals_the_brute_force_maximum(name):
     else:
         problem = cli.load_problem(PROBLEMS / f"{name}.json")
         dim, metric = problem.dim, problem.metric
-    curvature = cli.build_pipeline(metric).curvature
+    _spray, _connection, curvature = _stages(metric)
     for seed in (0, 7):
         for count in (1, 3, 10):
             points = cli.sample_points(dim, count, seed)
@@ -466,6 +495,12 @@ def test_nullity_probe_skips_mixed_exponents_above_the_degree_cap(fmt, tmp_path,
 CURVATURE_IDENTITIES = ("curvature equals half the horizontal self-bracket",)
 
 
+def _named_stages(name: str):
+    if name == "flat":
+        return _stages(geom.diagonal_metric([const(1)] * 3))
+    return _stages(cli.load_problem(PROBLEMS / f"{name}.json").metric)
+
+
 def _assert_witnessed(verdict):
     assert not verdict
     assert verdict.location
@@ -474,11 +509,10 @@ def _assert_witnessed(verdict):
 
 @pytest.mark.parametrize("own, foreign", [("example1", "section5"), ("section5", "example1")])
 def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
-    pipe = cli.build_pipeline(cli.load_problem(PROBLEMS / f"{own}.json").metric)
-    assert all(cli._check_structural_identities(pipe).values())
-    other = cli.build_pipeline(cli.load_problem(PROBLEMS / f"{foreign}.json").metric)
-    mixed = cli.Pipeline(pipe.metric, pipe.spray, pipe.connection, other.curvature)
-    results = cli._check_structural_identities(mixed)
+    spray, connection, curvature = _named_stages(own)
+    assert all(cli._check_structural_identities(spray, connection, curvature).values())
+    _, _, other_curvature = _named_stages(foreign)
+    results = cli._check_structural_identities(spray, connection, other_curvature)
     for name in CURVATURE_IDENTITIES:
         _assert_witnessed(results[name])
     assert all(ok for name, ok in results.items() if name not in CURVATURE_IDENTITIES)
@@ -487,10 +521,6 @@ def test_structural_identities_fail_on_a_foreign_curvature(own, foreign):
 CONNECTION_IDENTITY = "spray-tangent bracket reproduces the connection"
 
 
-def _named_pipeline(name: str) -> cli.Pipeline:
-    if name == "flat":
-        return cli.build_pipeline(geom.diagonal_metric([const(1)] * 3))
-    return cli.build_pipeline(cli.load_problem(PROBLEMS / f"{name}.json").metric)
 
 
 @pytest.mark.parametrize(
@@ -499,22 +529,20 @@ def _named_pipeline(name: str) -> cli.Pipeline:
 )
 def test_structural_identities_fail_on_a_foreign_connection(own, foreign):
     """On flat R^3 the own spray is zero, so nearly every derivative is skipped."""
-    pipe = _named_pipeline(own)
-    assert all(cli._check_structural_identities(pipe).values())
-    assert (own == "flat") == all(g.is_zero() for g in pipe.spray.G)
-    other = _named_pipeline(foreign)
-    mixed = cli.Pipeline(pipe.metric, pipe.spray, other.connection, other.curvature)
-    results = cli._check_structural_identities(mixed)
+    spray, connection, curvature = _named_stages(own)
+    assert all(cli._check_structural_identities(spray, connection, curvature).values())
+    assert (own == "flat") == all(g.is_zero() for g in spray.G)
+    _, other_connection, other_curvature = _named_stages(foreign)
+    results = cli._check_structural_identities(spray, other_connection, other_curvature)
     _assert_witnessed(results[CONNECTION_IDENTITY])
     assert all(ok for name, ok in results.items() if name != CONNECTION_IDENTITY)
 
 
 def test_analyze_names_the_witness_of_a_failed_identity(monkeypatch, capsys):
-    own = cli.build_pipeline(cli.load_problem(PROBLEMS / "example1.json").metric)
-    other = cli.build_pipeline(cli.load_problem(PROBLEMS / "section5.json").metric)
-    mixed = cli.Pipeline(own.metric, own.spray, own.connection, other.curvature)
-    monkeypatch.setattr(cli, "build_pipeline", lambda metric: mixed)
-    verdict = cli._check_structural_identities(mixed)[CURVATURE_IDENTITIES[0]]
+    spray, connection, _ = _named_stages("example1")
+    _, _, foreign = _named_stages("section5")
+    monkeypatch.setattr(geom, "curvature", lambda connection: foreign)
+    verdict = cli._check_structural_identities(spray, connection, foreign)[CURVATURE_IDENTITIES[0]]
     assert cli.main(["analyze", str(PROBLEMS / "example1.json")]) == 3
     err = capsys.readouterr().err
     assert f"structural identity failed: {CURVATURE_IDENTITIES[0]} at frame pair (" in err
@@ -629,6 +657,20 @@ def test_a_null_name_takes_the_file_stem(tmp_path, capsys):
     path.write_text(json.dumps(_small_problem(name=None)))
     assert cli.main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out.startswith("# Analysis report: unnamed\n")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"dim": 1}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["not UTF-8", "nested too deeply"],
+)
+def test_unreadable_file_exits_one_with_a_message(tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_oracle_malformed_table_cell_exits_one_naming_the_cell(tmp_path):
@@ -771,6 +813,47 @@ def test_oracle_unknown_selector_exits_one():
     proc = run_cli("oracle", str(PROBLEMS / "example1.json"), "--check", "bogus")
     assert proc.returncode == 1
     assert "unknown selector" in proc.stderr
+
+
+def test_oracle_value_beyond_the_double_range_exits_one(tmp_path):
+    # the point pool reaches x1 = 2, where E holds e^800
+    path = tmp_path / "steep.json"
+    doc = {"dim": 2, "metric": {"kind": "diagonal", "entries": ["exp(400*x1)", "1"]}}
+    path.write_text(json.dumps(doc))
+    proc = run_cli("oracle", str(path), "--check", "diff-vs-fd E")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: a value overflows a double at the sample point x1=2, ")
+    assert "Traceback" not in proc.stderr
+
+
+def _unread(stage: str):
+    def build(*_args):
+        raise AssertionError(f"{stage} is built but not read")
+
+    return build
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "section5"])
+def test_each_subcommand_builds_only_the_stages_it_reads(monkeypatch, capsys, name):
+    path = str(PROBLEMS / f"{name}.json")
+    set_name, labels = next(iter(cli.load_problem(path).sets.items()))
+    cell = f"table-cell {set_name} {labels[0]} {labels[1]}"
+    runs = [
+        (("oracle", "--check", cell), ("spray_from_metric", "curvature")),
+        (("oracle", "--check", "diff-vs-fd E"), ("spray_from_metric", "curvature")),
+        (("oracle", "--check", "diff-vs-fd G1"), ("curvature",)),
+        (("oracle", "--check", "connection-vs-bracket"), ("curvature",)),
+        (("solve", "--dict", set_name, "--isometry"), ("curvature",)),
+    ]
+    for (command, *options), unread in runs:
+        argv = [command, path, *options]
+        code = cli.main(argv)
+        want = capsys.readouterr()
+        with monkeypatch.context() as patch:
+            for stage in unread:
+                patch.setattr(geom, stage, _unread(stage))
+            assert cli.main(argv) == code, argv
+        assert capsys.readouterr() == want, argv
 
 
 def test_oracle_seed_changes_points_but_not_verdict():

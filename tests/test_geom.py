@@ -17,7 +17,6 @@ from spraylie import geom
 from spraylie.fields import (
     VectorOneForm,
     bracket_tm,
-    fn_bracket,
     lie_derivative_oneform,
     spray_field,
 )
@@ -222,14 +221,6 @@ def test_tangent_structure_squares_to_zero():
     J = geom.tangent_structure(3)
     assert J.compose(J).is_zero()
     assert nijenhuis(J).is_zero()
-
-
-def test_fn_bracket_antisymmetric_on_one_forms(shell_pipeline):
-    _, _, connection, _ = shell_pipeline
-    h, v = geom.projectors(connection)
-    hv = fn_bracket(h, v)
-    vh = fn_bracket(v, h)
-    assert (hv - vh).is_zero()  # even-degree forms commute in the FN bracket
 
 
 def test_curvature_r2_reconstructs_r1(shell_pipeline):
