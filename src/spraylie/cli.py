@@ -195,6 +195,8 @@ def load_problem(path: str | Path) -> Problem:
     coords = tuple(_block(doc, "coordinates", list, [f"x{i}" for i in range(1, dim + 1)]))
     if len(coords) != dim or not all(isinstance(c, str) for c in coords):
         raise InputError(f"coordinates must list {dim} names")
+    if len(set(coords)) != dim:
+        raise InputError("coordinates must be distinct names")
 
     fields: dict[str, BaseField] = {}
     for name, comps in _block(doc, "fields", dict, {}).items():
@@ -541,13 +543,6 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
         nullity["skipped"] = str(exc)
     else:
         nullity.update(rank=rank, nullity_dimension=n - rank)
-    nonzero_curvature = sum(
-        1
-        for k in range(n)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not curvature.R1[k][i][j].is_zero()
-    )
 
     energy = problem.metric.energy
     report: dict = {
@@ -570,7 +565,7 @@ def build_report(problem: Problem, seed: int, count: int) -> dict:
                 if not connection.gamma1[j][i].is_zero()
             ],
             "curvature_zero": curvature.is_zero(),
-            "curvature_nonzero_components": nonzero_curvature,
+            "curvature_nonzero_components": len(curvature.R2),
             "identities": {k: "ok" for k in identities},
             "numeric_nullity": nullity,
         },

@@ -27,7 +27,8 @@ field C (Grifone 1972), so for every base field X:
   vertical fields to vertical fields while 2h - I is -1 on vertical fields and
   the identity modulo them, so [X^c, 2h - I] kills vertical fields and takes
   vertical values; `in_AGamma` is that block, n^2 conditions read straight
-  from Gamma^j_i, Gamma^j_il and the first and second x-derivatives of X.
+  from Gamma^j_i, the nonzero Gamma^j_il of the connection's sparse index
+  and the first and second x-derivatives of X.
 The full tangent-bundle route (`bracket_tm`, `lie_derivative_oneform`) stays
 the reference that the tests compare these with.  A base field builds its
 complete lift once (`BaseField.lift`), so [X^c, S] and X^c(E) share it.
@@ -472,9 +473,10 @@ def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     for j in range(n):
         for i in range(n):
             acc = _derive(X, xs, gamma1[j][i]) + Y[j].diff(xs[i])
+            for l, coeff in gamma2.get((j, i), {}).items():
+                if Y[l]:
+                    acc = acc + Y[l] * coeff
             for l in range(n):
-                if Y[l] and gamma2[j][i][l]:
-                    acc = acc + Y[l] * gamma2[j][i][l]
                 if gamma1[l][i] and dX[j][l]:
                     acc = acc - gamma1[l][i] * dX[j][l]
                 if gamma1[j][l] and dX[l][i]:
@@ -515,9 +517,10 @@ def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     for j in range(n):
         for l in range(n):
             acc = field.components[j].diff(f"x{l + 1}")
-            for i in range(n):
-                if field.components[i] and connection.gamma2[j][i][l]:
-                    acc = acc + field.components[i] * connection.gamma2[j][i][l]
+            # Gamma^j_il = Gamma^j_li
+            for i, coeff in connection.gamma2.get((j, l), {}).items():
+                if field.components[i]:
+                    acc = acc + field.components[i] * coeff
             out.append((f"equation (j={j + 1}, l={l + 1})", acc))
     return out
 
@@ -529,16 +532,14 @@ def is_horizontal(field: BaseField, connection) -> MembershipVerdict:
 
 
 def _nullity_obstruction(field: BaseField, curvature) -> list[tuple[str, CanonicalExpr]]:
-    n = field.dim
+    """X^l R^k_l,ij for each nonzero R^k_ij, i < j; the contraction vanishes at every other."""
     out = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = CanonicalExpr()
-                for l in range(n):
-                    if field.components[l] and curvature.R2[k][l][i][j]:
-                        acc = acc + field.components[l] * curvature.R2[k][l][i][j]
-                out.append((f"contraction (k={k + 1}, i={i + 1}, j={j + 1})", acc))
+    for (k, i, j), coeffs in curvature.R2.items():
+        acc = ZERO
+        for l, coeff in coeffs.items():
+            if field.components[l]:
+                acc = acc + field.components[l] * coeff
+        out.append((f"contraction (k={k + 1}, i={i + 1}, j={j + 1})", acc))
     return out
 
 
@@ -552,25 +553,15 @@ def nullity_rank_numeric(curvature, points: Sequence[Mapping[str, Fraction]]) ->
 
     Each point specializes the entries exactly (symexpr.specialize); such a
     rank never exceeds the generic rank and equals it off a proper algebraic
-    subset of points (Schwartz-Zippel).  Only the rows (k, i, j) with a
-    nonzero entry are kept: with none the rank is 0 and no point is
+    subset of points (Schwartz-Zippel).  The rows are those of the nonzero
+    R^k_ij in the curvature's index: with none the rank is 0 and no point is
     specialized, and the scan stops at the first point whose rank reaches
     min(rows, n), which no later point can exceed.
     """
     if not points:
         raise ValueError("at least one sample point is required")
-    R2 = curvature.R2
-    n = len(R2)
-    rows = [
-        row
-        for row in (
-            [R2[k][l][i][j] for l in range(n)]
-            for k in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if any(row)
-    ]
+    n = curvature.dim
+    rows = [[coeffs.get(l, ZERO) for l in range(n)] for coeffs in curvature.R2.values()]
     entries = [e for row in rows for e in row]
     full = min(len(rows), n)
     best = 0

@@ -8,17 +8,19 @@ computed twice on demand -- once from the component formula and once through
 the Frolicher-Nijenhuis self-bracket of the horizontal projector -- and the two
 routes are required to agree exactly.
 
-Index conventions (0-based arrays over 1-based variables):
-    gamma1[j][i]    = Gamma^j_i   = dG^j/dy^i          (y-linear)
-    gamma2[j][i][l] = Gamma^j_il  = d^2 G^j/dy^i dy^l  (x-only)
-    R1[k][i][j]     = R^k_ij      (y-linear, antisymmetric in i, j)
-    R2[k][l][i][j]  = coefficient of y^l in R^k_ij
+Index conventions (0-based indices over 1-based variables).  Each y-linear
+table is stored once; its y-coefficients are a sparse index that the data
+class builds from it and that holds only the nonzero entries:
+    gamma1[j][i]         = Gamma^j_i  = dG^j/dy^i          (y-linear)
+    gamma2[(j, i)][l]    = Gamma^j_il = d^2 G^j/dy^i dy^l  (x-only, symmetric in i, l)
+    R1[k][i][j]          = R^k_ij     (y-linear, antisymmetric in i, j)
+    R2[(k, i, j)][l]     = R^k_l,ij   = coefficient of y^l in R^k_ij, for i < j
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import (
@@ -31,7 +33,7 @@ from .fields import (
     lie_derivative_oneform,
     spray_field,
 )
-from .symexpr import ZERO, CanonicalExpr, yvar
+from .symexpr import ZERO, CanonicalExpr, SymExprError, yvar
 
 __all__ = [
     "GeometryError",
@@ -109,13 +111,17 @@ class MetricSpec:
                 raise MetricError("general metrics require an explicit inverse")
             if len(self.g_inv) != n or any(len(row) != n for row in self.g_inv):
                 raise MetricError("metric inverse must form an n x n array")
-            for i in range(n):
-                for j in range(n):
-                    acc = CanonicalExpr()
-                    for l in range(n):
-                        acc = acc + self.g[i][l] * self.g_inv[l][j]
-                    if acc != CanonicalExpr.const(int(i == j)):
-                        raise MetricError("supplied inverse does not invert the metric")
+            # g g^-1 = I, multiplying only pairs of nonzero entries
+            inv_rows = [[(j, e) for j, e in enumerate(row) if e] for row in self.g_inv]
+            one = CanonicalExpr.const(1)
+            for i, row in enumerate(self.g):
+                acc: dict[int, CanonicalExpr] = {}
+                for l, entry in enumerate(row):
+                    if entry:
+                        for j, inv in inv_rows[l]:
+                            acc[j] = acc.get(j, ZERO) + entry * inv
+                if any(acc.get(j, ZERO) != (one if j == i else ZERO) for j in range(n)):
+                    raise MetricError("supplied inverse does not invert the metric")
 
     def inverse(self) -> tuple[tuple[CanonicalExpr, ...], ...]:
         if self.kind == "diagonal":
@@ -161,32 +167,36 @@ class SprayData:
         return len(self.G)
 
 
+def _y_coefficients(expr: CanonicalExpr, what: str) -> dict[int, CanonicalExpr]:
+    """{l: f_l} for expr = sum_l y^(l+1) f_l(x), in increasing l."""
+    try:
+        parts = expr.y_linear_parts()
+    except SymExprError:
+        raise InvariantViolation(f"{what} must be y-linear") from None
+    return {l - 1: parts[l] for l in sorted(parts)}
+
+
 @dataclass(frozen=True)
 class ConnectionData:
+    """The y-linear Gamma^j_i; `gamma2` is the index of their y-coefficients, built here."""
+
     gamma1: tuple[tuple[CanonicalExpr, ...], ...]
-    gamma2: tuple[tuple[tuple[CanonicalExpr, ...], ...], ...]
+    gamma2: dict[tuple[int, int], dict[int, CanonicalExpr]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        n = len(self.gamma1)
-        for j in range(n):
-            for i in range(n):
-                if not self.gamma1[j][i].is_y_homogeneous(1) and not self.gamma1[j][i].is_zero():
-                    raise InvariantViolation("connection coefficients must be y-linear")
-                for l in range(n):
-                    if self.gamma2[j][i][l].uses_y():
-                        raise InvariantViolation("second connection coefficients must be x-only")
-                    if self.gamma2[j][i][l] != self.gamma2[j][l][i]:
-                        raise InvariantViolation("second connection coefficients must be symmetric")
-        # gamma1 must be the y-contraction of gamma2
-        ys = [yvar(l + 1) for l in range(n)]
-        for j in range(n):
-            for i in range(n):
-                acc = ZERO
-                for l, coeff in enumerate(self.gamma2[j][i]):
-                    if coeff:
-                        acc = acc + coeff * ys[l]
-                if acc != self.gamma1[j][i]:
-                    raise InvariantViolation("gamma1 is not the fiber contraction of gamma2")
+        gamma2 = {}
+        for j, row in enumerate(self.gamma1):
+            for i, entry in enumerate(row):
+                if entry:
+                    gamma2[(j, i)] = _y_coefficients(entry, "connection coefficients")
+        # every entry that could break Gamma^j_il = Gamma^j_li is in the index
+        for (j, i), coeffs in gamma2.items():
+            for l, coeff in coeffs.items():
+                if gamma2.get((j, l), {}).get(i) != coeff:
+                    raise InvariantViolation("second connection coefficients must be symmetric")
+        object.__setattr__(self, "gamma2", gamma2)
 
     @property
     def dim(self) -> int:
@@ -195,35 +205,33 @@ class ConnectionData:
 
 @dataclass(frozen=True)
 class CurvatureData:
+    """The y-linear R^k_ij; `R2` is the index of their y-coefficients, built here."""
+
     R1: tuple[tuple[tuple[CanonicalExpr, ...], ...], ...]
-    R2: tuple[tuple[tuple[tuple[CanonicalExpr, ...], ...], ...], ...]
+    R2: dict[tuple[int, int, int], dict[int, CanonicalExpr]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.R1)
-        ys = [yvar(l + 1) for l in range(n)]
-        for k in range(n):
+        R2 = {}
+        for k, plane in enumerate(self.R1):
             for i in range(n):
-                for j in range(n):
-                    if self.R1[k][i][j] != -self.R1[k][j][i]:
+                if plane[i][i]:
+                    raise InvariantViolation("curvature is not antisymmetric in its lower pair")
+                for j in range(i + 1, n):
+                    if plane[i][j] != -plane[j][i]:
                         raise InvariantViolation("curvature is not antisymmetric in its lower pair")
-                    acc = ZERO
-                    for l in range(n):
-                        if self.R2[k][l][i][j]:
-                            acc = acc + ys[l] * self.R2[k][l][i][j]
-                    if acc != self.R1[k][i][j]:
-                        raise InvariantViolation("curvature coefficient extraction mismatch")
+                    if plane[i][j]:
+                        R2[(k, i, j)] = _y_coefficients(plane[i][j], "curvature")
+        object.__setattr__(self, "R2", R2)
 
     @property
     def dim(self) -> int:
         return len(self.R1)
 
     def is_zero(self) -> bool:
-        return all(
-            self.R1[k][i][j].is_zero()
-            for k in range(self.dim)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return not self.R2
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +271,11 @@ def spray_from_metric(metric: MetricSpec) -> SprayData:
 
 
 def connection_from_spray(spray: SprayData) -> ConnectionData:
-    """Gamma^j_i = dG^j/dy^i and Gamma^j_il = d^2 G^j / dy^i dy^l."""
+    """Gamma^j_i = dG^j/dy^i; the data class reads Gamma^j_il off their y-coefficients."""
     n = spray.dim
-    gamma1 = tuple(
-        tuple(spray.G[j].diff(f"y{i + 1}") for i in range(n)) for j in range(n)
+    return ConnectionData(
+        tuple(tuple(spray.G[j].diff(f"y{i + 1}") for i in range(n)) for j in range(n))
     )
-    gamma2 = tuple(
-        tuple(
-            tuple(gamma1[j][i].diff(f"y{l + 1}") for l in range(n)) for i in range(n)
-        )
-        for j in range(n)
-    )
-    return ConnectionData(gamma1, gamma2)
 
 
 def projectors(connection: ConnectionData) -> tuple[VectorOneForm, VectorOneForm]:
@@ -303,44 +304,27 @@ def liouville(n: int) -> TMField:
 
 def curvature(connection: ConnectionData) -> CurvatureData:
     """R^k_ij = dGamma^k_i/dx^j - dGamma^k_j/dx^i
-               + Gamma^l_i dGamma^k_j/dy^l - Gamma^l_j dGamma^k_i/dy^l."""
+               + Gamma^l_i dGamma^k_j/dy^l - Gamma^l_j dGamma^k_i/dy^l,
+
+    evaluated for i < j; R^k_ji = -R^k_ij and R^k_ii = 0."""
     n = connection.dim
     g1 = connection.gamma1
     xs = [f"x{l + 1}" for l in range(n)]
     ys = [f"y{l + 1}" for l in range(n)]
     r1 = []
     for k in range(n):
-        plane = []
+        plane = [[ZERO] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
+            for j in range(i + 1, n):
                 acc = g1[k][i].diff(xs[j]) - g1[k][j].diff(xs[i])
                 for l in range(n):
                     if g1[l][i]:
                         acc = acc + g1[l][i] * g1[k][j].diff(ys[l])
                     if g1[l][j]:
                         acc = acc - g1[l][j] * g1[k][i].diff(ys[l])
-                row.append(acc)
-            plane.append(tuple(row))
-        r1.append(tuple(plane))
-    r2 = []
-    for k in range(n):
-        block = [[[CanonicalExpr() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entry = r1[k][i][j]
-                if entry.is_zero():
-                    continue
-                try:
-                    parts = entry.y_linear_parts()
-                except Exception as exc:  # pragma: no cover - guarded by construction
-                    raise InvariantViolation(
-                        f"curvature entry ({k + 1},{i + 1},{j + 1}) is not y-linear"
-                    ) from exc
-                for l, coeff in parts.items():
-                    block[l - 1][i][j] = coeff
-        r2.append(tuple(tuple(tuple(row) for row in plane) for plane in block))
-    return CurvatureData(tuple(tuple(p) for p in r1), tuple(r2))
+                plane[i][j], plane[j][i] = acc, -acc
+        r1.append(tuple(tuple(row) for row in plane))
+    return CurvatureData(tuple(r1))
 
 
 def curvature_two_form(curv: CurvatureData) -> VectorTwoForm:

@@ -78,7 +78,7 @@ def constant_nullity_kernel(curv) -> int:
             for j in range(i + 1, n):
                 per_key = {}
                 for l in range(n):
-                    for key, q in curv.R2[k][l][i][j].items():
+                    for key, q in curv.R1[k][i][j].diff(f"y{l + 1}").items():
                         per_key.setdefault(key, [Fraction(0)] * n)[l] += q
                 for key, row in per_key.items():
                     rows[(k, i, j, key)] = row

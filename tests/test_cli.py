@@ -424,7 +424,7 @@ def _nullity_rank_by_brute_force(curvature, points):
     sympy = pytest.importorskip("sympy")
     n = curvature.dim
     entries = [
-        curvature.R2[k][l][i][j]
+        curvature.R1[k][i][j].diff(f"y{l + 1}")
         for k in range(n)
         for i in range(n)
         for j in range(i + 1, n)
@@ -599,6 +599,7 @@ def _small_problem(**blocks) -> dict:
     "blocks",
     [
         {"coordinates": 5},
+        {"coordinates": ["a", "a"]},
         {"fields": [1]},
         {"sets": [1]},
         {"metric": {"kind": "general", "entries": [["1", "0"], ["0", "1"]], "inverse": 5}},

@@ -223,17 +223,33 @@ def test_tangent_structure_squares_to_zero():
     assert nijenhuis(J).is_zero()
 
 
+@pytest.mark.parametrize("entries", ALL_METRICS, ids=lambda e: "|".join(e)[:40])
+def test_connection_index_holds_second_derivatives(entries):
+    _, _, connection, _ = build_pipeline(entries)
+    n = connection.dim
+    for j in range(n):
+        for i in range(n):
+            coeffs = connection.gamma2.get((j, i), {})
+            for l in range(n):
+                assert coeffs.get(l, ZERO) == connection.gamma1[j][i].diff(f"y{l+1}")
+
+
 def test_curvature_r2_reconstructs_r1(shell_pipeline):
     _, _, _, curv = shell_pipeline
     n = curv.dim
+    assert curv.R2
     for k in range(n):
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
+                coeffs = curv.R2.get((k, i, j), {})
+                assert all(c and not c.uses_y() for c in coeffs.values())
                 acc = ZERO
-                for l in range(n):
-                    acc = acc + E(f"y{l+1}") * curv.R2[k][l][i][j]
+                for l, c in coeffs.items():
+                    acc = acc + E(f"y{l+1}") * c
+                # a nonzero R^k_ij missing from the index would leave acc zero
                 assert acc == curv.R1[k][i][j]
-                assert curv.R2[k][l][i][j].uses_y() is False
+    assert list(curv.R2) == sorted(curv.R2)
+    assert all(i < j for _k, i, j in curv.R2)
 
 
 def test_curvature_antisymmetry(blocks_pipeline):
@@ -282,11 +298,66 @@ def test_spray_requires_quadratic_y():
         geom.SprayData((E("y1"), E("y2^2")))
 
 
-def test_connection_data_cross_checks_contraction():
-    metric, _, _, _ = build_pipeline(HYPERBOLIC_SHELL)
-    spray = geom.spray_from_metric(metric)
-    good = geom.connection_from_spray(spray)
-    tampered = [list(row) for row in good.gamma1]
-    tampered[0][0] = tampered[0][0] + E("y1")
+def test_general_metric_inverse_check_sees_every_entry():
+    g = (
+        (E("2"), E("1"), E("0"), E("0")),
+        (E("1"), E("1"), E("0"), E("0")),
+        (E("0"), E("0"), E("1"), E("0")),
+        (E("0"), E("0"), E("0"), E("exp(x1)")),
+    )
+    inv = [
+        [E("1"), E("-1"), E("0"), E("0")],
+        [E("-1"), E("2"), E("0"), E("0")],
+        [E("0"), E("0"), E("1"), E("0")],
+        [E("0"), E("0"), E("0"), E("exp(-x1)")],
+    ]
+    geom.MetricSpec(4, g, kind="general", g_inv=tuple(tuple(r) for r in inv))
+    # a wrong nonzero entry, a nonzero entry where the inverse has a zero, and
+    # a missing diagonal entry, which leaves g g^-1 with no (3, 3) product at all
+    for (row, col), wrong in (((0, 1), E("1")), ((2, 3), E("x1")), ((2, 2), E("0"))):
+        bad = [list(r) for r in inv]
+        bad[row][col] = wrong
+        with pytest.raises(geom.MetricError):
+            geom.MetricSpec(4, g, kind="general", g_inv=tuple(tuple(r) for r in bad))
+
+
+def _tampered(table, index, delta):
+    """A nested-tuple table with `delta` added at `index`."""
+    if not index:
+        return table + delta
+    head, *rest = index
+    return tuple(
+        _tampered(entry, rest, delta) if pos == head else entry for pos, entry in enumerate(table)
+    )
+
+
+@pytest.mark.parametrize(
+    "index, delta",
+    [((0, 0), "y2"), ((0, 0), "x1"), ((1, 2), "y1*y2")],
+    ids=["not symmetric", "constant in y", "quadratic in y"],
+)
+def test_connection_data_rejects_tampered_gamma(index, delta):
+    _, _, good, _ = build_pipeline(HYPERBOLIC_SHELL)
+    assert geom.ConnectionData(good.gamma1).gamma2 == good.gamma2
     with pytest.raises(geom.GeometryError):
-        geom.ConnectionData(tuple(tuple(r) for r in tampered), good.gamma2)
+        geom.ConnectionData(_tampered(good.gamma1, index, E(delta)))
+
+
+@pytest.mark.parametrize(
+    "tampers",
+    [
+        [((0, 0, 1), "y1")],
+        [((0, 1, 1), "y1")],
+        [((0, 0, 1), "x1"), ((0, 1, 0), "-x1")],
+        [((0, 0, 1), "y1^2"), ((0, 1, 0), "-y1^2")],
+    ],
+    ids=["not antisymmetric", "nonzero diagonal", "constant in y", "quadratic in y"],
+)
+def test_curvature_data_rejects_tampered_r1(tampers):
+    _, _, _, good = build_pipeline(HYPERBOLIC_SHELL)
+    assert geom.CurvatureData(good.R1).R2 == good.R2
+    R1 = good.R1
+    for index, delta in tampers:
+        R1 = _tampered(R1, index, E(delta))
+    with pytest.raises(geom.GeometryError):
+        geom.CurvatureData(R1)
