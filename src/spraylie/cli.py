@@ -84,6 +84,7 @@ class Problem:
     fields: dict[str, BaseField]
     sets: dict[str, tuple[str, ...]]
     expected_tables: dict[str, list[list[str]]]
+    expected_coeffs: dict[str, list[list[list[Fraction]]]]
     accepted_corrections: dict[str, set[tuple[str, str]]]
     analyses: tuple[str, ...]
 
@@ -222,18 +223,24 @@ def load_problem(path: str | Path) -> Problem:
         sets[set_name] = tuple(members)
 
     expected: dict[str, list[list[str]]] = {}
+    expected_coeffs: dict[str, list[list[list[Fraction]]]] = {}
     for set_name, table in _block(doc, "expected_tables", dict, {}).items():
         if set_name not in sets:
             raise InputError(f"expected_tables references unknown set {set_name!r}")
         _square(table, len(sets[set_name]), f"expected table for {set_name!r}")
+        coeffs = []
         for i, row in enumerate(table):
+            coeffs.append([])
             for j, cell in enumerate(row):
+                where = f"expected table for {set_name!r} cell ({i + 1},{j + 1})"
                 if not isinstance(cell, str):
-                    raise InputError(
-                        f"expected table for {set_name!r} cell ({i + 1},{j + 1}) must be a "
-                        f"string, got {type(cell).__name__}"
-                    )
+                    raise InputError(f"{where} must be a string, got {type(cell).__name__}")
+                try:
+                    coeffs[i].append(parse_combination(cell, sets[set_name]))
+                except InputError as exc:
+                    raise InputError(f"{where}: {exc}") from exc
         expected[set_name] = table
+        expected_coeffs[set_name] = coeffs
 
     corrections: dict[str, set[tuple[str, str]]] = {}
     for set_name, cells in _block(doc, "accepted_corrections", dict, {}).items():
@@ -271,6 +278,7 @@ def load_problem(path: str | Path) -> Problem:
         fields=fields,
         sets=sets,
         expected_tables=expected,
+        expected_coeffs=expected_coeffs,
         accepted_corrections=corrections,
         analyses=analyses,
     )
@@ -409,17 +417,10 @@ def _table_cells(sc: liealg.StructureConstants) -> list[list[str]]:
     ]
 
 
-def _expected_cell(problem: Problem, set_name: str, i: int, j: int) -> list[Fraction]:
-    """Coefficients of one expected-table cell; a malformed cell is an InputError naming it."""
-    try:
-        return parse_combination(problem.expected_tables[set_name][i][j], problem.sets[set_name])
-    except InputError as exc:
-        raise InputError(f"expected table for {set_name!r} cell ({i + 1},{j + 1}): {exc}") from exc
-
-
 def _compare_expected(problem: Problem, set_name: str, sc, points):
     """Diff the computed table against the expected block; deviations are diagnostics."""
     expected = problem.expected_tables[set_name]
+    wanted = problem.expected_coeffs[set_name]
     labels = problem.sets[set_name]
     generators = [problem.fields[name] for name in labels]
     marked = problem.accepted_corrections.get(set_name, set())
@@ -427,7 +428,7 @@ def _compare_expected(problem: Problem, set_name: str, sc, points):
     total = len(labels) ** 2
     for i, row in enumerate(labels):
         for j, col in enumerate(labels):
-            want = _expected_cell(problem, set_name, i, j)
+            want = wanted[i][j]
             have = list(sc.c[i][j])
             if want == have:
                 continue
@@ -865,8 +866,7 @@ def _oracle_table_cell(problem, points, tokens: list[str]):
     generators = [problem.fields[name] for name in labels]
     direct = bracket_base(problem.fields[f1], problem.fields[f2])
     if set_name in problem.expected_tables:
-        i, j = labels.index(f1), labels.index(f2)
-        coeffs = _expected_cell(problem, set_name, i, j)
+        coeffs = problem.expected_coeffs[set_name][labels.index(f1)][labels.index(f2)]
         source = "expected table cell"
     else:
         sc = _structure_constants(problem, set_name)
@@ -934,7 +934,7 @@ def cmd_solve(args) -> int:
         conditions,
         metric=problem.metric,
         spray=spray,
-        connection=geom.connection_from_spray(spray),
+        connection=geom.connection_from_spray(spray) if args.horizontal else None,
     )
     lines = [
         f"# Solve report: {problem.name}",

@@ -31,7 +31,9 @@ field C (Grifone 1972), so for every base field X:
   and the first and second x-derivatives of X.
 The full tangent-bundle route (`bracket_tm`, `lie_derivative_oneform`) stays
 the reference that the tests compare these with.  A base field builds its
-complete lift once (`BaseField.lift`), so [X^c, S] and X^c(E) share it.
+Jacobian d_l X^k once (`BaseField.jacobian`), the only place it is
+differentiated, and its complete lift once from that (`BaseField.lift`);
+every membership, horizontality and constancy condition reads those copies.
 """
 
 from __future__ import annotations
@@ -109,8 +111,31 @@ def _bracket(
     return tuple(_derive(a, variables, bk) - _derive(b, variables, ak) for ak, bk in zip(a, b))
 
 
+class _Components:
+    """Componentwise arithmetic of base and tangent-bundle fields, in the caller's own class."""
+
+    @classmethod
+    def make(cls, components: Iterable[CanonicalExpr]):
+        return cls(tuple(components))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.components, other.components)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.components))
+
+    def scale(self, q: Fraction | int):
+        return type(self)(tuple(c * q if c else c for c in self.components))
+
+
 @dataclass(frozen=True)
-class BaseField:
+class BaseField(_Components):
     """Vector field on the base manifold; components may not touch y."""
 
     components: tuple[CanonicalExpr, ...]
@@ -121,10 +146,6 @@ class BaseField:
                 raise ValueError("base vector fields cannot depend on fiber variables")
 
     @staticmethod
-    def make(components: Iterable[CanonicalExpr]) -> "BaseField":
-        return BaseField(tuple(components))
-
-    @staticmethod
     def zero(n: int) -> "BaseField":
         return BaseField((CanonicalExpr(),) * n)
 
@@ -132,17 +153,11 @@ class BaseField:
     def dim(self) -> int:
         return len(self.components)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: "BaseField") -> "BaseField":
-        return BaseField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "BaseField") -> "BaseField":
-        return BaseField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def scale(self, q: Fraction | int) -> "BaseField":
-        return BaseField(tuple(c * q for c in self.components))
+    @functools.cached_property
+    def jacobian(self) -> tuple[tuple[CanonicalExpr, ...], ...]:
+        """jacobian[k][l] = d_l X^k, the only place a base field is differentiated."""
+        xs = _slot_vars(self.dim)[: self.dim]
+        return tuple(tuple(c.diff(x) for x in xs) for c in self.components)
 
     @functools.cached_property
     def lift(self) -> "TMField":
@@ -151,7 +166,7 @@ class BaseField:
 
 
 @dataclass(frozen=True)
-class TMField:
+class TMField(_Components):
     """Vector field on the tangent bundle, 2n components."""
 
     components: tuple[CanonicalExpr, ...]
@@ -161,10 +176,6 @@ class TMField:
             raise ValueError("tangent-bundle fields need an even number of components")
 
     @staticmethod
-    def make(components: Iterable[CanonicalExpr]) -> "TMField":
-        return TMField(tuple(components))
-
-    @staticmethod
     def zero(n: int) -> "TMField":
         return TMField((CanonicalExpr(),) * (2 * n))
 
@@ -172,28 +183,13 @@ class TMField:
     def dim(self) -> int:
         return len(self.components) // 2
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: "TMField") -> "TMField":
-        return TMField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "TMField") -> "TMField":
-        return TMField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "TMField":
-        return TMField(tuple(-a for a in self.components))
-
-    def scale(self, q: Fraction | int) -> "TMField":
-        return TMField(tuple(c * q if c else c for c in self.components))
-
 
 def complete_lift(field: BaseField) -> TMField:
-    """Lift X^i d/dx^i to X^i d/dx^i + y^j (dX^i/dx^j) d/dy^i."""
-    n = field.dim
-    xs = _slot_vars(n)[:n]
-    ys = [yvar(j + 1) for j in range(n)]
-    return TMField(field.components + tuple(_derive(ys, xs, c) for c in field.components))
+    """Lift X^k d/dx^k to X^k d/dx^k + Y^k d/dy^k, Y^k = y^l d_l X^k over the
+    nonzero entries d_l X^k of the field's Jacobian."""
+    ys = [yvar(l + 1) for l in range(field.dim)]
+    lifted = (sum((y * d for y, d in zip(ys, row) if d), ZERO) for row in field.jacobian)
+    return TMField(field.components + tuple(lifted))
 
 
 def bracket_base(a: BaseField, b: BaseField) -> BaseField:
@@ -460,14 +456,13 @@ def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, Can
 
     With Y^j = y^k d_k X^j the entry is
     -2 [X^k d_k Gamma^j_i + Y^l Gamma^j_il + d_i Y^j - Gamma^l_i d_l X^j + Gamma^j_l d_i X^l],
-    the condition that X is an affine collineation of the connection.
+    the condition that X is an affine collineation of the connection.  Y^j is
+    the lift's y-component and d_l X^j the field's Jacobian, both shared.
     """
     n = field.dim
     xs = _slot_vars(n)[:n]
-    X = field.components
-    dX = [[c.diff(x) for x in xs] for c in X]  # dX[k][l] = d_l X^k
-    ys = [yvar(l + 1) for l in range(n)]
-    Y = [sum((ys[l] * d for l, d in enumerate(row) if d), ZERO) for row in dX]
+    X, dX = field.components, field.jacobian
+    Y = field.lift.components[n:]
     gamma1, gamma2 = connection.gamma1, connection.gamma2
     out = []
     for j in range(n):
@@ -516,7 +511,7 @@ def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     out = []
     for j in range(n):
         for l in range(n):
-            acc = field.components[j].diff(f"x{l + 1}")
+            acc = field.jacobian[j][l]
             # Gamma^j_il = Gamma^j_li
             for i, coeff in connection.gamma2.get((j, l), {}).items():
                 if field.components[i]:
@@ -653,7 +648,7 @@ def constant_span(dictionary: Sequence[BaseField]) -> list[tuple[Fraction, ...]]
 
 
 def _constant_obstruction(field: BaseField) -> list[CanonicalExpr]:
-    return [c.diff(f"x{l + 1}") for c in field.components for l in range(field.dim)]
+    return [d for row in field.jacobian for d in row]
 
 
 def _matching_kernel(

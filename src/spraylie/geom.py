@@ -10,7 +10,8 @@ routes are required to agree exactly.
 
 Index conventions (0-based indices over 1-based variables).  Each y-linear
 table is stored once; its y-coefficients are a sparse index that the data
-class builds from it and that holds only the nonzero entries:
+class builds from it and that holds only the nonzero entries; `curvature`
+reads Gamma^j_il from that index and differentiates Gamma^j_i in x only:
     gamma1[j][i]         = Gamma^j_i  = dG^j/dy^i          (y-linear)
     gamma2[(j, i)][l]    = Gamma^j_il = d^2 G^j/dy^i dy^l  (x-only, symmetric in i, l)
     R1[k][i][j]          = R^k_ij     (y-linear, antisymmetric in i, j)
@@ -303,25 +304,25 @@ def liouville(n: int) -> TMField:
 
 
 def curvature(connection: ConnectionData) -> CurvatureData:
-    """R^k_ij = dGamma^k_i/dx^j - dGamma^k_j/dx^i
-               + Gamma^l_i dGamma^k_j/dy^l - Gamma^l_j dGamma^k_i/dy^l,
+    """R^k_ij = dGamma^k_i/dx^j - dGamma^k_j/dx^i + Gamma^l_i Gamma^k_jl - Gamma^l_j Gamma^k_il,
 
-    evaluated for i < j; R^k_ji = -R^k_ij and R^k_ii = 0."""
+    evaluated for i < j, with Gamma^k_jl = dGamma^k_j/dy^l read from the
+    connection's index; R^k_ji = -R^k_ij and R^k_ii = 0."""
     n = connection.dim
-    g1 = connection.gamma1
+    g1, g2 = connection.gamma1, connection.gamma2
     xs = [f"x{l + 1}" for l in range(n)]
-    ys = [f"y{l + 1}" for l in range(n)]
     r1 = []
     for k in range(n):
         plane = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 acc = g1[k][i].diff(xs[j]) - g1[k][j].diff(xs[i])
-                for l in range(n):
+                for l, coeff in g2.get((k, j), {}).items():
                     if g1[l][i]:
-                        acc = acc + g1[l][i] * g1[k][j].diff(ys[l])
+                        acc = acc + g1[l][i] * coeff
+                for l, coeff in g2.get((k, i), {}).items():
                     if g1[l][j]:
-                        acc = acc - g1[l][j] * g1[k][i].diff(ys[l])
+                        acc = acc - g1[l][j] * coeff
                 plane[i][j], plane[j][i] = acc, -acc
         r1.append(tuple(tuple(row) for row in plane))
     return CurvatureData(tuple(r1))

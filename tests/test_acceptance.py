@@ -341,6 +341,7 @@ def test_acceptance_07_numeric_oracles_within_tolerance():
             fields={},
             sets={},
             expected_tables={},
+            expected_coeffs={},
             accepted_corrections={},
             analyses=(),
         )

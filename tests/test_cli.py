@@ -683,6 +683,29 @@ def test_oracle_malformed_table_cell_exits_one_naming_the_cell(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("analyze",),
+        ("table", "--set", "s"),
+        ("solve", "--dict", "s", "--isometry"),
+        ("oracle", "--check", "diff-vs-fd E"),
+        ("oracle", "--check", "table-cell e1 e1"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_table_cell_exits_one_under_every_subcommand(tmp_path, capsys, command):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_small_problem(expected_tables={"s": [["zz", "e1"], ["-e1", "0"]]})))
+    assert cli.main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: expected table for 's' cell (1,1): "
+        "combination 'zz' uses unknown generator 'zz'\n"
+    )
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -844,7 +867,8 @@ def test_each_subcommand_builds_only_the_stages_it_reads(monkeypatch, capsys, na
         (("oracle", "--check", "diff-vs-fd E"), ("spray_from_metric", "curvature")),
         (("oracle", "--check", "diff-vs-fd G1"), ("curvature",)),
         (("oracle", "--check", "connection-vs-bracket"), ("curvature",)),
-        (("solve", "--dict", set_name, "--isometry"), ("curvature",)),
+        (("solve", "--dict", set_name, "--isometry"), ("connection_from_spray", "curvature")),
+        (("solve", "--dict", set_name, "--spray-symmetry"), ("connection_from_spray", "curvature")),
     ]
     for (command, *options), unread in runs:
         argv = [command, path, *options]

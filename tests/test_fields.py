@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from spraylie.fields import (
     combine_fields,
     complete_lift,
     connection_oneform,
+    constant_span,
     fn_bracket,
+    horizontal_nullity_span,
     in_AGamma,
     in_Ag,
     in_AS,
@@ -57,6 +60,62 @@ def test_complete_lift_components():
         "x2*y1 + x1*y2",
         "y1*exp(x1)",
     ]
+
+
+def test_jacobian_holds_the_first_partials():
+    X = base_field("x1*x2", "exp(x1 - x3)", "x3^2 + 1")
+    assert len(X.jacobian) == X.dim
+    for k, row in enumerate(X.jacobian):
+        assert len(row) == X.dim
+        for l, entry in enumerate(row):
+            assert entry == X.components[k].diff(f"x{l + 1}")
+
+
+def test_each_first_partial_of_a_field_is_taken_once(monkeypatch, shell_pipeline):
+    _, _, connection, curv = shell_pipeline
+    # no component is constant, so no lift component is the zero that a
+    # constant component would share
+    dictionary = [
+        base_field("x1*x2", "exp(x1 - x3)", "x3^2"),
+        base_field("x2", "x1", "x1*exp(x3)"),
+        base_field("exp(-x3)", "x2^2", "x1 + x2"),
+    ]
+    expected = Counter(
+        (id(c), f"x{l + 1}") for field in dictionary for c in field.components for l in range(3)
+    )
+    taken = Counter()
+    component_ids = {key[0] for key in expected}
+    diff = CanonicalExpr.diff
+
+    def counted(self, var):
+        if id(self) in component_ids:
+            taken[id(self), var] += 1
+        return diff(self, var)
+
+    monkeypatch.setattr(CanonicalExpr, "diff", counted)
+    for field in dictionary:
+        in_AGamma(field, connection)
+    horizontal_nullity_span(dictionary, connection, curv)
+    constant_span(dictionary)
+    assert taken == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (base_field("x1", "exp(x2)"), base_field("0", "x1*x2")),
+        (TMField.make(E(c) for c in ("x1", "0", "y1", "y2*x2")), TMField.make(E(c) for c in ("1", "y1", "0", "x1"))),
+    ],
+    ids=["base", "tangent bundle"],
+)
+def test_field_arithmetic_keeps_the_class(a, b):
+    cls = type(a)
+    for value in (a + b, a - b, -a, a.scale(Fraction(3, 2)), a.scale(0), cls.make(a.components)):
+        assert type(value) is cls
+    assert (a - b + b - a).is_zero()
+    assert (-a + a).is_zero()
+    assert a.scale(2) == a + a
+    assert a.scale(0).is_zero()
 
 
 def test_complete_lift_rejects_nothing_but_projects():

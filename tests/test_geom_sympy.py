@@ -1,9 +1,11 @@
-"""Differential check of the spray against the Christoffel symbols in sympy.
+"""Differential checks of the spray and the curvature in sympy.
 
 spraylie reads the spray off the energy's Euler-Lagrange equations; here the
 same G^k = gamma^k_ij y^i y^j / 2 is built from the Christoffel symbols of
-the metric entries in sympy, with sympy's own inverse of g.  sympy is a
-test-only dependency: the program never imports it.
+the metric entries in sympy, with sympy's own inverse of g.  The curvature,
+which spraylie builds from the connection's index of Gamma^k_jl, is rebuilt
+here by differentiating the spray in sympy.  sympy is a test-only
+dependency: the program never imports it.
 """
 
 from __future__ import annotations
@@ -96,3 +98,46 @@ def test_general_spray_agrees_with_sympy_christoffel(name):
     metric = _congruent_metric(*GENERAL_METRICS[name])
     assert any(metric.g[i][j] for i in range(metric.dim) for j in range(metric.dim) if i != j)
     _assert_spray_matches(metric)
+
+
+def _sympy_curvature(spray: geom.SprayData) -> list:
+    """R^k_ij = d_j Gamma^k_i - d_i Gamma^k_j + Gamma^l_i d_(y^l) Gamma^k_j - Gamma^l_j d_(y^l) Gamma^k_i."""
+    n = spray.dim
+    x = sympy.symbols(f"x1:{n + 1}")
+    y = sympy.symbols(f"y1:{n + 1}")
+    G = [_to_sympy(g) for g in spray.G]
+    gamma = [[G[k].diff(y[i]) for i in range(n)] for k in range(n)]
+    return [
+        [
+            [
+                gamma[k][i].diff(x[j])
+                - gamma[k][j].diff(x[i])
+                + sum(gamma[l][i] * gamma[k][j].diff(y[l]) - gamma[l][j] * gamma[k][i].diff(y[l]) for l in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        for k in range(n)
+    ]
+
+
+def _assert_curvature_matches(metric: geom.MetricSpec) -> None:
+    spray = geom.spray_from_metric(metric)
+    curv = geom.curvature(geom.connection_from_spray(spray))
+    want = _sympy_curvature(spray)
+    n = metric.dim
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                got = _to_sympy(curv.R1[k][i][j])
+                assert sympy.expand(got - want[k][i][j]) == 0, (k, i, j)
+
+
+@pytest.mark.parametrize("entries", ALL_METRICS, ids=lambda e: "|".join(e)[:40])
+def test_diagonal_curvature_agrees_with_sympy(entries):
+    _assert_curvature_matches(build_pipeline(entries)[0])
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_METRICS))
+def test_general_curvature_agrees_with_sympy(name):
+    _assert_curvature_matches(_congruent_metric(*GENERAL_METRICS[name]))
