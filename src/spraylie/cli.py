@@ -475,6 +475,9 @@ def _analyze_algebra(
     curvature: geom.CurvatureData,
 ) -> dict:
     labels = sc.labels
+    # dimensions and verdicts are read off the canonical table; only the
+    # printed subspaces come back to the generators' basis
+    canonical = sc.canonical
     jacobi_ok, witness = liealg.jacobi_check(sc)
     if not jacobi_ok:
         i, j, k, s, residual = witness
@@ -494,8 +497,8 @@ def _analyze_algebra(
         "killing_determinant": str(killing_det),
         "semisimple": semisimple,
         "simple": simple,
-        "derived_dimension": liealg.derived_subalgebra(sc).dim,
-        "center_dimension": liealg.center(sc).dim,
+        "derived_dimension": liealg.derived_subalgebra(canonical).dim,
+        "center_dimension": liealg.center(canonical).dim,
         "radical": {
             "dimension": radical.dim,
             "basis": [render_combination(v, labels) for v in radical.basis],
@@ -517,7 +520,7 @@ def _analyze_algebra(
     }
     if simple is None:
         out["simple_skipped"] = (
-            f"centroid dimension {len(sc.centroid)} > 3 with no rational eigenvalue"
+            f"centroid dimension {len(canonical.centroid)} > 3 with no rational eigenvalue"
         )
     if sc.dim == 3:
         out["three_dim_class"] = liealg.classify_3dim_simple(sc)

@@ -5,8 +5,9 @@ components; slots 0..n-1 multiply d/dx^1..d/dx^n and slots n..2n-1 multiply
 d/dy^1..d/dy^n.  Endomorphism fields ("vector one-forms") are 2n x 2n
 matrices in that frame, column a holding the image of the a-th frame field.
 
-Every bracket and derivative here rests on one derivation, a field applied
-to a scalar, X(f) = sum_s X^s d_s f.  Over 90 % of its products vanish on
+Every bracket and derivative here but the base bracket rests on one
+derivation, a field applied to a scalar, X(f) = sum_s X^s d_s f; the base
+bracket reads the two fields' cached Jacobians instead.  Over 90 % of its products vanish on
 the shipped problems and on flat Lie families, so it differentiates only
 where the component X^s is nonzero, and multiplies and adds only where the
 partial d_s f is nonzero too.  Two facts of the coordinate frame then spare
@@ -33,7 +34,11 @@ The full tangent-bundle route (`bracket_tm`, `lie_derivative_oneform`) stays
 the reference that the tests compare these with.  A base field builds its
 Jacobian d_l X^k once (`BaseField.jacobian`), the only place it is
 differentiated, and its complete lift once from that (`BaseField.lift`);
-every membership, horizontality and constancy condition reads those copies.
+every bracket, membership, horizontality and constancy condition reads those
+copies.  In the same way the spray's partials d_s(-2 G^k) and the
+connection's x-partials d_k Gamma^j_i are taken once per spray and per
+connection (`SprayData.partials`, `ConnectionData.x_partials`) and shared by
+every field's test.
 """
 
 from __future__ import annotations
@@ -157,7 +162,9 @@ class BaseField(_Components):
     def jacobian(self) -> tuple[tuple[CanonicalExpr, ...], ...]:
         """jacobian[k][l] = d_l X^k, the only place a base field is differentiated."""
         xs = _slot_vars(self.dim)[: self.dim]
-        return tuple(tuple(c.diff(x) for x in xs) for c in self.components)
+        return tuple(
+            tuple(c.diff(x) for x in xs) if c else (c,) * self.dim for c in self.components
+        )
 
     @functools.cached_property
     def lift(self) -> "TMField":
@@ -193,8 +200,21 @@ def complete_lift(field: BaseField) -> TMField:
 
 
 def bracket_base(a: BaseField, b: BaseField) -> BaseField:
-    """Lie bracket on the base: [a,b]^k = a^i d_i b^k - b^i d_i a^k."""
-    return BaseField(_bracket(a.components, b.components, _slot_vars(a.dim)[: a.dim]))
+    """Lie bracket on the base, [a,b]^k = a^l d_l b^k - b^l d_l a^k, read off
+    the two cached Jacobians over their nonzero entries."""
+    if a.dim != b.dim:
+        raise ValueError("bracket of fields with different dimensions")
+    ja, jb = a.jacobian, b.jacobian
+    comps = []
+    for k in range(a.dim):
+        acc = ZERO
+        for l, (al, bl) in enumerate(zip(a.components, b.components)):
+            if al and jb[k][l]:
+                acc = acc + al * jb[k][l]
+            if bl and ja[k][l]:
+                acc = acc - bl * ja[k][l]
+        comps.append(acc)
+    return BaseField(tuple(comps))
 
 
 def bracket_tm(a: TMField, b: TMField) -> TMField:
@@ -441,14 +461,15 @@ def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr
     n = field.dim
     names = _slot_vars(n)
     lift = field.lift.components
-    spray_comps = spray_field(spray).components
-    return [
-        (
-            f"component {names[n + k]}",
-            _derive(lift, names, spray_comps[n + k]) - _derive(spray_comps, names, lift[n + k]),
-        )
-        for k in range(n)
-    ]
+    spray_comps = spray.field.components
+    out = []
+    for k, partials in enumerate(spray.partials):
+        acc = ZERO  # X^c(-2 G^k) from the spray's shared partials
+        for comp, partial in zip(lift, partials):
+            if comp and partial:
+                acc = acc + comp * partial
+        out.append((f"component {names[n + k]}", acc - _derive(spray_comps, names, lift[n + k])))
+    return out
 
 
 def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
@@ -457,17 +478,22 @@ def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     With Y^j = y^k d_k X^j the entry is
     -2 [X^k d_k Gamma^j_i + Y^l Gamma^j_il + d_i Y^j - Gamma^l_i d_l X^j + Gamma^j_l d_i X^l],
     the condition that X is an affine collineation of the connection.  Y^j is
-    the lift's y-component and d_l X^j the field's Jacobian, both shared.
+    the lift's y-component, d_l X^j the field's Jacobian and d_k Gamma^j_i the
+    connection's `x_partials`, all shared.
     """
     n = field.dim
     xs = _slot_vars(n)[:n]
     X, dX = field.components, field.jacobian
     Y = field.lift.components[n:]
-    gamma1, gamma2 = connection.gamma1, connection.gamma2
+    gamma1, gamma2, dgamma = connection.gamma1, connection.gamma2, connection.x_partials
     out = []
     for j in range(n):
         for i in range(n):
-            acc = _derive(X, xs, gamma1[j][i]) + Y[j].diff(xs[i])
+            acc = ZERO
+            for xk, partial in zip(X, dgamma[j][i]):
+                if xk and partial:
+                    acc = acc + xk * partial
+            acc = acc + Y[j].diff(xs[i])
             for l, coeff in gamma2.get((j, i), {}).items():
                 if Y[l]:
                     acc = acc + Y[l] * coeff

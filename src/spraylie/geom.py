@@ -11,7 +11,8 @@ routes are required to agree exactly.
 Index conventions (0-based indices over 1-based variables).  Each y-linear
 table is stored once; its y-coefficients are a sparse index that the data
 class builds from it and that holds only the nonzero entries; `curvature`
-reads Gamma^j_il from that index and differentiates Gamma^j_i in x only:
+reads Gamma^j_il from that index and the x-partials of Gamma^j_i from the
+table the connection takes once (`ConnectionData.x_partials`):
     gamma1[j][i]         = Gamma^j_i  = dG^j/dy^i          (y-linear)
     gamma2[(j, i)][l]    = Gamma^j_il = d^2 G^j/dy^i dy^l  (x-only, symmetric in i, l)
     R1[k][i][j]          = R^k_ij     (y-linear, antisymmetric in i, j)
@@ -167,6 +168,22 @@ class SprayData:
     def dim(self) -> int:
         return len(self.G)
 
+    @functools.cached_property
+    def field(self) -> TMField:
+        """The spray as a tangent-bundle field (`spray_field`), built once."""
+        return spray_field(self)
+
+    @functools.cached_property
+    def partials(self) -> tuple[tuple[CanonicalExpr, ...], ...]:
+        """partials[k][s] = d_s(-2 G^k) over the slots x1..xn, y1..yn, taken once
+        and shared by every spray-symmetry test."""
+        n = self.dim
+        slots = [f"x{l + 1}" for l in range(n)] + [f"y{l + 1}" for l in range(n)]
+        return tuple(
+            tuple(c.diff(v) for v in slots) if c else (c,) * (2 * n)
+            for c in self.field.components[n:]
+        )
+
 
 def _y_coefficients(expr: CanonicalExpr, what: str) -> dict[int, CanonicalExpr]:
     """{l: f_l} for expr = sum_l y^(l+1) f_l(x), in increasing l."""
@@ -202,6 +219,16 @@ class ConnectionData:
     @property
     def dim(self) -> int:
         return len(self.gamma1)
+
+    @functools.cached_property
+    def x_partials(self) -> tuple[tuple[tuple[CanonicalExpr, ...], ...], ...]:
+        """x_partials[j][i][k] = d Gamma^j_i / dx^k, taken once and shared by
+        `curvature` and every connection-symmetry test."""
+        xs = [f"x{k + 1}" for k in range(self.dim)]
+        return tuple(
+            tuple(tuple(e.diff(x) for x in xs) if e else (e,) * self.dim for e in row)
+            for row in self.gamma1
+        )
 
 
 @dataclass(frozen=True)
@@ -309,14 +336,13 @@ def curvature(connection: ConnectionData) -> CurvatureData:
     evaluated for i < j, with Gamma^k_jl = dGamma^k_j/dy^l read from the
     connection's index; R^k_ji = -R^k_ij and R^k_ii = 0."""
     n = connection.dim
-    g1, g2 = connection.gamma1, connection.gamma2
-    xs = [f"x{l + 1}" for l in range(n)]
+    g1, g2, dg = connection.gamma1, connection.gamma2, connection.x_partials
     r1 = []
     for k in range(n):
         plane = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                acc = g1[k][i].diff(xs[j]) - g1[k][j].diff(xs[i])
+                acc = dg[k][i][j] - dg[k][j][i]
                 for l, coeff in g2.get((k, j), {}).items():
                     if g1[l][i]:
                         acc = acc + g1[l][i] * coeff
@@ -365,5 +391,5 @@ def connection_via_bracket(spray: SprayData) -> VectorOneForm:
     placed first, is minus the Lie derivative along the spray.
     """
     n = spray.dim
-    field = spray_field(spray)
+    field = spray.field
     return lie_derivative_oneform(field, tangent_structure(n)).scale(-1)

@@ -7,13 +7,24 @@ center, derivations, Levi complement, 3-dimensional classification -- are
 decided with exact rational linear algebra; no floats anywhere.
 
 Convention: c[i][j][k] is the coefficient of basis element k in [b_i, b_j].
-The dense array c is the public view of a table.  Each StructureConstants
-also builds, once, its nonzero index: for every ordered pair (i, j) with
-[b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  Brackets, the
-Jacobi check, the Killing form and the linear systems for the center,
-derivations and Levi complements are assembled by iterating over that index,
-and the systems reach `linalg` as sparse rows, so their cost follows the
-nonzero constants rather than m^3 or m^4.
+A table is stored as its nonzero index: for every ordered pair (i, j) with
+[b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  The dense
+array c is built from it only when something reads it; a table given as
+that array keeps it.  Brackets, the Jacobi check, the Killing form and the
+linear systems for the center, derivations and Levi complements are
+assembled by iterating over the index, and the systems reach `linalg` as
+sparse rows, so their cost follows the nonzero constants rather than m^3 or
+m^4.
+
+A table built from vector fields has a second, canonical form: the same
+algebra over the reduced echelon basis of the fields' span, which does not
+depend on the generators the user chose (`structure_constants_from_fields`).
+Every invariant runs on that canonical table, so its cost follows the
+algebra and not the basis: for linear vector fields it is the standard basis
+whatever basis a file gives.  The user's table is read off the canonical one
+by the change of basis; subspaces and failure witnesses come back in the
+generators' basis and labels, the printed subspaces in reduced echelon form
+again.  A table given as constants is its own canonical form.
 
 The invariants that several readers need -- Killing form and determinant,
 center, derived algebra, the radical's derived series, the Levi
@@ -33,13 +44,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import linalg
+from . import linalg, symexpr
 from .fields import BaseField, bracket_base
 from .linalg import Mat, Vec
+from .symexpr import CanonicalExpr
 
 __all__ = [
     "LieAlgebraError",
@@ -146,25 +158,25 @@ class Subspace:
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient_dim)
 
 
-@dataclass(frozen=True)
 class StructureConstants:
     """Bracket table [b_i, b_j] = sum_k c[i][j][k] b_k over named basis elements.
 
-    `nonzero` is the index described in the module docstring, built here.
+    Given as the dense array `c`, the table is checked and builds its
+    `nonzero` index; `structure_constants_from_fields` stores the index alone
+    and `c` is built from it on first read.  `canonical` is the same algebra
+    in the canonical basis of the span, or the table itself when it was given
+    as constants or is that canonical table.  `to_canonical[i]` holds the
+    canonical coordinates of b_i, `det_to_canonical` the determinant of that
+    change of basis, and on a canonical table `to_user[a]` the coordinates of
+    its element a over the generators; None stands for the identity.
     """
 
-    labels: tuple[str, ...]
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        m = len(self.labels)
-        if len(self.c) != m or any(len(p) != m or any(len(r) != m for r in p) for p in self.c):
+    def __init__(self, labels: Sequence[str], c: Sequence[Sequence[Sequence[Fraction]]]):
+        m = len(labels)
+        if len(c) != m or any(len(p) != m or any(len(r) != m for r in p) for p in c):
             raise LieAlgebraError("structure constants must form an m x m x m array")
         nonzero = {}
-        for i, plane in enumerate(self.c):
+        for i, plane in enumerate(c):
             for j, row in enumerate(plane):
                 entries = tuple((k, q) for k, q in enumerate(row) if q)
                 if entries:
@@ -173,49 +185,113 @@ class StructureConstants:
         for (i, j), entries in nonzero.items():
             if nonzero.get((j, i)) != tuple((k, -q) for k, q in entries):
                 raise LieAlgebraError("structure constants must be antisymmetric")
-        object.__setattr__(self, "nonzero", nonzero)
+        self._link(tuple(labels), nonzero)
+        self.c = c
+
+    @classmethod
+    def _from_index(cls, labels: tuple[str, ...], nonzero: dict, **links) -> "StructureConstants":
+        table = cls.__new__(cls)
+        table._link(labels, nonzero, **links)
+        return table
+
+    def _link(
+        self,
+        labels: tuple[str, ...],
+        nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+        canonical: "StructureConstants | None" = None,
+        to_canonical: tuple[linalg.SparseRow, ...] | None = None,
+        det_to_canonical: Fraction = Fraction(1),
+        to_user: tuple[linalg.SparseRow, ...] | None = None,
+    ) -> None:
+        self.labels = labels
+        self.nonzero = nonzero
+        self.canonical = self if canonical is None else canonical
+        self.to_canonical = to_canonical
+        self.det_to_canonical = det_to_canonical
+        self.to_user = to_user
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     @functools.cached_property
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The dense table, built from the index on first read."""
+        m = self.dim
+        return tuple(
+            tuple(tuple(linalg._dense(dict(self.nonzero.get((i, j), ())), m)) for j in range(m))
+            for i in range(m)
+        )
+
+    def render(self, v: Sequence[Fraction]) -> str:
+        """A vector over this table's basis, written in the generators' labels."""
+        if self.to_user is not None:
+            v = _combine(self.to_user, v, self.dim)
+        return render_combination(v, self.labels)
+
+    def _user_space(self, space: "Subspace") -> "Subspace":
+        """A subspace of the canonical table, over this table's basis, in echelon form."""
+        rows = self.canonical.to_user
+        return Subspace.from_vectors((_combine(rows, u, self.dim) for u in space.basis), self.dim)
+
+    def _canonical_space(self, space: "Subspace") -> "Subspace":
+        """A subspace over this table's basis, over the canonical one, in echelon form."""
+        if self.to_canonical is None:
+            return space
+        rows = self.to_canonical
+        return Subspace.from_vectors((_combine(rows, v, self.dim) for v in space.basis), self.dim)
+
+    @functools.cached_property
     def killing(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The Killing form, computed on first use and shared by every invariant."""
+        """The Killing form in this table's basis, computed on first use."""
         return tuple(tuple(row) for row in killing_form(self))
 
     @functools.cached_property
     def killing_determinant(self) -> Fraction:
         """det of the Killing form, computed once and shared by the report and
-        the semisimplicity test."""
-        return linalg.det(self.killing)
+        the semisimplicity test: on the canonical table, times det(Q)^2 for
+        the change of basis Q, since the form transforms as Q kappa Q^T."""
+        if self.canonical is self:
+            return linalg.det(self.killing)
+        return self.canonical.killing_determinant * self.det_to_canonical**2
 
     @functools.cached_property
     def centroid(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the centroid, computed on first use and shared by its readers."""
+        """Basis of the centroid in this table's basis, computed on first use."""
         return _centroid(self)
 
     @functools.cached_property
     def center(self) -> Subspace:
-        """The center, computed on first use and shared by the report and `derivations`."""
-        return _center(self)
+        """The center, computed once on the canonical table and shared by the
+        report and `derivations`."""
+        if self.canonical is self:
+            return _center(self)
+        return self._user_space(self.canonical.center)
 
     @functools.cached_property
     def derived(self) -> Subspace:
-        """[L, L], computed on first use and shared by the report and the radical."""
-        return _derived_subalgebra(self)
+        """[L, L], computed once on the canonical table and shared by the report
+        and the radical."""
+        if self.canonical is self:
+            return _derived_subalgebra(self)
+        return self._user_space(self.canonical.derived)
 
     @functools.cached_property
     def radical_series(self) -> tuple[Subspace, ...]:
-        """The radical's derived series down to zero, computed on first use and
-        shared by `radical` and the Levi complement."""
-        return _radical_series(self)
+        """The radical's derived series down to zero, computed once on the
+        canonical table and shared by `radical` and the Levi complement."""
+        if self.canonical is self:
+            return _radical_series(self)
+        return tuple(self._user_space(term) for term in self.canonical.radical_series)
 
     @functools.cached_property
     def levi(self) -> "LeviResult":
-        """The verified Levi decomposition, computed on first use and shared by
-        `levi_decomposition` and `derivations`."""
-        return _levi_decomposition(self)
+        """The verified Levi decomposition, computed once on the canonical table
+        and shared by `levi_decomposition` and `derivations`."""
+        if self.canonical is self:
+            return _levi_decomposition(self)
+        levi = self.canonical.levi
+        return LeviResult(self._user_space(levi.radical), self._user_space(levi.levi))
 
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -241,6 +317,16 @@ class StructureConstants:
         return {k: w for k, w in out.items() if w}
 
 
+def _combine(rows: Sequence[linalg.SparseRow], v: Sequence[Fraction], m: int) -> Vec:
+    """sum_i v_i rows[i], dense of length m."""
+    out = [Fraction(0)] * m
+    for x, row in zip(v, rows):
+        if x:
+            for k, q in row.items():
+                out[k] += x * q
+    return out
+
+
 def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
     """`2*b1 - b3` style text of a coordinate vector; "0" for the zero vector."""
     parts = []
@@ -264,7 +350,22 @@ def structure_constants_from_fields(
     fields: Sequence[BaseField],
     labels: Sequence[str] | None = None,
 ) -> StructureConstants:
-    """Bracket table of a generator list; fails if dependent or not closed."""
+    """Bracket table of a generator list; fails if dependent or not closed.
+
+    Generator g_i is the sparse row [its coefficients over the joint term
+    keys | e_i], and one elimination puts the rows in reduced echelon form.
+    The term columns are sorted by component and then in the order the
+    component prints its terms, so the term parts of the pivot rows are the
+    reduced echelon basis of the span itself: canonical fields h_a that do
+    not depend on the generators.  A pivot in the tail would be a vanishing
+    combination of generators.  The tail of pivot row a gives P, with
+    h_a = sum_i P_ai g_i, and the entries of g_i at the pivot columns give Q,
+    with g_i = sum_a Q_ia h_a, so no inverse is taken; det Q is read off the
+    elimination's steps.  Only the h_a are bracketed: [h_a, h_b] lies in the
+    span exactly when it reduces to zero modulo the pivot rows, and then its
+    coordinates are its entries at the pivot columns.  The generators' own
+    table follows by the change of basis (`_user_index`).
+    """
     m = len(fields)
     if labels is None:
         labels = [f"b{i + 1}" for i in range(m)]
@@ -272,49 +373,159 @@ def structure_constants_from_fields(
         raise LieAlgebraError("one label per generator is required")
     if m == 0:
         return StructureConstants((), ())
-    # generator i is the row [its coordinates over the joint term keys | e_i],
-    # so one elimination finds both dependence and every bracket's coefficients
+    n = fields[0].dim
+    if any(f.dim != n for f in fields):
+        raise ValueError("generators must share one dimension")
     terms = [_terms(f) for f in fields]
-    keys: dict[tuple, int] = {}
-    for t in terms:
-        for key in t:
-            keys.setdefault(key, len(keys))
-    n = len(keys)
+    keys = {key for t in terms for key in t}
+    # base fields have no y; nx reaches every x index in use
+    nx = max(max(mono.max_x_index(), lin.max_index(), 1) for _pos, (mono, lin) in keys)
+    keys = sorted(keys, key=lambda key: (key[0], symexpr._print_key(key[1], nx, 1)))
+    column = {key: j for j, key in enumerate(keys)}
+    width = len(keys)
     rows = [
-        linalg._dense({keys[key]: q for key, q in t.items()} | {n + i: Fraction(1)}, n + m)
+        {column[key]: q for key, q in t.items()} | {width + i: Fraction(1)}
         for i, t in enumerate(terms)
     ]
-    span = Subspace.from_vectors(rows, n + m)
-    # a pivot in the tail is a combination of generators that vanishes
-    if any(p >= n for p in span.pivots):
+    pivot_rows, steps = linalg._echelon(rows)
+    if any(p >= width for p in pivot_rows):
         raise DependentGeneratorsError("generators are linearly dependent over the rationals")
+    pivots = sorted(pivot_rows)
+    position = {p: a for a, p in enumerate(pivots)}
+    span = {p: {j: v for j, v in pivot_rows[p].items() if j < width} for p in pivots}
+    to_user = tuple({j - width: v for j, v in pivot_rows[p].items() if j >= width} for p in pivots)
+    to_canonical = tuple({position[j]: q for j, q in row.items() if j in position} for row in rows)
+    # Q is the pivot columns of the generators' rows, which the elimination
+    # took to the identity: det Q is the product of the values it divided by
+    # times the sign of the permutation taking each row to its pivot
+    det_q = Fraction(linalg._permutation_sign([position[lead] for lead, _ in steps]))
+    for _lead, value in steps:
+        det_q *= value
 
-    zero = Fraction(0)
-    table = [[[zero] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = bracket_base(fields[i], fields[j])
-            t = _terms(w)
-            if not t.keys() <= keys.keys():
-                raise NonClosureError(labels[i], labels[j], w)
-            # [w | 0] reduces to [rest | -c] with w = rest + sum_k c_k g_k
-            remainder = span.reduce({keys[key]: q for key, q in t.items()})
-            if any(remainder[:n]):
-                raise NonClosureError(labels[i], labels[j], w)
-            coeffs = [-q for q in remainder[n:]]
-            table[i][j] = coeffs
-            table[j][i] = [-q for q in coeffs]
-    packed = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    return StructureConstants(tuple(labels), packed)
+    def coordinates(w: BaseField) -> tuple[tuple[int, Fraction], ...] | None:
+        """The canonical coordinates of w, or None when it leaves the span."""
+        vector = {}
+        for key, q in _terms(w).items():
+            if key not in column:
+                return None
+            vector[column[key]] = q
+        entries = tuple((position[j], q) for j, q in sorted(vector.items()) if j in position)
+        return None if linalg._reduce(span, vector) else entries
+
+    canonical = []
+    for p in pivots:
+        comps: list[dict] = [{} for _ in range(n)]
+        for j, v in span[p].items():
+            pos, key = keys[j]
+            comps[pos][key] = v
+        canonical.append(BaseField(tuple(CanonicalExpr(c) for c in comps)))
+    upper = {}
+    for a, b in itertools.combinations(range(m), 2):
+        entries = coordinates(bracket_base(canonical[a], canonical[b]))
+        if entries is None:
+            # the span is not closed, so some pair of generators leaves it:
+            # name the first, as the generators were given
+            for i, j in itertools.combinations(range(m), 2):
+                w = bracket_base(fields[i], fields[j])
+                if coordinates(w) is None:
+                    raise NonClosureError(labels[i], labels[j], w)
+        upper[(a, b)] = dict(entries)
+    nonzero = _antisymmetric_index(upper)
+    table = StructureConstants._from_index(tuple(labels), nonzero, to_user=to_user)
+    return StructureConstants._from_index(
+        tuple(labels),
+        _user_index(nonzero, to_user, to_canonical, m),
+        canonical=table,
+        to_canonical=to_canonical,
+        det_to_canonical=det_q,
+    )
+
+
+def _antisymmetric_index(
+    upper: dict[tuple[int, int], linalg.SparseRow],
+) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    """The nonzero index of the table with [b_i, b_j] = upper[(i, j)] for i < j."""
+    index = {}
+    for (i, j), row in upper.items():
+        entries = tuple((k, q) for k, q in sorted(row.items()) if q)
+        if entries:
+            index[(i, j)] = entries
+            index[(j, i)] = tuple((k, -q) for k, q in entries)
+    return dict(sorted(index.items()))
+
+
+def _user_index(
+    nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+    to_user: Sequence[linalg.SparseRow],
+    to_canonical: Sequence[linalg.SparseRow],
+    m: int,
+) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    """The generators' table off the canonical one, in two one-sided passes.
+
+    With [h_a, h_b] written over the generators through P,
+    [g_i, g_j] = sum_b Q_jb (sum_a Q_ia [h_a, h_b]): the inner sum runs once
+    per (i, b) and the outer once per (i, j), i < j, each over nonzeros only.
+    C, P and Q are scaled to integers first, so the passes add and multiply
+    integers and only the final entries become Fractions.
+    """
+    flat = {(a, b, c): q for (a, b), entries in nonzero.items() if a < b for c, q in entries}
+    (constants,), scale_c = _integral([flat])
+    p_rows, scale_p = _integral(to_user)
+    q_rows, scale_q = _integral(to_canonical)
+    brackets: dict[tuple[int, int], dict[int, int]] = {}  # [h_a, h_b] over the generators, a < b
+    for (a, b, c), q in constants.items():
+        _add_scaled(brackets.setdefault((a, b), {}), q, p_rows[c])
+    columns: list[dict[int, int]] = [{} for _ in range(m)]  # column a of Q
+    for i, row in enumerate(q_rows):
+        for a, q in row.items():
+            columns[a][i] = q
+    left: dict[tuple[int, int], dict[int, int]] = {}  # sum_a Q_ia [h_a, h_b]
+    for (a, b), row in brackets.items():
+        for i, q in columns[a].items():
+            _add_scaled(left.setdefault((i, b), {}), q, row)
+        for i, q in columns[b].items():  # [h_b, h_a] = -[h_a, h_b]
+            _add_scaled(left.setdefault((i, a), {}), -q, row)
+    upper: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, b), row in left.items():
+        for j, q in columns[b].items():
+            if j > i:
+                _add_scaled(upper.setdefault((i, j), {}), q, row)
+    scale = scale_c * scale_p * scale_q**2
+    return _antisymmetric_index(
+        {pair: {k: Fraction(v, scale) for k, v in row.items()} for pair, row in upper.items()}
+    )
+
+
+def _integral(rows: Sequence[linalg.SparseRow]) -> tuple[list[dict[int, int]], int]:
+    """The rows times the least common denominator of their entries, as
+    integers, and that denominator."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    scaled = [{k: v.numerator * (scale // v.denominator) for k, v in row.items()} for row in rows]
+    return scaled, scale
+
+
+def _add_scaled(acc: dict, q, row: dict) -> None:
+    """acc += q * row; entries that cancel stay as zeros."""
+    for k, v in row.items():
+        acc[k] = acc.get(k, 0) + q * v
 
 
 def jacobi_check(sc: StructureConstants):
     """(True, None) or (False, witness (i, j, k, s, residual)).
 
-    The witness is the first failing i < j < k in combinations order, with
-    the smallest s at which [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
-    has a nonzero coefficient, and that coefficient.
+    The identity is checked on the canonical table.  The witness is the
+    first failing i < j < k in combinations order, with the smallest s at
+    which [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] has a nonzero
+    coefficient, and that coefficient; the identity holds in every basis or
+    in none, so a failure is searched again in the table's own basis.
     """
+    ok, witness = _jacobi_witness(sc.canonical)
+    if ok or sc.canonical is sc:
+        return ok, witness
+    return _jacobi_witness(sc)
+
+
+def _jacobi_witness(sc: StructureConstants):
     nonzero = sc.nonzero
     for i, j, k in itertools.combinations(range(sc.dim), 3):
         total: dict[int, Fraction] = {}
@@ -362,7 +573,7 @@ def derived_subalgebra(sc: StructureConstants) -> Subspace:
 
 def _derived_subalgebra(sc: StructureConstants) -> Subspace:
     m = sc.dim
-    vectors = [list(sc.c[i][j]) for i in range(m) for j in range(i + 1, m)]
+    vectors = [linalg._dense(dict(e), m) for (i, j), e in sc.nonzero.items() if i < j]
     return Subspace.from_vectors(vectors, m)
 
 
@@ -399,13 +610,14 @@ def _ideal_witness(sc: StructureConstants, space: Subspace) -> tuple[int, Vec, V
 
 
 def is_ideal(sc: StructureConstants, space: Subspace) -> bool:
-    """Does every bracket [b_i, v], v in the subspace, stay in it?"""
-    return _ideal_witness(sc, space) is None
+    """Does every bracket [b_i, v], v in the subspace, stay in it?  Decided
+    on the canonical table."""
+    return _ideal_witness(sc.canonical, sc._canonical_space(space)) is None
 
 
 def is_abelian(sc: StructureConstants, space: Subspace) -> bool:
-    """Do all brackets inside the subspace vanish?"""
-    return _derived_of_subspace(sc, space).is_zero()
+    """Do all brackets inside the subspace vanish?  Decided on the canonical table."""
+    return _derived_of_subspace(sc.canonical, sc._canonical_space(space)).is_zero()
 
 
 def radical(sc: StructureConstants) -> Subspace:
@@ -426,20 +638,19 @@ def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
     derived = derived_subalgebra(sc)
     rows = [linalg.mat_vec(kappa, list(d)) for d in derived.basis]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
-    labels = sc.labels
     witness = _ideal_witness(sc, rad)
     if witness:
         i, v, leftover = witness
         raise LieAlgebraError(
-            f"computed radical is not an ideal: [{labels[i]}, {render_combination(v, labels)}] "
-            f"leaves {render_combination(leftover, labels)} outside it (Jacobi violation upstream?)"
+            f"computed radical is not an ideal: [{sc.render(linalg.unit_vector(m, i))}, "
+            f"{sc.render(v)}] leaves {sc.render(leftover)} outside it (Jacobi violation upstream?)"
         )
     series = [rad]
     while not series[-1].is_zero():
         term = series[-1]
         below = _derived_of_subspace(sc, term)
         if below.dim >= term.dim:
-            basis = ", ".join(render_combination(v, labels) for v in term.basis)
+            basis = ", ".join(sc.render(v) for v in term.basis)
             raise LieAlgebraError(
                 f"computed radical is not solvable: its derived series stops shrinking at step "
                 f"{len(series) - 1}, dimension {term.dim} ({basis}) (Jacobi violation upstream?)"
@@ -566,8 +777,10 @@ def is_simple(sc: StructureConstants) -> bool | None:
     field.  With no rational root and dim C <= 3, C is a field: a product of
     two or more number fields of total degree <= 3 has a factor Q, and c's
     component there would be a rational root of p.  None, a limit and not a
-    guess, when p has no rational root and dim C >= 4.
+    guess, when p has no rational root and dim C >= 4.  Decided on the
+    canonical table, so the choice of c does not depend on the basis given.
     """
+    sc = sc.canonical
     if sc.dim == 0 or not is_semisimple(sc):
         return False
     centroid = sc.centroid
@@ -620,8 +833,9 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
 
     Every ad x is a derivation, and ad C lies in Der_S, so each rank is at
     most its unknowns minus the dimension of those inner derivations, and
-    elimination stops there.
+    elimination stops there.  Every system is built on the canonical table.
     """
+    sc = sc.canonical
     m = sc.dim
     levi = sc.levi
     if levi.radical.is_zero():
@@ -716,8 +930,8 @@ def subalgebra_constants(sc: StructureConstants, space: Subspace) -> StructureCo
             w = sc.bracket_coords(basis[i], basis[j])
             coeffs = space.coordinates(w)
             if coeffs is None:
-                u, v = (render_combination(x, sc.labels) for x in (basis[i], basis[j]))
-                leftover = render_combination(space.reduce(w), sc.labels)
+                u, v = (sc.render(x) for x in (basis[i], basis[j]))
+                leftover = sc.render(space.reduce(w))
                 raise LieAlgebraError(
                     f"subspace is not closed under the bracket: [{u}, {v}] leaves {leftover} "
                     "outside it"
@@ -751,7 +965,6 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Ve
     a solvable one (R = L) has none, with nothing to correct in either case.
     """
     m = sc.dim
-    labels = sc.labels
     pivots = set(series[0].pivots)
     ys = [linalg.unit_vector(m, i) for i in range(m) if i not in pivots]
     s = len(ys)
@@ -799,8 +1012,8 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Ve
             a, b, k = where[at]
             raise LieAlgebraError(
                 f"no semisimple complement found for an abelian radical: no correction of "
-                f"{render_combination(ys[a], labels)} and {render_combination(ys[b], labels)} "
-                f"by the radical fixes the {labels[k]} coordinate of their bracket; "
+                f"{sc.render(ys[a])} and {sc.render(ys[b])} by the radical fixes the "
+                f"{sc.render(linalg.unit_vector(m, k))} coordinate of their bracket; "
                 f"{value} is left over"
             )
         for a, y in enumerate(ys):
@@ -832,35 +1045,33 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
     the complement and the radical span everything and meet trivially, and
     the complement is closed under the bracket (subalgebra_constants checks
     every pair) with nondegenerate intrinsic Killing form.  A failure names
-    its witness in the algebra's own basis labels.
+    its witness as combinations of the generators' labels (`render`).
     """
     m = sc.dim
-    labels = sc.labels
     rad = radical(sc)
     levi = Subspace.from_vectors(_levi_vectors(sc, sc.radical_series), m)
     # verification
     total = levi.sum(rad)
     if total.dim != m:
         i = next(i for i in range(m) if not total.contains(linalg.unit_vector(m, i)))
-        leftover = render_combination(total.reduce(linalg.unit_vector(m, i)), labels)
+        unit = linalg.unit_vector(m, i)
         raise LieAlgebraError(
-            f"Levi complement and radical do not span: {labels[i]} leaves {leftover} outside them"
+            f"Levi complement and radical do not span: {sc.render(unit)} leaves "
+            f"{sc.render(total.reduce(unit))} outside them"
         )
     if levi.dim + rad.dim != m:
         # they span, so some combination of the complement's basis lies in the radical
         vectors = levi.basis + rad.basis
         alpha = linalg.kernel_basis([list(col) for col in zip(*vectors)])[0]
         meet = [sum(a * v[k] for a, v in zip(alpha, levi.basis)) for k in range(m)]
-        raise LieAlgebraError(
-            f"Levi complement meets the radical in {render_combination(meet, labels)}"
-        )
+        raise LieAlgebraError(f"Levi complement meets the radical in {sc.render(meet)}")
     kappa = killing_form(subalgebra_constants(sc, levi))
     null = linalg.kernel_basis(kappa, ncols=levi.dim)
     if null:
         # the Killing radical of the complement, back in the ambient basis
         vector = [sum(a * v[k] for a, v in zip(null[0], levi.basis)) for k in range(m)]
         raise LieAlgebraError(
-            f"Levi complement is not semisimple: {render_combination(vector, labels)} "
+            f"Levi complement is not semisimple: {sc.render(vector)} "
             "is orthogonal to it under its Killing form"
         )
     return LeviResult(rad, levi)
@@ -874,7 +1085,8 @@ def classify_3dim_simple(sc: StructureConstants) -> str:
     """
     if sc.dim != 3:
         raise LieAlgebraError("classification requires a 3-dimensional algebra")
-    pos, neg, zero = linalg.congruence_signature(sc.killing)
+    # Sylvester's law: the canonical table's form has the same inertia
+    pos, neg, zero = linalg.congruence_signature(sc.canonical.killing)
     if zero:  # by Sylvester's law, exactly when the Killing form is degenerate
         return "not-simple"
     if (pos, neg) == (2, 1):

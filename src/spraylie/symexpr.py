@@ -276,6 +276,16 @@ _ZERO_LIN = LinForm(())
 TermKey = tuple[Monomial, LinForm]
 
 
+def _print_key(key: TermKey, nx: int, ny: int) -> tuple:
+    """Where a term key prints: by exponential, total degree, x then y exponents.
+
+    nx and ny must reach every index in use; zeros pad the dense tuples, so
+    any larger bound gives the same order.
+    """
+    mono, lin = key
+    return (lin.dense(nx), mono.total_degree, mono.dense_x(nx), mono.dense_y(ny))
+
+
 def _accumulate(acc: dict, key: TermKey, value: Fraction) -> None:
     cur = acc.get(key)
     if cur is None:
@@ -499,12 +509,7 @@ class CanonicalExpr:
     def _sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         nx = max(self.max_x_index(), 1)
         ny = max(self.max_y_index(), 1)
-
-        def sort_key(item):
-            (mono, lin), _c = item
-            return (lin.dense(nx), mono.total_degree, mono.dense_x(nx), mono.dense_y(ny))
-
-        return sorted(self._terms.items(), key=sort_key)
+        return sorted(self._terms.items(), key=lambda item: _print_key(item[0], nx, ny))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface against the shipped corpus."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -1007,6 +1008,23 @@ def test_bad_subcommand_exits_one():
 def test_missing_required_argument_exits_one():
     proc = run_cli("table", str(PROBLEMS / "example1.json"))
     assert proc.returncode == 1
+
+
+def test_package_runs_as_a_module(capsys):
+    argv = ["table", str(PROBLEMS / "example1.json"), "--set", "connection_symmetries"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spraylie", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "| e1 |" in proc.stdout
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_console_script_is_installed():

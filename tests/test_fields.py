@@ -100,6 +100,33 @@ def test_each_first_partial_of_a_field_is_taken_once(monkeypatch, shell_pipeline
     assert taken == expected
 
 
+def test_spray_and_connection_partials_are_taken_once(
+    monkeypatch, shell_pipeline, shell_generators
+):
+    # fresh copies: the pipeline's connection took its partials for the curvature
+    spray = geom.SprayData(shell_pipeline[1].G)
+    connection = geom.connection_from_spray(spray)
+    n = spray.dim
+    xs = [f"x{l + 1}" for l in range(n)]
+    slots = xs + [f"y{l + 1}" for l in range(n)]
+    expected = Counter((id(c), v) for c in spray.field.components[n:] if c for v in slots)
+    expected.update((id(e), x) for row in connection.gamma1 for e in row if e for x in xs)
+    watched = {key[0] for key in expected}
+    taken = Counter()
+    diff = CanonicalExpr.diff
+
+    def counted(self, var):
+        if id(self) in watched:
+            taken[id(self), var] += 1
+        return diff(self, var)
+
+    monkeypatch.setattr(CanonicalExpr, "diff", counted)
+    for field in shell_generators.values():
+        assert in_AS(field, spray) and in_AGamma(field, connection)
+    # each nonzero -2 G^k once per slot, each nonzero Gamma^j_i once per x
+    assert taken == expected
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
