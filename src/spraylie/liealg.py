@@ -7,14 +7,16 @@ center, derivations, Levi complement, 3-dimensional classification -- are
 decided with exact rational linear algebra; no floats anywhere.
 
 Convention: c[i][j][k] is the coefficient of basis element k in [b_i, b_j].
-A table is stored as its nonzero index: for every ordered pair (i, j) with
-[b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  The dense
-array c is built from it only when something reads it; a table given as
-that array keeps it.  Brackets, the Jacobi check, the Killing form and the
-linear systems for the center, derivations and Levi complements are
-assembled by iterating over the index, and the systems reach `linalg` as
-sparse rows, so their cost follows the nonzero constants rather than m^3 or
-m^4.
+Every table stores only its nonzero index: for every ordered pair (i, j)
+with [b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  The
+dense array c is built from it only when something reads it, whether the
+table was given as that array or built from fields.  Vectors are sparse
+rows, {coordinate: value} with no stored zero (`linalg.SparseRow`): the
+brackets, subspaces, witnesses and the linear systems for the center,
+derivations and Levi complements are assembled from the index and from
+those rows, so their cost follows the nonzero constants rather than m^3 or
+m^4.  A dense vector is built only to print it, for the Killing form, and
+for the centroid and its minimal polynomial.
 
 A table built from vector fields has a second, canonical form: the same
 algebra over the reduced echelon basis of the fields' span, which does not
@@ -50,7 +52,7 @@ from typing import Iterable, Sequence
 
 from . import linalg, symexpr
 from .fields import BaseField, bracket_base
-from .linalg import Mat, Vec
+from .linalg import Mat, SparseRow, Vec
 from .symexpr import CanonicalExpr
 
 __all__ = [
@@ -79,6 +81,8 @@ __all__ = [
     "render_combination",
 ]
 
+_ONE = Fraction(1)
+
 class LieAlgebraError(Exception):
     """Base class for algebra-layer failures."""
 
@@ -99,17 +103,23 @@ class DependentGeneratorsError(LieAlgebraError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n held as a reduced row echelon basis (zero rows dropped)."""
+    """Subspace of Q^n held as its reduced row echelon basis (zero rows dropped).
+
+    `rows` holds that basis as sparse rows keyed by leading column, in
+    column order, and every computation reads it; the dense `basis` holds
+    the same rows for printing and equality.
+    """
 
     ambient_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
 
     @staticmethod
-    def from_vectors(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
-        rows = [list(v) for v in vectors]
+    def from_vectors(vectors: Iterable[Sequence | SparseRow], ambient_dim: int) -> "Subspace":
+        """The span of dense or sparse vectors of length `ambient_dim`."""
+        rows = list(vectors)
         if not rows:
             return Subspace(ambient_dim, ())
-        reduced, pivots = linalg.rref(rows)
+        reduced, pivots = linalg.rref(rows, ambient_dim)
         return Subspace(ambient_dim, tuple(tuple(reduced[r]) for r in range(len(pivots))))
 
     @property
@@ -120,50 +130,34 @@ class Subspace:
         return not self.basis
 
     @functools.cached_property
-    def _pivot_rows(self) -> dict[int, linalg.SparseRow]:
+    def rows(self) -> dict[int, SparseRow]:
         """The basis rows as sparse rows keyed by their leading column."""
         rows = (linalg._sparse(row) for row in self.basis)
         return {min(row): row for row in rows}
 
-    @functools.cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """Leading column of each basis row."""
-        return tuple(self._pivot_rows)
-
-    def _remainder(self, vector: Sequence[Fraction] | linalg.SparseRow) -> linalg.SparseRow:
-        return linalg._reduce(self._pivot_rows, linalg._sparse(vector))
-
-    def reduce(self, vector: Sequence[Fraction] | linalg.SparseRow) -> Vec:
+    def reduce(self, vector: Sequence[Fraction] | SparseRow) -> SparseRow:
         """The vector minus the basis rows that clear its pivot coordinates.
 
-        The remainder is zero exactly when the vector lies in the subspace;
-        its non-pivot coordinates give the class of the vector modulo it.
+        The remainder, a fresh sparse row, is empty exactly when the vector
+        lies in the subspace; its entries give the class of the vector
+        modulo it.
         """
-        return linalg._dense(self._remainder(vector), self.ambient_dim)
+        return linalg._reduce(self.rows, linalg._sparse(vector))
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not self._remainder(vector)
-
-    def coordinates(self, vector: Sequence[Fraction]) -> Vec | None:
-        """Coefficients of the vector over `basis`, or None when it lies outside.
-
-        The basis is in reduced row echelon form, so the coefficient of each
-        row is the vector's entry at that row's pivot.
-        """
-        if not self.contains(vector):
-            return None
-        return [vector[p] for p in self.pivots]
+    def contains(self, vector: Sequence[Fraction] | SparseRow) -> bool:
+        return not self.reduce(vector)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient_dim)
+        return Subspace.from_vectors([*self.rows.values(), *other.rows.values()], self.ambient_dim)
 
 
 class StructureConstants:
     """Bracket table [b_i, b_j] = sum_k c[i][j][k] b_k over named basis elements.
 
-    Given as the dense array `c`, the table is checked and builds its
-    `nonzero` index; `structure_constants_from_fields` stores the index alone
-    and `c` is built from it on first read.  `canonical` is the same algebra
+    Given as the dense array `c`, the table is checked and stores only its
+    `nonzero` index, as `structure_constants_from_fields` and
+    `subalgebra_constants` do; `c` is built from it on first read.
+    `canonical` is the same algebra
     in the canonical basis of the span, or the table itself when it was given
     as constants or is that canonical table.  `to_canonical[i]` holds the
     canonical coordinates of b_i, `det_to_canonical` the determinant of that
@@ -186,7 +180,6 @@ class StructureConstants:
             if nonzero.get((j, i)) != tuple((k, -q) for k, q in entries):
                 raise LieAlgebraError("structure constants must be antisymmetric")
         self._link(tuple(labels), nonzero)
-        self.c = c
 
     @classmethod
     def _from_index(cls, labels: tuple[str, ...], nonzero: dict, **links) -> "StructureConstants":
@@ -199,9 +192,9 @@ class StructureConstants:
         labels: tuple[str, ...],
         nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
         canonical: "StructureConstants | None" = None,
-        to_canonical: tuple[linalg.SparseRow, ...] | None = None,
+        to_canonical: tuple[SparseRow, ...] | None = None,
         det_to_canonical: Fraction = Fraction(1),
-        to_user: tuple[linalg.SparseRow, ...] | None = None,
+        to_user: tuple[SparseRow, ...] | None = None,
     ) -> None:
         self.labels = labels
         self.nonzero = nonzero
@@ -223,23 +216,23 @@ class StructureConstants:
             for i in range(m)
         )
 
-    def render(self, v: Sequence[Fraction]) -> str:
+    def render(self, v: SparseRow) -> str:
         """A vector over this table's basis, written in the generators' labels."""
         if self.to_user is not None:
-            v = _combine(self.to_user, v, self.dim)
-        return render_combination(v, self.labels)
+            v = _combine(self.to_user, v)
+        return render_combination(linalg._dense(v, self.dim), self.labels)
 
     def _user_space(self, space: "Subspace") -> "Subspace":
         """A subspace of the canonical table, over this table's basis, in echelon form."""
         rows = self.canonical.to_user
-        return Subspace.from_vectors((_combine(rows, u, self.dim) for u in space.basis), self.dim)
+        return Subspace.from_vectors((_combine(rows, u) for u in space.rows.values()), self.dim)
 
     def _canonical_space(self, space: "Subspace") -> "Subspace":
         """A subspace over this table's basis, over the canonical one, in echelon form."""
         if self.to_canonical is None:
             return space
         rows = self.to_canonical
-        return Subspace.from_vectors((_combine(rows, v, self.dim) for v in space.basis), self.dim)
+        return Subspace.from_vectors((_combine(rows, v) for v in space.rows.values()), self.dim)
 
     @functools.cached_property
     def killing(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -293,38 +286,26 @@ class StructureConstants:
         levi = self.canonical.levi
         return LeviResult(self._user_space(levi.radical), self._user_space(levi.levi))
 
-    def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        out = [Fraction(0)] * self.dim
-        v_support = [(j, y) for j, y in enumerate(v) if y]
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in v_support:
+    def bracket_coords(self, u: SparseRow, v: SparseRow) -> SparseRow:
+        """[u, v] as a sparse row, read off the nonzero index."""
+        out: SparseRow = {}
+        for i, x in u.items():
+            for j, y in v.items():
                 entries = self.nonzero.get((i, j))
                 if entries:
                     f = x * y
                     for k, q in entries:
-                        out[k] += f * q
-        return out
-
-    def ad(self, i: int, v: Sequence[Fraction]) -> linalg.SparseRow:
-        """[b_i, v] as a sparse row, read straight off the nonzero index."""
-        out: linalg.SparseRow = {}
-        for j, y in enumerate(v):
-            if y:
-                for k, q in self.nonzero.get((i, j), ()):
-                    out[k] = out.get(k, 0) + y * q
+                        out[k] = out.get(k, 0) + f * q
         return {k: w for k, w in out.items() if w}
 
 
-def _combine(rows: Sequence[linalg.SparseRow], v: Sequence[Fraction], m: int) -> Vec:
-    """sum_i v_i rows[i], dense of length m."""
-    out = [Fraction(0)] * m
-    for x, row in zip(v, rows):
-        if x:
-            for k, q in row.items():
-                out[k] += x * q
-    return out
+def _combine(rows: Sequence[SparseRow], v: SparseRow) -> SparseRow:
+    """sum_i v_i rows[i]."""
+    out: SparseRow = {}
+    for i, x in v.items():
+        for k, q in rows[i].items():
+            out[k] = out.get(k, 0) + x * q
+    return {k: w for k, w in out.items() if w}
 
 
 def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
@@ -396,11 +377,8 @@ def structure_constants_from_fields(
     to_user = tuple({j - width: v for j, v in pivot_rows[p].items() if j >= width} for p in pivots)
     to_canonical = tuple({position[j]: q for j, q in row.items() if j in position} for row in rows)
     # Q is the pivot columns of the generators' rows, which the elimination
-    # took to the identity: det Q is the product of the values it divided by
-    # times the sign of the permutation taking each row to its pivot
-    det_q = Fraction(linalg._permutation_sign([position[lead] for lead, _ in steps]))
-    for _lead, value in steps:
-        det_q *= value
+    # took to the identity
+    det_q = linalg._determinant(steps)
 
     def coordinates(w: BaseField) -> tuple[tuple[int, Fraction], ...] | None:
         """The canonical coordinates of w, or None when it leaves the span."""
@@ -442,7 +420,7 @@ def structure_constants_from_fields(
 
 
 def _antisymmetric_index(
-    upper: dict[tuple[int, int], linalg.SparseRow],
+    upper: dict[tuple[int, int], SparseRow],
 ) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
     """The nonzero index of the table with [b_i, b_j] = upper[(i, j)] for i < j."""
     index = {}
@@ -456,8 +434,8 @@ def _antisymmetric_index(
 
 def _user_index(
     nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
-    to_user: Sequence[linalg.SparseRow],
-    to_canonical: Sequence[linalg.SparseRow],
+    to_user: Sequence[SparseRow],
+    to_canonical: Sequence[SparseRow],
     m: int,
 ) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
     """The generators' table off the canonical one, in two one-sided passes.
@@ -496,7 +474,7 @@ def _user_index(
     )
 
 
-def _integral(rows: Sequence[linalg.SparseRow]) -> tuple[list[dict[int, int]], int]:
+def _integral(rows: Sequence[SparseRow]) -> tuple[list[dict[int, int]], int]:
     """The rows times the least common denominator of their entries, as
     integers, and that denominator."""
     scale = math.lcm(*(v.denominator for row in rows for v in row.values()))
@@ -572,9 +550,7 @@ def derived_subalgebra(sc: StructureConstants) -> Subspace:
 
 
 def _derived_subalgebra(sc: StructureConstants) -> Subspace:
-    m = sc.dim
-    vectors = [linalg._dense(dict(e), m) for (i, j), e in sc.nonzero.items() if i < j]
-    return Subspace.from_vectors(vectors, m)
+    return Subspace.from_vectors((dict(e) for (i, j), e in sc.nonzero.items() if i < j), sc.dim)
 
 
 def center(sc: StructureConstants) -> Subspace:
@@ -584,7 +560,7 @@ def center(sc: StructureConstants) -> Subspace:
 def _center(sc: StructureConstants) -> Subspace:
     m = sc.dim
     # row (j, k) holds c[i][j][k] over i: one equation per output coordinate
-    rows: dict[tuple[int, int], linalg.SparseRow] = {}
+    rows: dict[tuple[int, int], SparseRow] = {}
     for (i, j), entries in sc.nonzero.items():
         for k, q in entries:
             rows.setdefault((j, k), {})[i] = q
@@ -592,20 +568,20 @@ def _center(sc: StructureConstants) -> Subspace:
 
 
 def _derived_of_subspace(sc: StructureConstants, space: Subspace) -> Subspace:
-    vectors = [
-        sc.bracket_coords(u, v) for u, v in itertools.combinations(space.basis, 2)
-    ]
-    return Subspace.from_vectors(vectors, sc.dim)
+    pairs = itertools.combinations(space.rows.values(), 2)
+    return Subspace.from_vectors((sc.bracket_coords(u, v) for u, v in pairs), sc.dim)
 
 
-def _ideal_witness(sc: StructureConstants, space: Subspace) -> tuple[int, Vec, Vec] | None:
+def _ideal_witness(
+    sc: StructureConstants, space: Subspace
+) -> tuple[int, SparseRow, SparseRow] | None:
     """The first (i, v, leftover) with [b_i, v] outside the subspace, v a
     basis vector and leftover the remainder of [b_i, v] modulo it; or None."""
-    for v in space.basis:
+    for v in space.rows.values():
         for i in range(sc.dim):
-            leftover = space.reduce(sc.ad(i, v))
-            if any(leftover):
-                return i, list(v), leftover
+            leftover = space.reduce(sc.bracket_coords({i: _ONE}, v))
+            if leftover:
+                return i, v, leftover
     return None
 
 
@@ -634,15 +610,15 @@ def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
     """The radical R^0 > R^1 > ... > 0, R^(i+1) = [R^i, R^i], checked to be
     an ideal and, by the series reaching zero, solvable."""
     m = sc.dim
-    kappa = sc.killing
-    derived = derived_subalgebra(sc)
-    rows = [linalg.mat_vec(kappa, list(d)) for d in derived.basis]
+    # kappa is symmetric, so kappa d is the combination of its rows by d
+    kappa = [linalg._sparse(row) for row in sc.killing]
+    rows = [_combine(kappa, d) for d in derived_subalgebra(sc).rows.values()]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
     witness = _ideal_witness(sc, rad)
     if witness:
         i, v, leftover = witness
         raise LieAlgebraError(
-            f"computed radical is not an ideal: [{sc.render(linalg.unit_vector(m, i))}, "
+            f"computed radical is not an ideal: [{sc.render({i: _ONE})}, "
             f"{sc.render(v)}] leaves {sc.render(leftover)} outside it (Jacobi violation upstream?)"
         )
     series = [rad]
@@ -650,7 +626,7 @@ def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
         term = series[-1]
         below = _derived_of_subspace(sc, term)
         if below.dim >= term.dim:
-            basis = ", ".join(sc.render(v) for v in term.basis)
+            basis = ", ".join(sc.render(v) for v in term.rows.values())
             raise LieAlgebraError(
                 f"computed radical is not solvable: its derived series stops shrinking at step "
                 f"{len(series) - 1}, dimension {term.dim} ({basis}) (Jacobi violation upstream?)"
@@ -669,7 +645,7 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
     row went in and the pivot rows give the kernel.
     """
     m = sc.dim
-    rows: list[linalg.SparseRow] = [{} for _ in range(m**3)]
+    rows: list[SparseRow] = [{} for _ in range(m**3)]
     # T[b_i, b_j]: c^l_ij T[k][l], in every row k; each (row, column) once
     for (i, j), entries in sc.nonzero.items():
         for l, q in entries:
@@ -787,7 +763,7 @@ def is_simple(sc: StructureConstants) -> bool | None:
     if len(centroid) == 1:
         return True
     m = sc.dim
-    scalar = [v for r in range(m) for v in linalg.unit_vector(m, r)]
+    scalar = [v for row in linalg.identity(m) for v in row]
     c = next(v for v in centroid if linalg.rank([scalar, v]) == 2)
     p = _minimal_polynomial([list(c[r * m : (r + 1) * m]) for r in range(m)])
     if _has_rational_root(p):
@@ -841,7 +817,7 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     if levi.radical.is_zero():
         return DerivationSpace(m, m)
     inner = m - sc.center.dim
-    ad_s = [_ad_rows(sc, v) for v in levi.levi.basis]
+    ad_s = [_ad_rows(sc, v) for v in levi.levi.rows.values()]
     # C holds Z, so the stacked ad s_a have rank at most m - dim Z
     centralizer = m - linalg.rank((row for ad in ad_s for row in ad), inner)
     unknowns = levi.radical.dim * m
@@ -850,19 +826,20 @@ def derivations(sc: StructureConstants) -> DerivationSpace:
     return DerivationSpace(m + der_s - centralizer, inner)
 
 
-def _ad_rows(sc: StructureConstants, x: Sequence[Fraction]) -> list[linalg.SparseRow]:
+def _ad_rows(sc: StructureConstants, x: SparseRow) -> list[SparseRow]:
     """ad x as m sparse rows: row k holds the coordinate k of [x, b_j] at column j."""
-    rows: list[linalg.SparseRow] = [{} for _ in range(sc.dim)]
+    rows: list[SparseRow] = [{} for _ in range(sc.dim)]
     for (i, j), entries in sc.nonzero.items():
-        if x[i]:
+        xi = x.get(i)
+        if xi is not None:
             for k, q in entries:
-                rows[k][j] = rows[k].get(j, 0) + x[i] * q
+                rows[k][j] = rows[k].get(j, 0) + xi * q
     return [{j: v for j, v in row.items() if v} for row in rows]
 
 
 def _radical_rows(
-    sc: StructureConstants, levi: "LeviResult", ad_s: Sequence[list[linalg.SparseRow]]
-) -> list[linalg.SparseRow]:
+    sc: StructureConstants, levi: "LeviResult", ad_s: Sequence[list[SparseRow]]
+) -> list[SparseRow]:
     """The system of Der_S over d_b = D r_b, coordinate k of d_b at column b*m + k.
 
     A pair (x, r_b) has [x, r_b] = sum_e beta_e r_e, because R is an ideal;
@@ -876,17 +853,18 @@ def _radical_rows(
     Pairs inside S impose nothing: their bracket lies in S, where D is zero.
     """
     m = sc.dim
-    radical = levi.radical
-    pivots = radical.pivots
-    ad_r = [_ad_rows(sc, v) for v in radical.basis]
-    rows: list[linalg.SparseRow] = []
+    position = {p: e for e, p in enumerate(levi.radical.rows)}
+    radical = list(levi.radical.rows.values())
+    ad_r = [_ad_rows(sc, v) for v in radical]
+    rows: list[SparseRow] = []
 
-    def constrain(w: Vec, terms: list[tuple[list[linalg.SparseRow], int, int]]) -> None:
-        block: list[linalg.SparseRow] = [{} for _ in range(m)]
-        for e, p in enumerate(pivots):
-            if w[p]:
+    def constrain(w: SparseRow, terms: list[tuple[list[SparseRow], int, int]]) -> None:
+        block: list[SparseRow] = [{} for _ in range(m)]
+        for p, beta in w.items():
+            e = position.get(p)
+            if e is not None:
                 for k, row in enumerate(block):
-                    row[e * m + k] = w[p]
+                    row[e * m + k] = beta
         # sign * ad(x) d_b: ad(x)[k][j] at column b*m + j of row k; a fresh
         # column takes +-v as it is, which spares a Fraction sum or product
         for ad, b, sign in terms:
@@ -900,11 +878,11 @@ def _radical_rows(
                         row[col] = old + v if sign > 0 else old - v
         rows.extend(block)
 
-    for s, ad in zip(levi.levi.basis, ad_s):
-        for b, r in enumerate(radical.basis):
+    for s, ad in zip(levi.levi.rows.values(), ad_s):
+        for b, r in enumerate(radical):
             constrain(sc.bracket_coords(s, r), [(ad, b, -1)])
-    for b, c in itertools.combinations(range(radical.dim), 2):
-        w = sc.bracket_coords(radical.basis[b], radical.basis[c])
+    for b, c in itertools.combinations(range(len(radical)), 2):
+        w = sc.bracket_coords(radical[b], radical[c])
         constrain(w, [(ad_r[c], b, 1), (ad_r[b], c, -1)])
     return rows
 
@@ -919,30 +897,26 @@ def subalgebra_constants(sc: StructureConstants, space: Subspace) -> StructureCo
     over its basis labelled s1, ..., sm.
 
     A bracket of two basis vectors outside the subspace raises a
-    LieAlgebraError naming the pair and what is left over modulo it.
+    LieAlgebraError naming the pair and what is left over modulo it.  The
+    basis is in reduced row echelon form, so a bracket inside the subspace
+    has as coefficient of each basis row its entry at that row's pivot.
     """
-    basis = [list(v) for v in space.basis]
-    m = len(basis)
-    zero = Fraction(0)
-    table = [[[zero] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = sc.bracket_coords(basis[i], basis[j])
-            coeffs = space.coordinates(w)
-            if coeffs is None:
-                u, v = (sc.render(x) for x in (basis[i], basis[j]))
-                leftover = sc.render(space.reduce(w))
-                raise LieAlgebraError(
-                    f"subspace is not closed under the bracket: [{u}, {v}] leaves {leftover} "
-                    "outside it"
-                )
-            table[i][j] = coeffs
-            table[j][i] = [-q for q in coeffs]
-    packed = tuple(tuple(tuple(r) for r in plane) for plane in table)
-    return StructureConstants(tuple(f"s{i + 1}" for i in range(m)), packed)
+    basis = list(space.rows.values())
+    upper = {}
+    for (i, u), (j, v) in itertools.combinations(enumerate(basis), 2):
+        w = sc.bracket_coords(u, v)
+        leftover = space.reduce(w)
+        if leftover:
+            raise LieAlgebraError(
+                f"subspace is not closed under the bracket: [{sc.render(u)}, {sc.render(v)}] "
+                f"leaves {sc.render(leftover)} outside it"
+            )
+        upper[(i, j)] = {a: w[p] for a, p in enumerate(space.rows) if p in w}
+    labels = tuple(f"s{i + 1}" for i in range(len(basis)))
+    return StructureConstants._from_index(labels, _antisymmetric_index(upper))
 
 
-def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Vec]:
+def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[SparseRow]:
     """Basis of a complement of the radical that is closed under the bracket.
 
     One loop down the radical's derived series R^0 > R^1 > ... > 0, the one
@@ -965,41 +939,41 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Ve
     a solvable one (R = L) has none, with nothing to correct in either case.
     """
     m = sc.dim
-    pivots = set(series[0].pivots)
-    ys = [linalg.unit_vector(m, i) for i in range(m) if i not in pivots]
+    pivots = series[0].rows
+    ys = [{i: _ONE} for i in range(m) if i not in pivots]
     s = len(ys)
     for level, below in zip(series, series[1:]):
-        us = Subspace.from_vectors([below.reduce(v) for v in level.basis], m).basis
+        quotient = Subspace.from_vectors([below.reduce(v) for v in level.rows.values()], m)
+        us = list(quotient.rows.values())
         p = len(us)
         complement = Subspace.from_vectors(ys, m)
-        ys = [list(v) for v in complement.basis]
+        ys = [dict(v) for v in complement.rows.values()]
         # [y_a, u_t] modulo R^(i+1)
-        ad_y_u = [[below._remainder(sc.bracket_coords(y, u)).items() for u in us] for y in ys]
-        u_support = [[(i, v) for i, v in enumerate(u) if v] for u in us]
+        ad_y_u = [[below.reduce(sc.bracket_coords(y, u)).items() for u in us] for y in ys]
 
         # unknown a*p + t: the coefficient of u_t in z_a; one row per pair and
         # coordinate that is not 0 = 0
-        rows: list[linalg.SparseRow] = []
+        rows: list[SparseRow] = []
         rhs: list[Fraction] = []
         where: list[tuple[int, int, int]] = []
         for a, b in itertools.combinations(range(s), 2):
             e = sc.bracket_coords(ys[a], ys[b])
             rest = level.reduce(e)
-            g = [(c, rest[h]) for c, h in enumerate(complement.pivots) if rest[h]]
+            g = [(c, rest[h]) for c, h in enumerate(complement.rows) if h in rest]
             for c, q in g:
-                for i, v in enumerate(ys[c]):
-                    if v:
-                        e[i] -= q * v
-            block: list[linalg.SparseRow] = [{} for _ in range(m)]
+                linalg._subtract(e, q, ys[c])
+            block: list[SparseRow] = [{} for _ in range(m)]
             for t in range(p):
                 for coord, v in ad_y_u[a][t]:
                     block[coord][b * p + t] = block[coord].get(b * p + t, 0) + v
                 for coord, v in ad_y_u[b][t]:
                     block[coord][a * p + t] = block[coord].get(a * p + t, 0) - v
                 for c, q in g:
-                    for coord, v in u_support[t]:
+                    for coord, v in us[t].items():
                         block[coord][c * p + t] = block[coord].get(c * p + t, 0) - q * v
-            for k, v in enumerate(below.reduce(e)):
+            leftover = below.reduce(e)
+            for k in range(m):
+                v = leftover.get(k, 0)
                 if block[k] or v:
                     rows.append(block[k])
                     rhs.append(-v)
@@ -1013,15 +987,14 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Ve
             raise LieAlgebraError(
                 f"no semisimple complement found for an abelian radical: no correction of "
                 f"{sc.render(ys[a])} and {sc.render(ys[b])} by the radical fixes the "
-                f"{sc.render(linalg.unit_vector(m, k))} coordinate of their bracket; "
+                f"{sc.render({k: _ONE})} coordinate of their bracket; "
                 f"{value} is left over"
             )
         for a, y in enumerate(ys):
             for t in range(p):
                 q = solution[a * p + t]
                 if q:
-                    for i, v in u_support[t]:
-                        y[i] += q * v
+                    linalg._subtract(y, -q, us[t])
     return ys
 
 
@@ -1053,23 +1026,26 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
     # verification
     total = levi.sum(rad)
     if total.dim != m:
-        i = next(i for i in range(m) if not total.contains(linalg.unit_vector(m, i)))
-        unit = linalg.unit_vector(m, i)
+        unit = next({i: _ONE} for i in range(m) if not total.contains({i: _ONE}))
         raise LieAlgebraError(
             f"Levi complement and radical do not span: {sc.render(unit)} leaves "
             f"{sc.render(total.reduce(unit))} outside them"
         )
+    complement = list(levi.rows.values())
     if levi.dim + rad.dim != m:
         # they span, so some combination of the complement's basis lies in the radical
-        vectors = levi.basis + rad.basis
-        alpha = linalg.kernel_basis([list(col) for col in zip(*vectors)])[0]
-        meet = [sum(a * v[k] for a, v in zip(alpha, levi.basis)) for k in range(m)]
+        columns: list[SparseRow] = [{} for _ in range(m)]
+        for c, v in enumerate(complement + list(rad.rows.values())):
+            for k, x in v.items():
+                columns[k][c] = x
+        alpha = linalg.kernel_basis(columns, ncols=levi.dim + rad.dim)[0]
+        meet = _combine(complement, linalg._sparse(alpha[: levi.dim]))
         raise LieAlgebraError(f"Levi complement meets the radical in {sc.render(meet)}")
     kappa = killing_form(subalgebra_constants(sc, levi))
     null = linalg.kernel_basis(kappa, ncols=levi.dim)
     if null:
         # the Killing radical of the complement, back in the ambient basis
-        vector = [sum(a * v[k] for a, v in zip(null[0], levi.basis)) for k in range(m)]
+        vector = _combine(complement, linalg._sparse(null[0]))
         raise LieAlgebraError(
             f"Levi complement is not semisimple: {sc.render(vector)} "
             "is orthogonal to it under its Killing form"

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are row-major lists of Fractions; `rank`, `kernel_basis` and `solve`
-also take rows as {column: value} mappings.  The solvers never touch floats:
-ranks, kernels, determinants, and signatures are all decided exactly, which
-is what the algebraic layer requires.
+Matrices are row-major lists of Fractions; `rref`, `rank`, `kernel_basis`
+and `solve` also take rows as {column: value} mappings, the sparse rows
+(`SparseRow`) that the Lie layer computes with.  The solvers never touch
+floats: ranks, kernels, determinants, and signatures are all decided
+exactly, which is what the algebraic layer requires.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -65,7 +67,7 @@ def _dense(row: SparseRow, n: int) -> Vec:
     return out
 
 
-def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int) -> None:
+def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int | None = None) -> None:
     """target -= f * row on every column but `skip`, dropping entries that cancel."""
     for j, v in row.items():
         if j != skip:
@@ -132,20 +134,29 @@ def _echelon(
     return basis, steps
 
 
-def rref(matrix: Iterable[Iterable]) -> tuple[Mat, list[int]]:
+def rref(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    The form has as many rows as the input, zero rows last, all dense.
+    Rows may be dense or {column: value} mappings; `ncols` is required when
+    the first row is a mapping.  The form has as many rows as the input,
+    zero rows last, all dense.
     """
-    m = [list(row) for row in matrix]
-    if not m:
-        return [], []
-    cols = len(m[0])
+    m = list(matrix)
+    ncols = _width(m, ncols)
     basis, _ = _echelon(m)
     pivots = sorted(basis)
-    reduced = [_dense(basis[p], cols) for p in pivots]
-    reduced.extend(_dense({}, cols) for _ in range(len(m) - len(pivots)))
+    reduced = [_dense(basis[p], ncols) for p in pivots]
+    reduced.extend(_dense({}, ncols) for _ in range(len(m) - len(pivots)))
     return reduced, pivots
+
+
+def _width(m: list, ncols: int | None) -> int:
+    """`ncols`, or the length of the first row when that is dense; 0 for no rows."""
+    if ncols is not None:
+        return ncols
+    if m and isinstance(m[0], dict):
+        raise ValueError("ncols is required for a sparse matrix")
+    return len(m[0]) if m else 0
 
 
 def rank(matrix: Iterable[Iterable | dict], limit: int | None = None) -> int:
@@ -199,10 +210,7 @@ def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -
     rhs = list(b)
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
-    if ncols is None:
-        if m and isinstance(m[0], dict):
-            raise ValueError("ncols is required for a sparse matrix")
-        ncols = len(m[0]) if m else 0
+    ncols = _width(m, ncols)
     augmented = (
         {**(row if isinstance(row, dict) else dict(enumerate(row))), ncols: rv}
         for row, rv in zip(m, rhs)
@@ -214,24 +222,29 @@ def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -
 
 
 def det(matrix: Iterable[Iterable]) -> Fraction:
-    """Determinant from the same elimination as rref.
-
-    Reducing a row by other rows keeps the determinant and scaling it by
-    1/value divides it by value; the fully reduced square matrix is the
-    permutation taking each row to its pivot column.  The steps come back
-    in input-row order, so the order rows were inserted in does not matter.
-    """
+    """Determinant from the same elimination as rref (`_determinant`)."""
     m = [list(row) for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    _, steps = _echelon(m)
-    result = Fraction(1)
-    for lead, value in steps:
-        if lead < 0:
-            return Fraction(0)
-        result *= value
-    return result * _permutation_sign([lead for lead, _ in steps])
+    return _determinant(_echelon(m)[1])
+
+
+def _determinant(steps: list[tuple[int, Fraction]]) -> Fraction:
+    """det of the square matrix whose rows `_echelon` took through `steps`.
+
+    Reducing a row by other rows keeps the determinant and scaling it by
+    1/value divides it by value; the fully reduced rows, restricted to the
+    pivot columns, are the permutation taking each row to the rank of its
+    pivot column.  The steps come back in input-row order, so the order rows
+    were inserted in does not matter; a row that reduced to zero makes the
+    determinant zero.
+    """
+    if any(lead < 0 for lead, _ in steps):
+        return Fraction(0)
+    rank = {lead: r for r, lead in enumerate(sorted(lead for lead, _ in steps))}
+    sign = _permutation_sign([rank[lead] for lead, _ in steps])
+    return math.prod((value for _, value in steps), start=Fraction(sign))
 
 
 def _permutation_sign(perm: list[int]) -> int:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +23,15 @@ def build_pipeline(diag_entries: tuple[str, ...]):
     connection = geom.connection_from_spray(spray)
     curv = geom.curvature(connection)
     return metric, spray, connection, curv
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child `python -m spraylie ...`: this one, with the
+    package's source directory first on PYTHONPATH, which pytest's own
+    `pythonpath` setting does not pass on."""
+    src = str(Path(liealg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def base_field(*components: str) -> BaseField:
@@ -131,9 +142,9 @@ def is_derivation(sc: liealg.StructureConstants, matrix) -> bool:
     for i in range(m):
         for j in range(i + 1, m):
             lhs = linalg.mat_vec(d, list(sc.c[i][j]))
-            rhs_a = sc.bracket_coords([d[r][i] for r in range(m)], linalg.unit_vector(m, j))
-            rhs_b = sc.bracket_coords(linalg.unit_vector(m, i), [d[r][j] for r in range(m)])
-            if any(lhs[k] != rhs_a[k] + rhs_b[k] for k in range(m)):
+            rhs_a = sc.bracket_coords({r: d[r][i] for r in range(m) if d[r][i]}, {j: 1})
+            rhs_b = sc.bracket_coords({i: 1}, {r: d[r][j] for r in range(m) if d[r][j]})
+            if any(lhs[k] != rhs_a.get(k, 0) + rhs_b.get(k, 0) for k in range(m)):
                 return False
     return True
 

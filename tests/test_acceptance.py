@@ -39,6 +39,7 @@ from tests.conftest import (
     abelian_ideal_check,
     base_field,
     build_pipeline,
+    child_env,
     constant_nullity_kernel,
     in_inner_span,
     is_derivation,
@@ -174,6 +175,7 @@ def test_acceptance_03_flat_solve_and_arbitrated_tables(flat_pipeline):
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from spraylie import cli
+from spraylie import cli, linalg
 from spraylie import liealg as la
 from spraylie.fields import bracket_base, combine_fields
 from spraylie.linalg import det, mat_mul, unit_vector
 from tests.conftest import base_field
-from tests.test_liealg import _affine, _heisenberg, _rotations
+from tests.test_liealg import _affine, _heisenberg, _parabolic_fields, _rotations
 
 
 def lu_matrix(m: int, seed: int) -> list[list[int]]:
@@ -75,6 +75,10 @@ CASES = {
     "aff3": lambda gens: _affine(3),
     "so4": lambda gens: _rotations(4),
     "h5": lambda gens: _heisenberg(2),
+    # radicals with two and three derived levels: more than one Levi correction
+    "gl[2,1]": lambda gens: _parabolic_fields((2, 1), False),
+    "sl[2,2]": lambda gens: _parabolic_fields((2, 2), True),
+    "gl[2,1,1]": lambda gens: _parabolic_fields((2, 1, 1), False),
     "shell": lambda gens: list(gens[0].values()),
     "flat-spray": lambda gens: list(gens[1].values()),
 }
@@ -184,5 +188,5 @@ def test_field_built_set_names_its_levi_witness_in_user_labels(tmp_path, monkeyp
     named, leftover = (cli.parse_combination(text, labels) for text in found.groups())
     total = levi.radical.sum(la.Subspace.from_vectors(kept, 4))
     missing = next(a for a in range(4) if not total.contains(unit_vector(4, a)))
-    assert named == la._combine(canonical.to_user, unit_vector(4, missing), 4)
+    assert named == linalg._dense(la._combine(canonical.to_user, {missing: 1}), 4)
     assert any(leftover)

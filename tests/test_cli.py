@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface against the shipped corpus."""
 
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -16,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spraylie import cli, fields, geom, liealg
 from spraylie.fields import nullity_rank_numeric
 from spraylie.symexpr import MAX_REDUCED_DEGREE, const, specialize
+from tests.conftest import child_env
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -26,6 +26,7 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     return proc
 
@@ -553,7 +554,9 @@ def test_analyze_names_the_witness_of_a_failed_identity(monkeypatch, capsys):
 def test_cli_import_does_not_load_numpy():
     """Neither numpy nor the test-only sympy reaches the command-line program."""
     probe = "import sys, spraylie.cli; print([m for m in ('numpy', 'sympy') if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -1012,14 +1015,12 @@ def test_missing_required_argument_exits_one():
 
 def test_package_runs_as_a_module(capsys):
     argv = ["table", str(PROBLEMS / "example1.json"), "--set", "connection_symmetries"]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spraylie", *argv],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "| e1 |" in proc.stdout

@@ -358,17 +358,18 @@ def test_radical_is_solvable_and_ideal(flat_spray_sc):
     series = rad
     steps = 0
     while not series.is_zero():
+        basis = list(series.rows.values())
         vectors = [
             sc.bracket_coords(u, v)
-            for a, u in enumerate(series.basis)
-            for v in series.basis[a + 1 :]
+            for a, u in enumerate(basis)
+            for v in basis[a + 1 :]
         ]
         series = la.Subspace.from_vectors(vectors, sc.dim)
         steps += 1
         assert steps <= sc.dim
-    for v in rad.basis:
+    for v in rad.rows.values():
         for i in range(sc.dim):
-            assert rad.contains(sc.bracket_coords(unit_vector(sc.dim, i), v))
+            assert rad.contains(sc.bracket_coords({i: 1}, v))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +478,8 @@ def _check_levi(sc, result):
     m = sc.dim
     assert result.radical.dim + result.levi.dim == m
     assert result.radical.sum(result.levi).dim == m
-    for u in result.levi.basis:
-        for v in result.levi.basis:
+    for u in result.levi.rows.values():
+        for v in result.levi.rows.values():
             assert result.levi.contains(sc.bracket_coords(u, v))
     if result.levi.dim:
         sub = la.subalgebra_constants(sc, result.levi)
@@ -923,15 +924,14 @@ def test_rank_certificates_return_the_full_kernel(tag, seed, tmp_path, monkeypat
 # ---------------------------------------------------------------------------
 
 
-def _parabolic(blocks: tuple[int, ...], special: bool, seed: int | None) -> la.StructureConstants:
+def _parabolic_fields(blocks: tuple[int, ...], special: bool) -> list:
     """Block upper-triangular n x n matrices with diagonal blocks of the given
     sizes, trace-free when `special`, as the linear fields A -> A_ij x_j d_i.
 
     A matrix E_ij (i != j) in the pattern, then E_ii, or E_ii - E_(i+1)(i+1)
     when special.  The fields bracket like the matrices up to sign, so they
     span the opposite algebra, which A -> -A identifies with the algebra
-    itself.  With a seed, generator r gains seeded multiples in {-1, 0, 1} of
-    the generators after it: one unitriangular change of basis.
+    itself.
     """
     n = sum(blocks)
     block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
@@ -940,12 +940,19 @@ def _parabolic(blocks: tuple[int, ...], special: bool, seed: int | None) -> la.S
         mats += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
     else:
         mats += [{(i, i): 1} for i in range(n)]
-    generators = [
+    return [
         base_field(
             *(" + ".join(f"{q}*x{j + 1}" for (r, j), q in a.items() if r == i) or "0" for i in range(n))
         )
         for a in mats
     ]
+
+
+def _parabolic(blocks: tuple[int, ...], special: bool, seed: int | None) -> la.StructureConstants:
+    """The table of `_parabolic_fields`.  With a seed, generator r gains seeded
+    multiples in {-1, 0, 1} of the generators after it: one unitriangular
+    change of basis."""
+    generators = _parabolic_fields(blocks, special)
     if seed is not None:
         rng = random.Random(seed)
         m = len(generators)
@@ -1074,12 +1081,12 @@ B3 = {
 def _mixed(sc: la.StructureConstants) -> la.StructureConstants:
     """The table over b_2t + b_2t+1 and b_2t+1, the mix the report-byte tests apply to fields."""
     m = sc.dim
-    basis = [unit_vector(m, i) for i in range(m)]
+    basis = [{i: Fraction(1)} for i in range(m)]
     for a in range(0, m - 1, 2):
         basis[a][a + 1] = Fraction(1)
     brackets = {}
     for i, j in itertools.combinations(range(m), 2):
-        w = sc.bracket_coords(basis[i], basis[j])
+        w = linalg._dense(sc.bracket_coords(basis[i], basis[j]), m)
         # b_2t = new_2t - new_2t+1
         for a in range(0, m - 1, 2):
             w[a + 1] -= w[a]

@@ -64,6 +64,21 @@ def test_rref_rank_and_kernel_agree_with_sympy(a):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_takes_sparse_rows(a):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+    reduced, pivots = rref(sparse, ncols=len(a[0]))
+    assert (reduced, pivots) == rref(a)
+    want, want_pivots = _sym(a).rref()
+    assert (reduced, pivots) == (_rows(want), list(want_pivots))
+    # a mapping has no length to read the width from, as in kernel_basis
+    with pytest.raises(ValueError):
+        rref(sparse)
+    with pytest.raises(ValueError):
+        kernel_basis(sparse)
+
+
+@settings(max_examples=100, deadline=None)
 @given(_matrices(), st.data())
 def test_solve_agrees_with_sympy(a, data):
     b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
