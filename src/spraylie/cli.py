@@ -776,7 +776,7 @@ def cmd_analyze(args) -> int:
         text = render_markdown(report)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
         print(f"report written to {args.out}")
@@ -1027,6 +1027,10 @@ def main(argv=None) -> int:
     except (InputError, SymExprError, geom.MetricError, liealg.NonClosureError,
             liealg.DependentGeneratorsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeEncodeError as exc:  # a report the locale's stdout cannot encode
+        char = ascii(exc.object[exc.start:exc.end])
+        print(f"error: the output encoding {exc.encoding} cannot write {char}", file=sys.stderr)
         return EXIT_INPUT
     except (geom.InvariantViolation, liealg.LieAlgebraError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

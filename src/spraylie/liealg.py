@@ -222,18 +222,6 @@ class StructureConstants:
             v = _combine(self.to_user, v)
         return render_combination(linalg._dense(v, self.dim), self.labels)
 
-    def _user_space(self, space: "Subspace") -> "Subspace":
-        """A subspace of the canonical table, over this table's basis, in echelon form."""
-        rows = self.canonical.to_user
-        return Subspace.from_vectors((_combine(rows, u) for u in space.rows.values()), self.dim)
-
-    def _canonical_space(self, space: "Subspace") -> "Subspace":
-        """A subspace over this table's basis, over the canonical one, in echelon form."""
-        if self.to_canonical is None:
-            return space
-        rows = self.to_canonical
-        return Subspace.from_vectors((_combine(rows, v) for v in space.rows.values()), self.dim)
-
     @functools.cached_property
     def killing(self) -> tuple[tuple[Fraction, ...], ...]:
         """The Killing form in this table's basis, computed on first use."""
@@ -259,7 +247,7 @@ class StructureConstants:
         report and `derivations`."""
         if self.canonical is self:
             return _center(self)
-        return self._user_space(self.canonical.center)
+        return _change_basis(self.canonical.center, self.canonical.to_user)
 
     @functools.cached_property
     def derived(self) -> Subspace:
@@ -267,7 +255,7 @@ class StructureConstants:
         and the radical."""
         if self.canonical is self:
             return _derived_subalgebra(self)
-        return self._user_space(self.canonical.derived)
+        return _change_basis(self.canonical.derived, self.canonical.to_user)
 
     @functools.cached_property
     def radical_series(self) -> tuple[Subspace, ...]:
@@ -275,7 +263,8 @@ class StructureConstants:
         canonical table and shared by `radical` and the Levi complement."""
         if self.canonical is self:
             return _radical_series(self)
-        return tuple(self._user_space(term) for term in self.canonical.radical_series)
+        to_user = self.canonical.to_user
+        return tuple(_change_basis(term, to_user) for term in self.canonical.radical_series)
 
     @functools.cached_property
     def levi(self) -> "LeviResult":
@@ -283,8 +272,8 @@ class StructureConstants:
         and shared by `levi_decomposition` and `derivations`."""
         if self.canonical is self:
             return _levi_decomposition(self)
-        levi = self.canonical.levi
-        return LeviResult(self._user_space(levi.radical), self._user_space(levi.levi))
+        levi, to_user = self.canonical.levi, self.canonical.to_user
+        return LeviResult(_change_basis(levi.radical, to_user), _change_basis(levi.levi, to_user))
 
     def bracket_coords(self, u: SparseRow, v: SparseRow) -> SparseRow:
         """[u, v] as a sparse row, read off the nonzero index."""
@@ -306,6 +295,14 @@ def _combine(rows: Sequence[SparseRow], v: SparseRow) -> SparseRow:
         for k, q in rows[i].items():
             out[k] = out.get(k, 0) + x * q
     return {k: w for k, w in out.items() if w}
+
+
+def _change_basis(space: Subspace, rows: Sequence[SparseRow] | None) -> Subspace:
+    """The subspace carried by the change of basis that sends e_i to rows[i]
+    (None: the identity), in echelon form."""
+    if rows is None:
+        return space
+    return Subspace.from_vectors((_combine(rows, v) for v in space.rows.values()), space.ambient_dim)
 
 
 def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
@@ -588,12 +585,12 @@ def _ideal_witness(
 def is_ideal(sc: StructureConstants, space: Subspace) -> bool:
     """Does every bracket [b_i, v], v in the subspace, stay in it?  Decided
     on the canonical table."""
-    return _ideal_witness(sc.canonical, sc._canonical_space(space)) is None
+    return _ideal_witness(sc.canonical, _change_basis(space, sc.to_canonical)) is None
 
 
 def is_abelian(sc: StructureConstants, space: Subspace) -> bool:
     """Do all brackets inside the subspace vanish?  Decided on the canonical table."""
-    return _derived_of_subspace(sc.canonical, sc._canonical_space(space)).is_zero()
+    return _derived_of_subspace(sc.canonical, _change_basis(space, sc.to_canonical)).is_zero()
 
 
 def radical(sc: StructureConstants) -> Subspace:
@@ -1054,19 +1051,23 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
 
 
 def classify_3dim_simple(sc: StructureConstants) -> str:
-    """Classify a 3-dimensional algebra by the inertia of its Killing form.
+    """Classify a 3-dimensional algebra by the inertia of its Killing form,
+    read off the Killing determinant and Sylvester's criterion.
 
     Returns "sl2-type" (split: signature (2,1)), "so3-type" (negative
-    definite), or "not-simple" (degenerate Killing form).
+    definite), or "not-simple" (degenerate Killing form).  Inertia and the
+    sign of the determinant do not depend on the basis, so the canonical
+    table's cached form and determinant decide it exactly.
     """
     if sc.dim != 3:
         raise LieAlgebraError("classification requires a 3-dimensional algebra")
-    # Sylvester's law: the canonical table's form has the same inertia
-    pos, neg, zero = linalg.congruence_signature(sc.canonical.killing)
-    if zero:  # by Sylvester's law, exactly when the Killing form is degenerate
+    det, kappa = sc.canonical.killing_determinant, sc.canonical.killing
+    if not det:
         return "not-simple"
-    if (pos, neg) == (2, 1):
-        return "sl2-type"
-    if (pos, neg) == (0, 3):
-        return "so3-type"
+    # leading minors (Sylvester): a zero minor means the form is not definite
+    k00, minor = kappa[0][0], kappa[0][0] * kappa[1][1] - kappa[0][1] ** 2
+    if det < 0:
+        # an odd number of negative eigenvalues: three, or exactly one
+        return "so3-type" if k00 < 0 and minor > 0 else "sl2-type"
+    pos, neg = (3, 0) if k00 > 0 and minor > 0 else (1, 2)
     raise LieAlgebraError(f"unexpected Killing signature ({pos},{neg}) in dimension 3")

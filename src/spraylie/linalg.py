@@ -3,8 +3,8 @@
 Matrices are row-major lists of Fractions; `rref`, `rank`, `kernel_basis`
 and `solve` also take rows as {column: value} mappings, the sparse rows
 (`SparseRow`) that the Lie layer computes with.  The solvers never touch
-floats: ranks, kernels, determinants, and signatures are all decided
-exactly, which is what the algebraic layer requires.
+floats: ranks, kernels and determinants are all decided exactly, which is
+what the algebraic layer requires.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from typing import Iterable, Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
-
-
-def to_fractions(rows: Iterable[Iterable]) -> Mat:
-    """Fresh rows of Fractions; entries that already are Fractions pass through."""
-    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
 
 
 def identity(n: int) -> Mat:
@@ -260,40 +255,3 @@ def _permutation_sign(perm: list[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def congruence_signature(matrix: Iterable[Iterable]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
-
-    The characteristic polynomial p(x) = det(xI - A) comes from n matrix
-    products (Faddeev-LeVerrier): with A M_0 = 0 and c_n = 1,
-    M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k.  A symmetric
-    real matrix has only real eigenvalues, so Descartes' rule of signs is
-    exact: the sign changes of p(x) count the positive eigenvalues and those
-    of p(-x) the negative ones, with multiplicity; the rest are zero.  No
-    eigenvalues and no floats are involved.
-    """
-    m = to_fractions(matrix)
-    n = len(m)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValueError("signature requires a square matrix")
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError("signature requires a symmetric matrix")
-    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0
-    product = zeros(n, n)  # A M_(k-1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            product[i][i] += coeffs[-1]
-        product = mat_mul(m, product)
-        coeffs.append(-sum(product[i][i] for i in range(n)) / k)
-
-    def sign_changes(seq: Iterable[Fraction]) -> int:
-        signs = [c > 0 for c in seq if c]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    pos = sign_changes(coeffs)
-    # p(-x) up to the overall sign (-1)^n: flip every other coefficient
-    neg = sign_changes(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
-    return pos, neg, n - pos - neg

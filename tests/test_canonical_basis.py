@@ -148,6 +148,22 @@ def test_complement_of_a_dense_basis_keeps_small_coefficients(seed):
     assert max(len(str(abs(part))) for part in parts) <= 2
 
 
+THREE_DIM = {
+    "so3": (lambda: _rotations(3), "so3-type"),
+    # the canonical Killing form of sl(2) on the line has kappa_00 = 0
+    "sl2": (lambda: [base_field("1"), base_field("x1"), base_field("x1^2")], "sl2-type"),
+    "h3": (lambda: _heisenberg(1), "not-simple"),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(THREE_DIM))
+def test_three_dim_class_does_not_depend_on_the_basis(case, seed):
+    build, expected = THREE_DIM[case]
+    fields = build() if seed is None else lu_basis(build(), seed)[0]
+    assert la.classify_3dim_simple(la.structure_constants_from_fields(fields)) == expected
+
+
 def test_table_given_as_constants_is_its_own_canonical_form():
     sc = la.StructureConstants(("a", "b"), (((0, 0), (1, 0)), ((-1, 0), (0, 0))))
     assert sc.canonical is sc

@@ -576,6 +576,32 @@ def test_analyze_unwritable_out_exits_one(tmp_path):
     assert not target.parent.exists()
 
 
+def test_output_the_locale_cannot_encode(tmp_path, capsys):
+    """Under an ASCII locale, `--out` still writes the report as UTF-8, and a
+    report that stdout cannot encode exits 1 with a message."""
+    path = tmp_path / "alpha.json"
+    doc = _small_problem(fields={"α": ["0", "1"], "e2": ["x1", "x2"]}, sets={"s": ["α", "e2"]})
+    del doc["expected_tables"], doc["accepted_corrections"]
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert cli.main(["analyze", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert "α" in report
+    env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def run(*argv):
+        command = [sys.executable, "-m", "spraylie.cli", "analyze", str(path), *argv]
+        return subprocess.run(command, capture_output=True, timeout=120, env=env)
+
+    out = tmp_path / "report.md"
+    proc = run("--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == report.encode("utf-8")
+    proc = run()
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_analyze_invalid_json_exits_one(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -560,6 +561,41 @@ def test_classify_abelian_not_simple():
         [base_field("1", "0", "0"), base_field("0", "1", "0"), base_field("0", "0", "1")]
     )
     assert la.classify_3dim_simple(sc) == "not-simple"
+
+
+def _table_3dim(brackets: dict) -> la.StructureConstants:
+    """A 3-dim table given as constants: brackets[(i, j)] = [b_i, b_j], i < j."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), v in brackets.items():
+        c[i][j], c[j][i] = list(v), [-x for x in v]
+    return la.StructureConstants(("a", "b", "c"), c)
+
+
+@pytest.mark.parametrize(
+    "brackets, expected",
+    [
+        # sl(2) as (h, e + f, e - f): kappa_00 = 8 and a positive leading 2x2 minor
+        ({(0, 1): (0, 0, 2), (0, 2): (0, 2, 0), (1, 2): (-2, 0, 0)}, "sl2-type"),
+        # sl(2) as (e, f, h): kappa_00 = 0
+        ({(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}, "sl2-type"),
+        ({(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}, "so3-type"),
+    ],
+    ids=["sl2 (h, e+f, e-f)", "sl2 (e, f, h)", "so3"],
+)
+def test_classify_a_table_given_as_constants(brackets, expected):
+    assert la.classify_3dim_simple(_table_3dim(brackets)) == expected
+
+
+@pytest.mark.parametrize(
+    "diagonal, pair", [((1, 1, 1), "(3,0)"), ((1, -1, -1), "(1,2)"), ((-1, -1, 1), "(1,2)")]
+)
+def test_classify_refuses_a_positive_killing_determinant(diagonal, pair):
+    # no Lie algebra reaches this guard, so plant the form on the canonical table
+    sc = la.structure_constants_from_fields(_rotations(3))
+    kappa = tuple(tuple(Fraction(d * (i == j)) for j in range(3)) for i, d in enumerate(diagonal))
+    sc.canonical.__dict__.update(killing=kappa, killing_determinant=det(kappa))
+    with pytest.raises(la.LieAlgebraError, match=re.escape(f"signature {pair}")):
+        la.classify_3dim_simple(sc)
 
 
 def test_classify_requires_dimension_three(shell_sc):

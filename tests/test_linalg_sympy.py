@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from spraylie.linalg import congruence_signature, det, kernel_basis, mat_mul, rank, rref, solve
+from spraylie.linalg import det, kernel_basis, mat_mul, rank, rref, solve
 
 sympy = pytest.importorskip("sympy")
 
@@ -149,45 +149,3 @@ def test_answers_do_not_depend_on_the_row_order(a, data):
 def test_rank_with_a_limit_is_the_smaller_of_the_two(a, limit):
     sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
     assert rank(a, limit) == rank(sparse, limit) == min(rank(a), limit)
-
-
-@st.composite
-def _symmetric(draw):
-    """Symmetric integer matrices: dense, sparse, zero-diagonal or singular."""
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("dense", "sparse", "zero-diagonal", "singular")))
-    if kind == "singular":
-        # B^T D B with B of fewer rows than n: rank below n
-        inner = draw(st.integers(0, n - 1))
-        b = _grid(draw, inner, n, st.integers(-2, 2))
-        d = [draw(st.integers(-2, 2)) for _ in range(inner)]
-        return [[sum(b[k][i] * d[k] * b[k][j] for k in range(inner)) for j in range(n)] for i in range(n)]
-    entries = st.integers(-4, 4) if kind == "dense" else st.sampled_from([0, 0, 0, -2, -1, 1, 3])
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a[i][j] = a[j][i] = draw(entries)
-        if kind == "zero-diagonal":
-            a[i][i] = 0
-    return a
-
-
-def _eigenvalue_signs(a) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalues with multiplicity, from sympy's
-    characteristic polynomial: each square-free factor f^k adds k for every
-    real root of f, counted on each side of 0."""
-    signs = [0, 0, 0]
-    for factor, k in _sym(a).charpoly().sqf_list()[1]:
-        at_zero = int(factor.eval(0) == 0)
-        signs[0] += k * (factor.count_roots(0, None) - at_zero)
-        signs[1] += k * (factor.count_roots(None, 0) - at_zero)
-        signs[2] += k * at_zero
-    return tuple(signs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_symmetric())
-@example([[0, 1], [1, 0]])  # the hyperbolic plane: no nonzero diagonal entry
-@example([[0, 0], [0, 0]])
-def test_signature_counts_the_eigenvalue_signs_of_sympy(a):
-    assert congruence_signature(a) == _eigenvalue_signs(a)
