@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 input error, 2 verification mismatch, 3 internal
 invariant failure.  An expected-table mismatch is decided exactly, always in
 favour of the computation; one listed in the file's `accepted_corrections`
 block is reported as a discrepancy but does not fail the run.  Floats only
-diagnose: `oracle` and the reported deviations evaluate at sampled points.
+diagnose: `oracle` and the reported deviations evaluate at sampled points, in
+one `evaluate` call per list of points, which sorts each expression once,
+values each monomial and exponential once per point and rounds each term once
+from integers.
 """
 
 from __future__ import annotations
@@ -98,13 +101,20 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def _parse_entry(text, where: str) -> CanonicalExpr:
+def _parse_entry(text, where: str, by_text: dict[str, CanonicalExpr]) -> CanonicalExpr:
+    """The expression in one cell; `by_text` holds every text already read from the file.
+
+    Values are immutable, so cells with the same text share one.  A bad text is
+    never stored, so it fails at its first cell.
+    """
     if not isinstance(text, str):
         raise InputError(f"{where}: expected an expression string, got {type(text).__name__}")
-    try:
-        return parse_expr(text)
-    except SymExprError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    if text not in by_text:
+        try:
+            by_text[text] = parse_expr(text)
+        except SymExprError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return by_text[text]
 
 
 def _block(doc: dict, key: str, kind: type, default):
@@ -149,6 +159,7 @@ def load_problem(path: str | Path) -> Problem:
     if dim > MAX_INDEX:  # no coordinate above x<MAX_INDEX> can be named
         raise InputError(f"dim {dim} exceeds {MAX_INDEX}, the largest coordinate index")
 
+    by_text: dict[str, CanonicalExpr] = {}  # each distinct cell text is parsed once
     metric_doc = doc.get("metric")
     if not isinstance(metric_doc, dict):
         raise InputError("metric block is required")
@@ -163,12 +174,16 @@ def load_problem(path: str | Path) -> Problem:
         if len(entries) != dim:
             raise InputError(f"flat metric entry list must hold {dim} entries")
         diagonal = [
-            _parse_entry(cell, f"metric entry ({i + 1},{i + 1})") for i, cell in enumerate(entries)
+            _parse_entry(cell, f"metric entry ({i + 1},{i + 1})", by_text)
+            for i, cell in enumerate(entries)
         ]
     else:
         _square(entries, dim, "metric entries")
         g = tuple(
-            tuple(_parse_entry(entries[i][j], f"metric entry ({i + 1},{j + 1})") for j in range(dim))
+            tuple(
+                _parse_entry(entries[i][j], f"metric entry ({i + 1},{j + 1})", by_text)
+                for j in range(dim)
+            )
             for i in range(dim)
         )
     try:
@@ -181,7 +196,7 @@ def load_problem(path: str | Path) -> Problem:
             _square(inverse, dim, "metric inverse")
             g_inv = tuple(
                 tuple(
-                    _parse_entry(inverse[i][j], f"metric inverse ({i + 1},{j + 1})")
+                    _parse_entry(inverse[i][j], f"metric inverse ({i + 1},{j + 1})", by_text)
                     for j in range(dim)
                 )
                 for i in range(dim)
@@ -203,7 +218,9 @@ def load_problem(path: str | Path) -> Problem:
     for name, comps in _block(doc, "fields", dict, {}).items():
         if not isinstance(comps, list) or len(comps) != dim:
             raise InputError(f"field {name!r} must list {dim} component expressions")
-        parsed = [_parse_entry(c, f"field {name!r} component {i + 1}") for i, c in enumerate(comps)]
+        parsed = [
+            _parse_entry(c, f"field {name!r} component {i + 1}", by_text) for i, c in enumerate(comps)
+        ]
         for i, comp in enumerate(parsed):
             if comp.uses_y():
                 raise InputError(f"field {name!r} component {i + 1} depends on fibre coordinates")
@@ -351,8 +368,9 @@ def _rel_dev(a: float, b: float) -> float:
 def _max_dev(a_exprs, b_exprs, points) -> float:
     """Largest relative deviation between paired expressions over the points."""
     worst = 0.0
-    for point in points:
-        for va, vb in zip(evaluate(a_exprs, point), evaluate(b_exprs, point)):
+    n = len(a_exprs)
+    for row in evaluate([*a_exprs, *b_exprs], points):
+        for va, vb in zip(row[:n], row[n:]):
             worst = max(worst, _rel_dev(va, vb))
     return worst
 
@@ -828,10 +846,10 @@ def _oracle_fd(problem, points, target: str):
     if target == "E":
         expr = problem.metric.energy
     elif target.startswith("G"):
-        try:
-            k = int(target[1:])
-        except ValueError:
+        digits = target[1:]  # ASCII digits only, as for x<k>: int() would also read "+1", "1_0", "١"
+        if not (digits.isascii() and digits.isdigit()):
             raise InputError(f"unknown derivative target {target!r}")
+        k = int(digits) if len(digits) <= MAX_DIGITS else 0
         if not 1 <= k <= problem.dim:
             raise InputError(f"spray index out of range in {target!r}")
         expr = geom.spray_from_metric(problem.metric).G[k - 1]
@@ -843,10 +861,15 @@ def _oracle_fd(problem, points, target: str):
     variables = [f"{axis}{i}" for i in range(1, problem.dim + 1) for axis in ("x", "y")]
     derivatives = [expr.diff(var) for var in variables]
     for point in points:
-        for var, exact in zip(variables, evaluate(derivatives, point)):
-            forward = {**point, var: point[var] + FD_STEP}
-            backward = {**point, var: point[var] - FD_STEP}
-            fd = (expr.eval(forward) - expr.eval(backward)) / (2 * float(FD_STEP))
+        # the derivatives at a point before its shifts: the first point that
+        # overflows is the one reported
+        (exact_row,) = evaluate(derivatives, [point])
+        shifted = [
+            {**point, var: point[var] + step} for var in variables for step in (FD_STEP, -FD_STEP)
+        ]
+        values = [value for (value,) in evaluate([expr], shifted)]
+        for exact, forward, backward in zip(exact_row, values[::2], values[1::2]):
+            fd = (forward - backward) / (2 * float(FD_STEP))
             worst = max(worst, _rel_dev(exact, fd))
     return f"symbolic derivative of {target} vs central differences", worst, FD_REL_TOL
 

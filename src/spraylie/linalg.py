@@ -42,10 +42,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
 SparseRow = dict[int, Fraction]
 
 

@@ -158,13 +158,15 @@ class LinForm:
             out[i - 1] = q
         return tuple(out)
 
-    def eval(self, xvals: Mapping[int, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def eval(self, xvals: Mapping[int, Fraction]) -> tuple[int, int]:
+        """The value as an integer numerator and a positive denominator, not reduced."""
+        num, den = 0, 1
         for i, q in self.coeffs:
             if i not in xvals:
                 raise EvaluationError(f"no value assigned to x{i}")
-            total += q * xvals[i]
-        return total
+            n, d = q.numerator * xvals[i].numerator, q.denominator * xvals[i].denominator
+            num, den = num * d + n * den, den * d
+        return num, den
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -257,17 +259,16 @@ class Monomial:
             out[i - 1] = e
         return tuple(out)
 
-    def eval(self, xvals: Mapping[int, Fraction], yvals: Mapping[int, Fraction]) -> Fraction:
-        total = Fraction(1)
-        for i, e in self.x:
-            if i not in xvals:
-                raise EvaluationError(f"no value assigned to x{i}")
-            total *= xvals[i] ** e
-        for i, e in self.y:
-            if i not in yvals:
-                raise EvaluationError(f"no value assigned to y{i}")
-            total *= yvals[i] ** e
-        return total
+    def eval(self, xvals: Mapping[int, Fraction], yvals: Mapping[int, Fraction]) -> tuple[int, int]:
+        """The value as an integer numerator and a positive denominator, not reduced."""
+        num = den = 1
+        for kind, vals, powers in (("x", xvals, self.x), ("y", yvals, self.y)):
+            for i, e in powers:
+                if i not in vals:
+                    raise EvaluationError(f"no value assigned to {kind}{i}")
+                num *= vals[i].numerator ** e
+                den *= vals[i].denominator ** e
+        return num, den
 
 
 _EMPTY_MONO = Monomial((), ())
@@ -500,10 +501,6 @@ class CanonicalExpr:
                     _accumulate(acc, (mono, lin), c * q)
         return CanonicalExpr(acc)
 
-    def eval(self, point: Mapping[str, Fraction | int]) -> float:
-        """IEEE-double value at a rational point (see `evaluate`)."""
-        return evaluate([self], point)[0]
-
     # -- ordering, equality, printing --------------------------------------
 
     def _sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
@@ -552,7 +549,7 @@ def _split_point(point: Mapping[str, Fraction | int]) -> tuple[dict, dict]:
     vals: dict[str, dict[int, Fraction]] = {"x": {}, "y": {}}
     for name, val in point.items():
         kind, idx = _var_key(name)
-        vals[kind][idx] = Fraction(val)
+        vals[kind][idx] = val if type(val) is Fraction else Fraction(val)
     return vals["x"], vals["y"]
 
 
@@ -620,7 +617,7 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
     for expr in exprs:
         total = Fraction(0)
         for (mono, lin), c in expr.items():
-            term = c * mono.eval(xvals, {})  # no y-values: a y-monomial raises
+            term = c * Fraction(*mono.eval(xvals, {}))  # no y-values: a y-monomial raises
             for i, q in lin.coeffs:
                 if not tvals.get(i):
                     raise EvaluationError(f"no nonzero value assigned to y{i}")
@@ -630,32 +627,50 @@ def specialize(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | in
     return values
 
 
-def evaluate(exprs: Sequence[CanonicalExpr], point: Mapping[str, Fraction | int]) -> list[float]:
-    """IEEE-double values at a rational point, the float twin of `specialize`.
+def evaluate(
+    exprs: Sequence[CanonicalExpr], points: Sequence[Mapping[str, Fraction | int]]
+) -> list[list[float]]:
+    """IEEE-double values at rational points, the float twin of `specialize`.
 
-    The point is split once.  Each expression sums its terms in print order,
-    each term's rational part exactly, with exp applied last per term; a zero
-    expression is 0.0 without sorting.  A value beyond the double range raises
-    EvaluationError: an inf or nan would compare as no deviation at all.
+    One row per point, one entry per expression.  Each expression's terms are
+    sorted into print order once, and each distinct monomial and exponent is
+    numbered once.  At each point, split once, each monomial is valued once as
+    integers p/q and each exp(l(x)) once; a term c*m is rounded once, as
+    (c.numerator*p) / (c.denominator*q), which int division rounds correctly
+    just as float(c*m) does.  Each expression sums its terms in print order,
+    with exp applied last per term; a zero expression is 0.0.  A value beyond
+    the double range raises EvaluationError naming the point: an inf or nan
+    would compare as no deviation at all.  Nothing is kept between calls.
     """
-    xvals, yvals = _split_point(point)
-    values = []
+    monos: dict[Monomial, int] = {}
+    lins: dict[LinForm, int] = {}
+    plans = []  # per expression, in print order: (c numerator, c denominator, monomial, exponent or -1)
     for expr in exprs:
-        total = 0.0
+        plans.append([
+            (c.numerator, c.denominator, monos.setdefault(mono, len(monos)),
+             lins.setdefault(lin, len(lins)) if lin.coeffs else -1)
+            for (mono, lin), c in (expr._sorted_terms() if expr else ())
+        ])
+    rows = []
+    for point in points:
+        xvals, yvals = _split_point(point)
         try:
-            for (mono, lin), c in expr._sorted_terms() if expr else ():
-                exact = c * mono.eval(xvals, yvals)
-                if lin.is_zero():
-                    total += float(exact)
-                else:
-                    total += float(exact) * math.exp(float(lin.eval(xvals)))
+            values = [mono.eval(xvals, yvals) for mono in monos]
+            exps = [math.exp(num / den) for num, den in (lin.eval(xvals) for lin in lins)]
+            row = []
+            for plan in plans:
+                total = 0.0
+                for num, den, m, l in plan:
+                    p, q = values[m]
+                    total += (num * p) / (den * q) if l < 0 else (num * p) / (den * q) * exps[l]
+                row.append(total)
         except OverflowError:
-            total = math.inf
-        if not math.isfinite(total):
+            row = [math.inf]
+        if not all(map(math.isfinite, row)):
             where = ", ".join(f"{name}={value}" for name, value in point.items())
             raise EvaluationError(f"a value overflows a double at the sample point {where}")
-        values.append(total)
-    return values
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ def curvature_potential(spray: geom.SprayData, curv: geom.CurvatureData):
     return tuple(out)
 
 
+def mat_vec(a, v) -> list[Fraction]:
+    """The exact product of a dense matrix and a vector."""
+    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+
+
 def ad_matrix(sc: liealg.StructureConstants, i: int) -> linalg.Mat:
     """Matrix of ad(b_i): column j holds [b_i, b_j]."""
     m = sc.dim
@@ -141,7 +146,7 @@ def is_derivation(sc: liealg.StructureConstants, matrix) -> bool:
     d = [[Fraction(v) for v in row] for row in matrix]
     for i in range(m):
         for j in range(i + 1, m):
-            lhs = linalg.mat_vec(d, list(sc.c[i][j]))
+            lhs = mat_vec(d, list(sc.c[i][j]))
             rhs_a = sc.bracket_coords({r: d[r][i] for r in range(m) if d[r][i]}, {j: 1})
             rhs_b = sc.bracket_coords({i: 1}, {r: d[r][j] for r in range(m) if d[r][j]})
             if any(lhs[k] != rhs_a.get(k, 0) + rhs_b.get(k, 0) for k in range(m)):

@@ -82,6 +82,20 @@ def test_load_problem_corpus_files():
         assert problem.metric.dim == problem.dim
 
 
+def test_load_problem_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    texts = []
+    parse = cli.parse_expr
+    monkeypatch.setattr(cli, "parse_expr", lambda text: texts.append(text) or parse(text))
+    cli.load_problem(PROBLEMS / "section5.json")
+    assert len(texts) == len(set(texts))
+    # a bad text is not stored, so it fails at its first cell
+    doc = {"dim": 2, "metric": {"kind": "diagonal", "entries": [["1", "x1^"], ["x1^", "1"]]}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.InputError, match=r"^metric entry \(1,2\): line 1, col 4: "):
+        cli.load_problem(path)
+
+
 def test_load_problem_flat_diagonal_entry_list(tmp_path):
     doc = {
         "name": "flat-entries",
@@ -935,6 +949,16 @@ def test_oracle_fd_target_validation():
     assert proc.returncode == 1
     proc = run_cli("oracle", str(PROBLEMS / "example1.json"), "--check", "diff-vs-fd e1")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("target", ["G+1", "G\u0661", "G1_0", "G"])
+def test_oracle_spray_target_takes_only_ascii_digits(target, capsys):
+    # int() reads the first three (two of them as 1); x<k> takes only ASCII digits
+    argv = ["oracle", str(PROBLEMS / "example1.json"), "--check", f"diff-vs-fd {target}"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown derivative target {target!r}\n"
 
 
 def test_oracle_table_cell_needs_set_when_ambiguous():

@@ -11,11 +11,11 @@ from spraylie.linalg import (
     det,
     kernel_basis,
     mat_mul,
-    mat_vec,
     rank,
     rref,
     solve,
 )
+from tests.conftest import mat_vec
 
 
 def test_rref_known():

@@ -8,6 +8,7 @@ sympy is a test-only dependency: the program never imports it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from spraylie.symexpr import (
     ZERO,
     CanonicalExpr,
+    EvaluationError,
     const,
     evaluate,
     exponential,
@@ -142,8 +144,57 @@ def test_printed_form_parses_back_in_both_systems(a):
 def test_evaluate_agrees_with_sympy_at_rational_points(a, b, point):
     (ra, sa), (rb, sb) = a, b
     subs = {S[name]: _rat(value) for name, value in point.items()}
-    got_zero, *got_values = evaluate([ZERO, ra, rb], point)
+    ((got_zero, *got_values),) = evaluate([ZERO, ra, rb], [point])
     assert got_zero == 0.0
     for got, sym in zip(got_values, (sa, sb)):
         want = float(sym.subs(subs).evalf(30))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (str(sym), point)
+
+
+def _replay(expr: CanonicalExpr, point) -> float:
+    """One value by the rule `evaluate` keeps: the sum, in print order, of
+    float(c * exact monomial) * exp(float(exact l(x))), one term at a time."""
+    vals = {name: Q(value) for name, value in point.items()}
+    total = 0.0
+    for (mono, lin), c in expr._sorted_terms() if expr else ():
+        exact = c
+        for i, e in mono.x:
+            exact *= vals[f"x{i}"] ** e
+        for i, e in mono.y:
+            exact *= vals[f"y{i}"] ** e
+        exponent = sum((q * vals[f"x{i}"] for i, q in lin.coeffs), Q(0))
+        total += float(exact) * math.exp(float(exponent))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_values(), min_size=1, max_size=4), st.lists(_points, min_size=1, max_size=4))
+def test_evaluate_all_points_at_once_is_bitwise_the_term_by_term_rule(values, points):
+    exprs = [ring for ring, _sym in values] + [ZERO]
+    got = evaluate(exprs, points)
+    assert len(got) == len(points)
+    for row, point in zip(got, points):
+        assert row == [_replay(expr, point) for expr in exprs], point
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_evaluate_sorts_each_nonzero_expression_once(monkeypatch, count):
+    calls = []
+    sorted_terms = CanonicalExpr._sorted_terms
+    monkeypatch.setattr(
+        CanonicalExpr, "_sorted_terms", lambda self: calls.append(self) or sorted_terms(self)
+    )
+    exprs = [parse_expr("x1*exp(x2) - y1^2"), ZERO, parse_expr("x1*exp(x2) + 1/3")]
+    points = [{"x1": Q(k, 2), "x2": Q(-1, k), "y1": Q(k)} for k in range(1, count + 1)]
+    evaluate(exprs, points)
+    assert calls == [exprs[0], exprs[2]]
+
+
+@pytest.mark.parametrize(
+    "expr", [exponential({1: 400}), const(10**300) * xvar(1) ** 100], ids=["exp", "monomial"]
+)
+def test_evaluate_names_the_first_point_that_overflows(expr):
+    points = [{"x1": Q(1)}, {"x1": Q(2)}, {"x1": Q(3)}]
+    assert math.isfinite(evaluate([expr], points[:1])[0][0])
+    with pytest.raises(EvaluationError, match=r"at the sample point x1=2$"):
+        evaluate([const(1), expr], points)
