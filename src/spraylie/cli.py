@@ -245,6 +245,9 @@ def load_problem(path: str | Path) -> Problem:
         if set_name not in sets:
             raise InputError(f"expected_tables references unknown set {set_name!r}")
         _square(table, len(sets[set_name]), f"expected table for {set_name!r}")
+        # each distinct cell text is parsed once; cells with the same text share
+        # one list, which nothing mutates, and a bad text fails at its first cell
+        by_text: dict[str, list[Fraction]] = {}
         coeffs = []
         for i, row in enumerate(table):
             coeffs.append([])
@@ -252,10 +255,12 @@ def load_problem(path: str | Path) -> Problem:
                 where = f"expected table for {set_name!r} cell ({i + 1},{j + 1})"
                 if not isinstance(cell, str):
                     raise InputError(f"{where} must be a string, got {type(cell).__name__}")
-                try:
-                    coeffs[i].append(parse_combination(cell, sets[set_name]))
-                except InputError as exc:
-                    raise InputError(f"{where}: {exc}") from exc
+                if cell not in by_text:
+                    try:
+                        by_text[cell] = parse_combination(cell, sets[set_name])
+                    except InputError as exc:
+                        raise InputError(f"{where}: {exc}") from exc
+                coeffs[i].append(by_text[cell])
         expected[set_name] = table
         expected_coeffs[set_name] = coeffs
 

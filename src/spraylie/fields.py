@@ -9,8 +9,11 @@ Every bracket and derivative here but the base bracket rests on one
 derivation, a field applied to a scalar, X(f) = sum_s X^s d_s f; the base
 bracket reads the two fields' cached Jacobians instead.  Over 90 % of its products vanish on
 the shipped problems and on flat Lie families, so it differentiates only
-where the component X^s is nonzero, and multiplies and adds only where the
-partial d_s f is nonzero too.  Two facts of the coordinate frame then spare
+where the component X^s is nonzero, and the ring's one sum of products
+(`CanonicalExpr.sum_of_products`) skips a zero partial d_s f.  That sum
+also builds the lifts, the base bracket, the image of an endomorphism field,
+the energy and every membership obstruction, each a single accumulation of
+product terms.  Two facts of the coordinate frame then spare
 the frame brackets: frame fields commute, [d_a, d_b] = 0, and bracketing
 with one is a componentwise partial derivative, [Z, d_b] = -d_b Z.  The
 Frolicher-Nijenhuis self-bracket [K, K] and the Lie derivative of an
@@ -44,6 +47,7 @@ every field's test.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -93,18 +97,14 @@ def _derive(
     """The field X = sum_s X^s d/d(var_s) applied to a scalar: sum_s X^s d_s f.
 
     Most components and most partials are zero, so only the slots whose
-    component is nonzero are differentiated, and only a nonzero partial is
-    multiplied and added; a zero scalar gives zero at once.
+    component is nonzero are differentiated, and the sum of products skips a
+    zero partial; a zero scalar gives zero at once.
     """
-    acc = ZERO
     if not scalar:
-        return acc
-    for comp, var in zip(components, variables):
-        if comp:
-            partial = scalar.diff(var)
-            if partial:
-                acc = acc + comp * partial
-    return acc
+        return ZERO
+    return CanonicalExpr.sum_of_products(
+        (comp, scalar.diff(var)) for comp, var in zip(components, variables) if comp
+    )
 
 
 def _bracket(
@@ -195,7 +195,7 @@ def complete_lift(field: BaseField) -> TMField:
     """Lift X^k d/dx^k to X^k d/dx^k + Y^k d/dy^k, Y^k = y^l d_l X^k over the
     nonzero entries d_l X^k of the field's Jacobian."""
     ys = [yvar(l + 1) for l in range(field.dim)]
-    lifted = (sum((y * d for y, d in zip(ys, row) if d), ZERO) for row in field.jacobian)
+    lifted = (CanonicalExpr.sum_of_products(zip(ys, row)) for row in field.jacobian)
     return TMField(field.components + tuple(lifted))
 
 
@@ -205,16 +205,13 @@ def bracket_base(a: BaseField, b: BaseField) -> BaseField:
     if a.dim != b.dim:
         raise ValueError("bracket of fields with different dimensions")
     ja, jb = a.jacobian, b.jacobian
-    comps = []
-    for k in range(a.dim):
-        acc = ZERO
-        for l, (al, bl) in enumerate(zip(a.components, b.components)):
-            if al and jb[k][l]:
-                acc = acc + al * jb[k][l]
-            if bl and ja[k][l]:
-                acc = acc - bl * ja[k][l]
-        comps.append(acc)
-    return BaseField(tuple(comps))
+    return BaseField(
+        tuple(
+            CanonicalExpr.sum_of_products(zip(a.components, jb[k]))
+            - CanonicalExpr.sum_of_products(zip(b.components, ja[k]))
+            for k in range(a.dim)
+        )
+    )
 
 
 def bracket_tm(a: TMField, b: TMField) -> TMField:
@@ -270,14 +267,12 @@ class VectorOneForm:
         support = [(a, c) for a, c in enumerate(field.components) if c]
         if not support:
             return field
-        comps = []
-        for row in self.matrix:
-            acc = ZERO
-            for a, c in support:
-                if row[a]:
-                    acc = acc + row[a] * c
-            comps.append(acc)
-        return TMField(tuple(comps))
+        return TMField(
+            tuple(
+                CanonicalExpr.sum_of_products((row[a], c) for a, c in support)
+                for row in self.matrix
+            )
+        )
 
     def compose(self, other: "VectorOneForm") -> "VectorOneForm":
         return _from_columns([self.apply(other.frame_image(a)) for a in range(len(self.matrix))])
@@ -445,12 +440,8 @@ def energy_from_metric(metric) -> CanonicalExpr:
     """E = g_ij y^i y^j / 2."""
     n = metric.dim
     ys = [yvar(l + 1) for l in range(n)]
-    acc = ZERO
-    for i in range(n):
-        for j in range(n):
-            if metric.g[i][j]:
-                acc = acc + metric.g[i][j] * ys[i] * ys[j]
-    return acc * Fraction(1, 2)
+    pairs = ((metric.g[i][j], ys[i] * ys[j]) for i in range(n) for j in range(n) if metric.g[i][j])
+    return CanonicalExpr.sum_of_products(pairs) * Fraction(1, 2)
 
 
 def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr]]:
@@ -464,11 +455,8 @@ def _spray_obstruction(field: BaseField, spray) -> list[tuple[str, CanonicalExpr
     spray_comps = spray.field.components
     out = []
     for k, partials in enumerate(spray.partials):
-        acc = ZERO  # X^c(-2 G^k) from the spray's shared partials
-        for comp, partial in zip(lift, partials):
-            if comp and partial:
-                acc = acc + comp * partial
-        out.append((f"component {names[n + k]}", acc - _derive(spray_comps, names, lift[n + k])))
+        lifted = CanonicalExpr.sum_of_products(zip(lift, partials))  # X^c(-2 G^k), shared partials
+        out.append((f"component {names[n + k]}", lifted - _derive(spray_comps, names, lift[n + k])))
     return out
 
 
@@ -486,23 +474,19 @@ def _connection_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     X, dX = field.components, field.jacobian
     Y = field.lift.components[n:]
     gamma1, gamma2, dgamma = connection.gamma1, connection.gamma2, connection.x_partials
+    gamma1_columns, dX_columns = list(zip(*gamma1)), list(zip(*dX))
     out = []
     for j in range(n):
         for i in range(n):
-            acc = ZERO
-            for xk, partial in zip(X, dgamma[j][i]):
-                if xk and partial:
-                    acc = acc + xk * partial
-            acc = acc + Y[j].diff(xs[i])
-            for l, coeff in gamma2.get((j, i), {}).items():
-                if Y[l]:
-                    acc = acc + Y[l] * coeff
-            for l in range(n):
-                if gamma1[l][i] and dX[j][l]:
-                    acc = acc - gamma1[l][i] * dX[j][l]
-                if gamma1[j][l] and dX[l][i]:
-                    acc = acc + gamma1[j][l] * dX[l][i]
-            out.append((f"matrix entry ({n + j},{i})", acc * -2))
+            plus = CanonicalExpr.sum_of_products(
+                itertools.chain(
+                    zip(X, dgamma[j][i]),
+                    ((Y[l], coeff) for l, coeff in gamma2.get((j, i), {}).items()),
+                    zip(gamma1[j], dX_columns[i]),
+                )
+            )
+            minus = CanonicalExpr.sum_of_products(zip(gamma1_columns[i], dX[j]))
+            out.append((f"matrix entry ({n + j},{i})", (plus - minus + Y[j].diff(xs[i])) * -2))
     return out
 
 
@@ -534,15 +518,15 @@ def in_Ag(field: BaseField, metric, spray) -> MembershipVerdict:
 
 def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, CanonicalExpr]]:
     n = field.dim
+    X = field.components
     out = []
     for j in range(n):
         for l in range(n):
-            acc = field.jacobian[j][l]
             # Gamma^j_il = Gamma^j_li
-            for i, coeff in connection.gamma2.get((j, l), {}).items():
-                if field.components[i]:
-                    acc = acc + field.components[i] * coeff
-            out.append((f"equation (j={j + 1}, l={l + 1})", acc))
+            contraction = CanonicalExpr.sum_of_products(
+                (X[i], coeff) for i, coeff in connection.gamma2.get((j, l), {}).items()
+            )
+            out.append((f"equation (j={j + 1}, l={l + 1})", field.jacobian[j][l] + contraction))
     return out
 
 
@@ -554,14 +538,14 @@ def is_horizontal(field: BaseField, connection) -> MembershipVerdict:
 
 def _nullity_obstruction(field: BaseField, curvature) -> list[tuple[str, CanonicalExpr]]:
     """X^l R^k_l,ij for each nonzero R^k_ij, i < j; the contraction vanishes at every other."""
-    out = []
-    for (k, i, j), coeffs in curvature.R2.items():
-        acc = ZERO
-        for l, coeff in coeffs.items():
-            if field.components[l]:
-                acc = acc + field.components[l] * coeff
-        out.append((f"contraction (k={k + 1}, i={i + 1}, j={j + 1})", acc))
-    return out
+    X = field.components
+    return [
+        (
+            f"contraction (k={k + 1}, i={i + 1}, j={j + 1})",
+            CanonicalExpr.sum_of_products((X[l], coeff) for l, coeff in coeffs.items()),
+        )
+        for (k, i, j), coeffs in curvature.R2.items()
+    ]
 
 
 def in_nullity(field: BaseField, curvature) -> MembershipVerdict:

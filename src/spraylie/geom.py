@@ -6,7 +6,9 @@ energy's Euler-Lagrange equations, the induced linear connection,
 horizontal/vertical projectors, and the curvature.  The curvature is
 computed twice on demand -- once from the component formula and once through
 the Frolicher-Nijenhuis self-bracket of the horizontal projector -- and the two
-routes are required to agree exactly.
+routes are required to agree exactly.  Each sum of products on the way (the
+check g g^-1 = I, the spray's Euler-Lagrange sums, the quadratic terms of the
+curvature) is one call to the ring's `CanonicalExpr.sum_of_products`.
 
 Index conventions (0-based indices over 1-based variables).  Each y-linear
 table is stored once; its y-coefficients are a sparse index that the data
@@ -113,17 +115,14 @@ class MetricSpec:
                 raise MetricError("general metrics require an explicit inverse")
             if len(self.g_inv) != n or any(len(row) != n for row in self.g_inv):
                 raise MetricError("metric inverse must form an n x n array")
-            # g g^-1 = I, multiplying only pairs of nonzero entries
-            inv_rows = [[(j, e) for j, e in enumerate(row) if e] for row in self.g_inv]
+            # g g^-1 = I, each entry summed over the row's nonzero entries only
             one = CanonicalExpr.const(1)
             for i, row in enumerate(self.g):
-                acc: dict[int, CanonicalExpr] = {}
-                for l, entry in enumerate(row):
-                    if entry:
-                        for j, inv in inv_rows[l]:
-                            acc[j] = acc.get(j, ZERO) + entry * inv
-                if any(acc.get(j, ZERO) != (one if j == i else ZERO) for j in range(n)):
-                    raise MetricError("supplied inverse does not invert the metric")
+                support = [(l, entry) for l, entry in enumerate(row) if entry]
+                for j in range(n):
+                    product = CanonicalExpr.sum_of_products((e, self.g_inv[l][j]) for l, e in support)
+                    if product != (one if j == i else ZERO):
+                        raise MetricError("supplied inverse does not invert the metric")
 
     def inverse(self) -> tuple[tuple[CanonicalExpr, ...], ...]:
         if self.kind == "diagonal":
@@ -281,21 +280,11 @@ def spray_from_metric(metric: MetricSpec) -> SprayData:
     lowered = []  # 2 g_lk G^k
     for l in range(n):
         momentum = energy.diff(f"y{l + 1}")
-        acc = -energy.diff(xs[l])
-        for j in range(n):
-            d = momentum.diff(xs[j])
-            if d:
-                acc = acc + ys[j] * d
-        lowered.append(acc)
+        transport = CanonicalExpr.sum_of_products((ys[j], momentum.diff(xs[j])) for j in range(n))
+        lowered.append(transport - energy.diff(xs[l]))
     inv = metric.inverse()
-    coeffs = []
-    for k in range(n):
-        acc = ZERO
-        for l in range(n):
-            if inv[k][l] and lowered[l]:
-                acc = acc + inv[k][l] * lowered[l]
-        coeffs.append(acc * Fraction(1, 2))
-    return SprayData(tuple(coeffs))
+    half = Fraction(1, 2)
+    return SprayData(tuple(CanonicalExpr.sum_of_products(zip(row, lowered)) * half for row in inv))
 
 
 def connection_from_spray(spray: SprayData) -> ConnectionData:
@@ -337,18 +326,17 @@ def curvature(connection: ConnectionData) -> CurvatureData:
     connection's index; R^k_ji = -R^k_ij and R^k_ii = 0."""
     n = connection.dim
     g1, g2, dg = connection.gamma1, connection.gamma2, connection.x_partials
+
+    def quadratic(k: int, i: int, j: int) -> CanonicalExpr:
+        """Gamma^l_i Gamma^k_jl, summed over the nonzero Gamma^k_jl."""
+        return CanonicalExpr.sum_of_products((g1[l][i], c) for l, c in g2.get((k, j), {}).items())
+
     r1 = []
     for k in range(n):
         plane = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                acc = dg[k][i][j] - dg[k][j][i]
-                for l, coeff in g2.get((k, j), {}).items():
-                    if g1[l][i]:
-                        acc = acc + g1[l][i] * coeff
-                for l, coeff in g2.get((k, i), {}).items():
-                    if g1[l][j]:
-                        acc = acc - g1[l][j] * coeff
+                acc = dg[k][i][j] - dg[k][j][i] + quadratic(k, i, j) - quadratic(k, j, i)
                 plane[i][j], plane[j][i] = acc, -acc
         r1.append(tuple(tuple(row) for row in plane))
     return CurvatureData(tuple(r1))

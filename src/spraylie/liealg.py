@@ -356,8 +356,9 @@ def structure_constants_from_fields(
         raise ValueError("generators must share one dimension")
     terms = [_terms(f) for f in fields]
     keys = {key for t in terms for key in t}
-    # base fields have no y; nx reaches every x index in use
-    nx = max(max(mono.max_x_index(), lin.max_index(), 1) for _pos, (mono, lin) in keys)
+    # base fields have no y; nx reaches every x index in use.  All-zero
+    # generators have no keys and fail below as dependent.
+    nx = max((max(mono.max_x_index(), lin.max_index(), 1) for _pos, (mono, lin) in keys), default=1)
     keys = sorted(keys, key=lambda key: (key[0], symexpr._print_key(key[1], nx, 1)))
     column = {key: j for j, key in enumerate(keys)}
     width = len(keys)

@@ -141,6 +141,10 @@ class LinForm:
         return Fraction(0)
 
     def __add__(self, other: "LinForm") -> "LinForm":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         acc = dict(self.coeffs)
         for i, q in other.coeffs:
             acc[i] = acc.get(i, Fraction(0)) + q
@@ -313,8 +317,9 @@ class CanonicalExpr:
     and `a - 0` return `a` itself, `0 + a` returns `a`, `-0` and every partial
     derivative of a zero return the same zero, and a product with a zero
     factor is `ZERO` (a zero expression times a rational is settled before
-    the rational is converted).  `evaluate` gives 0.0 for a zero value
-    without sorting its terms.
+    the rational is converted).  Every product of two expressions, and every
+    sum of such products, goes through `sum_of_products`.  `evaluate` gives
+    0.0 for a zero value without sorting its terms.
     """
 
     __slots__ = ("_terms",)
@@ -418,6 +423,8 @@ class CanonicalExpr:
         other = CanonicalExpr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
         return self + (-other)
 
     def __rsub__(self, other) -> "CanonicalExpr":
@@ -431,15 +438,25 @@ class CanonicalExpr:
             return CanonicalExpr({k: c * q for k, c in self._terms.items()})
         if not isinstance(other, CanonicalExpr):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return ZERO
-        acc: dict[TermKey, Fraction] = {}
-        for (m1, l1), c1 in self._terms.items():
-            for (m2, l2), c2 in other._terms.items():
-                _accumulate(acc, (m1.mul(m2), l1 + l2), c1 * c2)
-        return CanonicalExpr(acc)
+        return CanonicalExpr.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple[CanonicalExpr, CanonicalExpr]]) -> CanonicalExpr:
+        """sum_i a_i * b_i, every product term accumulated into one map.
+
+        A pair with a zero factor is skipped before its terms are read, and a
+        sum that is empty or cancels is `ZERO`.  The one product loop of the
+        ring: `a * b` is the sum of the single pair (a, b).
+        """
+        acc: dict[TermKey, Fraction] = {}
+        for a, b in pairs:
+            if a._terms and b._terms:
+                for (m1, l1), c1 in a._terms.items():
+                    for (m2, l2), c2 in b._terms.items():
+                        _accumulate(acc, (m1.mul(m2), l1 + l2), c1 * c2)
+        return CanonicalExpr(acc) if acc else ZERO
 
     def __pow__(self, exponent: int) -> "CanonicalExpr":
         """Power by repeated squaring.

@@ -96,6 +96,25 @@ def test_load_problem_parses_each_distinct_text_once(tmp_path, monkeypatch):
         cli.load_problem(path)
 
 
+def test_load_problem_parses_each_distinct_table_text_once_per_set(tmp_path, monkeypatch):
+    texts = []
+    parse = cli.parse_combination
+    monkeypatch.setattr(
+        cli, "parse_combination", lambda text, labels: texts.append((labels, text)) or parse(text, labels)
+    )
+    problem = cli.load_problem(PROBLEMS / "section5.json")
+    assert len(texts) == len(set(texts))
+    for name, table in problem.expected_tables.items():
+        assert sum(labels == problem.sets[name] for labels, _text in texts) == len(
+            {cell for row in table for cell in row}
+        )
+    # a bad text is not stored, so it fails at its first cell
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_small_problem(expected_tables={"s": [["0", "e3"], ["e3", "0"]]})))
+    with pytest.raises(cli.InputError, match=r"^expected table for 's' cell \(1,2\): "):
+        cli.load_problem(path)
+
+
 def test_load_problem_flat_diagonal_entry_list(tmp_path):
     doc = {
         "name": "flat-entries",
@@ -715,6 +734,17 @@ def test_unreadable_file_exits_one_with_a_message(tmp_path, content):
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["table", "--set", "s"], ["analyze"]])
+def test_all_zero_generators_exit_one_as_dependent(tmp_path, command):
+    path = tmp_path / "zero.json"
+    doc = {"dim": 1, "metric": {"kind": "diagonal", "entries": ["1"]}, "fields": {"Z": ["0"]}, "sets": {"s": ["Z"]}}
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*command, str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: set 's': generators are linearly dependent over the rationals\n"
     assert "Traceback" not in proc.stderr
 
 

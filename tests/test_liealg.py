@@ -207,6 +207,12 @@ def test_dependent_generators_rejected():
         )
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_all_zero_generators_are_dependent(count):
+    with pytest.raises(la.DependentGeneratorsError):
+        la.structure_constants_from_fields([base_field("0", "0")] * count)
+
+
 # ---------------------------------------------------------------------------
 # invariants and classical maps
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Byte identity of reports on the shipped problem files and Lie families.
+"""Byte identity of reports on the shipped problem files, Lie families and
+two problems built here (a curved space and a general metric).
 
 The digests pin the exact md and json `analyze` output at seed 0, and the
 float `oracle` output with its exit code.  Changes to the exact layers
@@ -144,3 +145,49 @@ def test_lie_family_report_bytes_are_pinned(tag, changed, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_JSON_SHA256[(tag, changed)]
+
+
+# Reports that no shipped file pins: H^4, curved above n = 4 with multi-term
+# curvature sums, and a general (non-diagonal) metric, whose spray goes through
+# the supplied inverse.  The general metric is g = U^T D U with U = [[1, x2],
+# [0, 1]] and D = diag(exp(x1), 1), the "2d" metric of tests/test_geom_sympy.py.
+
+
+def _general_problem() -> dict:
+    return {
+        "name": "general2d",
+        "dim": 2,
+        "metric": {
+            "kind": "general",
+            "entries": [["exp(x1)", "x2*exp(x1)"], ["x2*exp(x1)", "1 + x2^2*exp(x1)"]],
+            "inverse": [["exp(-x1) + x2^2", "-x2"], ["-x2", "1"]],
+        },
+        "fields": {"T1": ["1", "0"], "T2": ["0", "1"], "S": ["x2", "0"]},
+        "sets": {"s": ["T1", "T2", "S"]},
+    }
+
+
+def _curved_problem() -> dict:
+    from tests.test_curved_families import curved_problem
+
+    return curved_problem(4, 0)
+
+
+BUILT = {"H4": _curved_problem, "general2d": _general_problem}
+
+BUILT_SHA256 = {
+    ("H4", "md"): "02068825f8f7dcbefe12a46a8629da2b49852c083530513f9bab28a8bb9f1f58",
+    ("H4", "json"): "d814911dc184f9a2041c945c2743b13b9e63e4aac707f9d3c2eaf03b57a9ba2c",
+    ("general2d", "md"): "4bfcf429be3cb89ca8477a6115dc01887ea70bc5109e6cd1dc0aa0c83f63ea62",
+    ("general2d", "json"): "25e1fa607659f658c1a81c0676b3417cddad43fc2109831459dd02623adaa638",
+}
+
+
+@pytest.mark.parametrize("tag, fmt", sorted(BUILT_SHA256))
+def test_built_problem_report_bytes_are_pinned(tag, fmt, tmp_path, capsys):
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(BUILT[tag]()))
+    code = cli.main(["analyze", str(path), "--format", fmt, "--seed", "0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILT_SHA256[(tag, fmt)]

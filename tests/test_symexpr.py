@@ -257,6 +257,75 @@ def test_ring_laws(a, b, c):
     assert (a - a).is_zero()
 
 
+@st.composite
+def _product_pairs(draw):
+    """Pairs of drawn expressions, some zero, with a drawn number of them negated
+    and appended so that part of the sum, or all of it, cancels."""
+    pairs = draw(st.lists(st.tuples(exprs(), exprs()), max_size=5))
+    cancelled = draw(st.integers(0, len(pairs)))
+    return pairs + [(-a, b) for a, b in pairs[:cancelled]]
+
+
+def _term_product(a: CanonicalExpr, b: CanonicalExpr) -> dict:
+    """a * b as a term map, multiplied out key by key without the ring."""
+    out: dict = {}
+    for (m1, l1), c1 in a.items():
+        for (m2, l2), c2 in b.items():
+            lin = dict(l1.coeffs)
+            for i, q in l2.coeffs:
+                lin[i] = lin.get(i, 0) + q
+            key = (m1.mul(m2), LinForm.make(lin))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: q for k, q in out.items() if q}
+
+
+class _CountingTerms(dict):
+    """A term map that counts how often its terms are read."""
+
+    reads = 0
+
+    def items(self):
+        type(self).reads += 1
+        return super().items()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_pairs())
+def test_sum_of_products_is_the_fold_of_its_products(pairs):
+    total = CanonicalExpr.sum_of_products(pairs)
+    folded = symexpr.ZERO
+    for a, b in pairs:
+        folded = folded + a * b
+    assert total == folded
+    by_hand: dict = {}
+    for a, b in pairs:
+        for key, q in _term_product(a, b).items():
+            by_hand[key] = by_hand.get(key, 0) + q
+    assert total == CanonicalExpr(by_hand)
+    if total.is_zero():
+        assert total is symexpr.ZERO
+
+
+def test_empty_sum_of_products_is_the_shared_zero():
+    assert CanonicalExpr.sum_of_products([]) is symexpr.ZERO
+    assert CanonicalExpr.sum_of_products(iter(())) is symexpr.ZERO
+
+
+@settings(max_examples=40, deadline=None)
+@given(exprs().filter(bool))
+def test_a_pair_with_a_zero_factor_is_never_expanded(a):
+    spy = CanonicalExpr()
+    spy._terms = _CountingTerms(a.items())
+    _CountingTerms.reads = 0
+    total = CanonicalExpr.sum_of_products([(spy, CanonicalExpr()), (symexpr.ZERO, spy)])
+    assert total is symexpr.ZERO
+    assert _CountingTerms.reads == 0
+    assert spy * symexpr.ZERO is symexpr.ZERO and symexpr.ZERO * spy is symexpr.ZERO
+    assert _CountingTerms.reads == 0
+    assert CanonicalExpr.sum_of_products([(spy, const(1))]) == a
+    assert _CountingTerms.reads == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(exprs())
 def test_print_parse_round_trip(a):
