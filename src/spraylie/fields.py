@@ -110,10 +110,16 @@ def _derive(
 def _bracket(
     a: Sequence[CanonicalExpr], b: Sequence[CanonicalExpr], variables: Sequence[str]
 ) -> tuple[CanonicalExpr, ...]:
-    """[a, b]^k = a(b^k) - b(a^k), the fields differentiating over `variables`."""
+    """[a, b]^k = a(b^k) - b(a^k), the fields differentiating over `variables`.
+
+    A zero component is not differentiated: its term is `ZERO`.
+    """
     if len(a) != len(b):
         raise ValueError("bracket of fields with different dimensions")
-    return tuple(_derive(a, variables, bk) - _derive(b, variables, ak) for ak, bk in zip(a, b))
+    return tuple(
+        (_derive(a, variables, bk) if bk else ZERO) - (_derive(b, variables, ak) if ak else ZERO)
+        for ak, bk in zip(a, b)
+    )
 
 
 class _Components:
@@ -522,11 +528,14 @@ def _horizontal_obstruction(field: BaseField, connection) -> list[tuple[str, Can
     out = []
     for j in range(n):
         for l in range(n):
-            # Gamma^j_il = Gamma^j_li
-            contraction = CanonicalExpr.sum_of_products(
-                (X[i], coeff) for i, coeff in connection.gamma2.get((j, l), {}).items()
-            )
-            out.append((f"equation (j={j + 1}, l={l + 1})", field.jacobian[j][l] + contraction))
+            # Gamma^j_il = Gamma^j_li; an index with no entry adds nothing
+            entry = field.jacobian[j][l]
+            coeffs = connection.gamma2.get((j, l))
+            if coeffs:
+                entry = entry + CanonicalExpr.sum_of_products(
+                    (X[i], coeff) for i, coeff in coeffs.items()
+                )
+            out.append((f"equation (j={j + 1}, l={l + 1})", entry))
     return out
 
 

@@ -328,8 +328,11 @@ def curvature(connection: ConnectionData) -> CurvatureData:
     g1, g2, dg = connection.gamma1, connection.gamma2, connection.x_partials
 
     def quadratic(k: int, i: int, j: int) -> CanonicalExpr:
-        """Gamma^l_i Gamma^k_jl, summed over the nonzero Gamma^k_jl."""
-        return CanonicalExpr.sum_of_products((g1[l][i], c) for l, c in g2.get((k, j), {}).items())
+        """Gamma^l_i Gamma^k_jl, summed over the nonzero Gamma^k_jl; `ZERO` if there are none."""
+        coeffs = g2.get((k, j))
+        if not coeffs:
+            return ZERO
+        return CanonicalExpr.sum_of_products((g1[l][i], c) for l, c in coeffs.items())
 
     r1 = []
     for k in range(n):

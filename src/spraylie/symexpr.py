@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -117,15 +117,31 @@ def _var_key(name: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_FRACTION_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class LinForm:
-    """Rational linear form sum_i q_i * x_i.  No constant part, no zero entries."""
+    """Rational linear form sum_i q_i * x_i.  No constant part, no zero entries.
+
+    The hash is computed once, when the form is built: it is the hash of
+    `(coeffs,)`, and hashing it again would hash every `Fraction` again.
+    """
 
     coeffs: tuple[tuple[int, Fraction], ...]  # sorted by variable index
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeffs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(coeffs: Mapping[int, Fraction | int]) -> "LinForm":
-        items = sorted((i, Fraction(q)) for i, q in coeffs.items() if q)
+        items = sorted(
+            (i, q if type(q) is Fraction else Fraction(q)) for i, q in coeffs.items() if q
+        )
         for i, _ in items:
             if i < 1:
                 raise SymExprError("linear-form variable indices start at 1")
@@ -138,7 +154,7 @@ class LinForm:
         for i, q in self.coeffs:
             if i == index:
                 return q
-        return Fraction(0)
+        return _FRACTION_ZERO
 
     def __add__(self, other: "LinForm") -> "LinForm":
         if not other.coeffs:
@@ -147,7 +163,7 @@ class LinForm:
             return other
         acc = dict(self.coeffs)
         for i, q in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + q
+            acc[i] = acc.get(i, _FRACTION_ZERO) + q
         return LinForm.make(acc)
 
     def __neg__(self) -> "LinForm":
@@ -197,12 +213,22 @@ def _exp_tuple_mul(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...
     return tuple(sorted((i, e) for i, e in acc.items() if e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Exponent data x^a * y^b; entries sorted by index, exponents >= 1."""
+    """Exponent data x^a * y^b; entries sorted by index, exponents >= 1.
+
+    The hash, that of `(x, y)`, is computed once, when the monomial is built.
+    """
 
     x: tuple[tuple[int, int], ...]
     y: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.x, self.y)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(x: Mapping[int, int] | None = None, y: Mapping[int, int] | None = None) -> "Monomial":
@@ -277,6 +303,7 @@ class Monomial:
 
 _EMPTY_MONO = Monomial((), ())
 _ZERO_LIN = LinForm(())
+_CONST_KEY = (_EMPTY_MONO, _ZERO_LIN)
 
 TermKey = tuple[Monomial, LinForm]
 
@@ -312,14 +339,18 @@ def _accumulate(acc: dict, key: TermKey, value: Fraction) -> None:
 class CanonicalExpr:
     """Immutable normal form; the zero value is the empty term map.
 
-    The term map is built once, in `__init__`, and never written afterwards,
-    so results may share operands.  The ring short-circuits on zero: `a + 0`
-    and `a - 0` return `a` itself, `0 + a` returns `a`, `-0` and every partial
-    derivative of a zero return the same zero, and a product with a zero
-    factor is `ZERO` (a zero expression times a rational is settled before
-    the rational is converted).  Every product of two expressions, and every
-    sum of such products, goes through `sum_of_products`.  `evaluate` gives
-    0.0 for a zero value without sorting its terms.
+    The public constructor normalizes any map it is handed: it copies it,
+    drops zero coefficients and makes each one a `Fraction`.  The ring
+    operations build a zero-free map of `Fraction`s themselves and keep it as
+    it is, through `_of`, which gives `ZERO` for an empty map.  No term map is
+    written after its expression is built, so results may share operands.
+    The ring short-circuits on zero: `a + 0` and `a - 0` return `a` itself,
+    `0 + a` returns `a`, `-0` and every partial derivative of a zero return
+    the same zero, and a product with a zero factor is `ZERO` (a zero
+    expression times a rational is settled before the rational is
+    converted).  Every product of two expressions, and every sum of such
+    products, goes through `sum_of_products`.  `evaluate` gives 0.0 for a
+    zero value without sorting its terms.
     """
 
     __slots__ = ("_terms",)
@@ -328,11 +359,20 @@ class CanonicalExpr:
         items = terms.items() if terms else ()
         self._terms = {k: q if type(q) is Fraction else Fraction(q) for k, q in items if q}
 
+    @staticmethod
+    def _of(terms: dict[TermKey, Fraction]) -> "CanonicalExpr":
+        """The expression of `terms` itself: a zero-free map of Fractions no one else writes."""
+        if not terms:
+            return ZERO
+        expr = object.__new__(CanonicalExpr)
+        expr._terms = terms
+        return expr
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value: Fraction | int) -> "CanonicalExpr":
-        return CanonicalExpr({(_EMPTY_MONO, _ZERO_LIN): Fraction(value)})
+        return CanonicalExpr({_CONST_KEY: Fraction(value)})
 
     @staticmethod
     def exponential(lin: LinForm) -> "CanonicalExpr":
@@ -379,7 +419,7 @@ class CanonicalExpr:
             (l, _e), = mono.y
             stripped = (Monomial(mono.x, ()), lin)
             _accumulate(parts.setdefault(l, {}), stripped, c)
-        return {l: CanonicalExpr(d) for l, d in parts.items()}
+        return {l: CanonicalExpr._of(d) for l, d in parts.items()}
 
     def as_unit(self) -> tuple[Fraction, LinForm] | None:
         if len(self._terms) != 1:
@@ -410,14 +450,14 @@ class CanonicalExpr:
         acc = dict(self._terms)
         for key, q in other._terms.items():
             _accumulate(acc, key, q)
-        return CanonicalExpr(acc)
+        return CanonicalExpr._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CanonicalExpr":
         if not self._terms:
             return self
-        return CanonicalExpr({k: -q for k, q in self._terms.items()})
+        return CanonicalExpr._of({k: -q for k, q in self._terms.items()})
 
     def __sub__(self, other) -> "CanonicalExpr":
         other = CanonicalExpr._coerce(other)
@@ -435,7 +475,7 @@ class CanonicalExpr:
             if not self._terms or not other:
                 return ZERO
             q = Fraction(other)
-            return CanonicalExpr({k: c * q for k, c in self._terms.items()})
+            return CanonicalExpr._of({k: c * q for k, c in self._terms.items()})
         if not isinstance(other, CanonicalExpr):
             return NotImplemented
         return CanonicalExpr.sum_of_products(((self, other),))
@@ -456,7 +496,7 @@ class CanonicalExpr:
                 for (m1, l1), c1 in a._terms.items():
                     for (m2, l2), c2 in b._terms.items():
                         _accumulate(acc, (m1.mul(m2), l1 + l2), c1 * c2)
-        return CanonicalExpr(acc) if acc else ZERO
+        return CanonicalExpr._of(acc)
 
     def __pow__(self, exponent: int) -> "CanonicalExpr":
         """Power by repeated squaring.
@@ -497,7 +537,7 @@ class CanonicalExpr:
                 "divisor must be a single term c*exp(l(x)) with nonzero rational c"
             )
         c, lin = unit
-        inverse = CanonicalExpr({(_EMPTY_MONO, -lin): 1 / c})
+        inverse = CanonicalExpr._of({(_EMPTY_MONO, -lin): 1 / c})
         return self * inverse
 
     # -- calculus ----------------------------------------------------------
@@ -516,7 +556,7 @@ class CanonicalExpr:
                 q = lin.coeff(idx)
                 if q:
                     _accumulate(acc, (mono, lin), c * q)
-        return CanonicalExpr(acc)
+        return CanonicalExpr._of(acc)
 
     # -- ordering, equality, printing --------------------------------------
 
@@ -533,6 +573,11 @@ class CanonicalExpr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        """A constant hashes like its rational and zero like 0, as they compare equal."""
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and _CONST_KEY in self._terms:
+            return hash(self._terms[_CONST_KEY])
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

@@ -326,6 +326,105 @@ def test_a_pair_with_a_zero_factor_is_never_expanded(a):
     assert _CountingTerms.reads == 1
 
 
+# ---------------------------------------------------------------------------
+# term maps the ring keeps, and term keys hashed once
+# ---------------------------------------------------------------------------
+
+
+def _assert_normal(r: CanonicalExpr) -> None:
+    """A zero-free map of Fractions, equal to what the public constructor makes of it."""
+    terms = dict(r.items())
+    assert all(type(q) is Q and q for q in terms.values())
+    assert r == CanonicalExpr(terms)
+    assert dict(CanonicalExpr(terms).items()) == terms
+
+
+_names = st.sampled_from(["x1", "x2", "y1", "y2"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), exprs(), _fractions, _names, _linforms(), _fractions.filter(bool), st.integers(0, 3))
+def test_every_ring_result_keeps_a_normal_term_map(a, b, q, var, lin, c, power):
+    unit = CanonicalExpr({(Monomial.make(None, None), lin): c})
+    for r in (a + b, a - b, b - a, a + (-a), -a, a * q, q * a, a * b, a.diff(var), a / unit, a**power):
+        _assert_normal(r)
+    _assert_normal(CanonicalExpr.sum_of_products([(a, b), (-b, a), (a, a)]))
+    for part in parse_expr("y1*exp(x1) - 2*y2*x2 + x1*y1").y_linear_parts().values():
+        _assert_normal(part)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomials(), _monomials(), st.sampled_from("xy"), st.integers(1, 3), st.integers(0, 2))
+def test_equal_monomials_hash_equal_by_every_route(m1, m2, kind, index, exponent):
+    summed = {"x": dict(m1.x), "y": dict(m1.y)}
+    for k, powers in (("x", m2.x), ("y", m2.y)):
+        for i, e in powers:
+            summed[k][i] = summed[k].get(i, 0) + e
+    moved = {"x": dict(m1.x), "y": dict(m1.y)}
+    moved[kind][index] = exponent
+    for built, made in (
+        (m1.mul(m2), Monomial.make(summed["x"], summed["y"])),
+        (m1.with_exponent(kind, index, exponent), Monomial.make(moved["x"], moved["y"])),
+        (Monomial(m1.x, m1.y), m1),
+    ):
+        assert built == made
+        assert hash(built) == hash(made) == hash((made.x, made.y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linforms(), _linforms())
+def test_equal_linear_forms_hash_equal_by_every_route(l1, l2):
+    summed = dict(l1.coeffs)
+    for i, q in l2.coeffs:
+        summed[i] = summed.get(i, 0) + q
+    for built, made in (
+        (l1 + l2, LinForm.make(summed)),
+        (-l1, LinForm.make({i: -q for i, q in l1.coeffs})),
+        (LinForm.make({i: int(q) for i, q in l1.coeffs if q.denominator == 1}),
+         LinForm.make({i: q for i, q in l1.coeffs if q.denominator == 1})),
+    ):
+        assert built == made
+        assert hash(built) == hash(made) == hash((made.coeffs,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exprs(), exprs())
+def test_adding_built_expressions_hashes_no_fraction(a, b):
+    b = b + a * 3  # b shares some keys with a
+    calls = []
+    fraction_hash = Q.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Q, "__hash__", counting)
+        total, difference, negated = a + b, a - b, -b
+        assert not calls
+        hash(LinForm.make({1: Q(1, 2)}))  # a new key hashes its coefficients, once
+        assert len(calls) == 1
+    assert total - b == a and difference + b == a and negated + b == symexpr.ZERO
+
+
+def test_a_constant_hashes_like_its_rational():
+    assert hash(const(3)) == hash(3) and hash(const(Q(-1, 2))) == hash(Q(-1, 2))
+    assert hash(symexpr.ZERO) == hash(CanonicalExpr()) == hash(0)
+    assert const(3) == 3 and len({const(3), 3}) == 1
+    assert {3: "three"}.get(const(3)) == "three" and {const(3): "three"}.get(3) == "three"
+    assert {Q(1, 2): "half"}.get(const(Q(1, 2))) == "half"
+    assert {0: "zero"}.get(symexpr.ZERO) == "zero" and {symexpr.ZERO: "zero"}.get(0) == "zero"
+    x = parse_expr("2*x1 + 3")
+    assert hash(x) == hash(frozenset(x.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), exprs(), _fractions)
+def test_equal_values_hash_equal(a, b, q):
+    for left, right in ((a + b, b + a), (a * b, b * a), ((a - a) + b, b), ((a - a) + q, q), (a * 0, 0)):
+        assert left == right and hash(left) == hash(right)
+
+
 @settings(max_examples=60, deadline=None)
 @given(exprs())
 def test_print_parse_round_trip(a):
