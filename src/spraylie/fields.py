@@ -17,7 +17,12 @@ product terms.  Two facts of the coordinate frame then spare
 the frame brackets: frame fields commute, [d_a, d_b] = 0, and bracketing
 with one is a componentwise partial derivative, [Z, d_b] = -d_b Z.  The
 Frolicher-Nijenhuis self-bracket [K, K] and the Lie derivative of an
-endomorphism field are evaluated on frame fields that way.
+endomorphism field are evaluated on frame fields that way.  A field's term
+keys name the slots it depends on (`_slots`), and its partial by any other
+slot is exactly zero, so those partials are not taken; a pair of constant
+frame images, every pair of a flat connection's h, is zero outright.  Field
+sums return the operand itself when the other one is zero, and refuse
+fields of different dimensions.
 
 The membership predicates take the geometry pipeline's output objects (spray,
 connection, curvature, metric) as plain data and report the first nonzero
@@ -132,16 +137,28 @@ class _Components:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
+    def _adds_nothing(self, other) -> bool:
+        """Whether `other` is zero, once its dimension is known to match."""
+        if len(self.components) != len(other.components):
+            raise ValueError("arithmetic on fields with different dimensions")
+        return other.is_zero()
+
     def __add__(self, other):
+        if self._adds_nothing(other):
+            return self
         return type(self)(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
+        if self._adds_nothing(other):
+            return self
         return type(self)(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.components))
 
     def scale(self, q: Fraction | int):
+        if self.is_zero():
+            return self
         return type(self)(tuple(c * q if c else c for c in self.components))
 
 
@@ -229,6 +246,21 @@ def apply_to_scalar(field: TMField, scalar: CanonicalExpr) -> CanonicalExpr:
     return _derive(field.components, _slot_vars(field.dim), scalar)
 
 
+def _slots(field: TMField) -> set[int]:
+    """The frame slots some component depends on: x^i is slot i - 1, y^i slot n + i - 1.
+
+    A term depends on x^i through its monomial or its exponential, on y^i
+    through its monomial; the partial by any other slot is zero.
+    """
+    n = field.dim
+    slots = set()
+    for comp in field.components:
+        for (mono, lin), _q in comp.items():
+            slots.update(i - 1 for i, _e in itertools.chain(mono.x, lin.coeffs) if i <= n)
+            slots.update(n + i - 1 for i, _e in mono.y if i <= n)
+    return slots
+
+
 def _partial(field: TMField, slot: int) -> TMField:
     """Componentwise partial derivative d_slot Z, which is [d_slot, Z] = -[Z, d_slot]."""
     var = _slot_var(field.dim, slot)
@@ -270,6 +302,8 @@ class VectorOneForm:
 
     def apply(self, field: TMField) -> TMField:
         """The image field, summed over the field's nonzero components only."""
+        if len(field.components) != len(self.matrix):
+            raise ValueError("endomorphism applied to a field of a different dimension")
         support = [(a, c) for a, c in enumerate(field.components) if c]
         if not support:
             return field
@@ -287,6 +321,8 @@ class VectorOneForm:
         return TMField(tuple(self.matrix[b][a] for b in range(len(self.matrix))))
 
     def __add__(self, other: "VectorOneForm") -> "VectorOneForm":
+        if len(self.matrix) != len(other.matrix):
+            raise ValueError("sum of endomorphism fields with different dimensions")
         return VectorOneForm(
             tuple(
                 tuple(p + q for p, q in zip(r1, r2))
@@ -322,13 +358,16 @@ def lie_derivative_oneform(field: TMField, form: VectorOneForm) -> VectorOneForm
     """Lie derivative [X, L] acting as ([X,L])(Y) = [X, L(Y)] - L([X, Y]).
 
     On frame field a, -[X, d_a] = d_a X, so column a is [X, L d_a] + L(d_a X).
+    d_a X is zero, and so is its image, unless some component of X depends
+    on slot a; only those slots add L(d_a X).
     """
-    return _from_columns(
-        [
-            bracket_tm(field, form.frame_image(a)) + form.apply(_partial(field, a))
-            for a in range(len(form.matrix))
-        ]
-    )
+    slots = _slots(field)
+
+    def column(a: int) -> TMField:
+        image = bracket_tm(field, form.frame_image(a))
+        return image + form.apply(_partial(field, a)) if a in slots else image
+
+    return _from_columns([column(a) for a in range(len(form.matrix))])
 
 
 @dataclass(frozen=True)
@@ -365,6 +404,8 @@ class VectorTwoForm:
                     yield f"frame pair ({names[a]},{names[b]}) component {var}", comp
 
     def __sub__(self, other: "VectorTwoForm") -> "VectorTwoForm":
+        if len(self.upper) != len(other.upper):
+            raise ValueError("difference of two-forms with different dimensions")
         return VectorTwoForm(
             tuple(
                 tuple(p - q for p, q in zip(r1, r2))
@@ -383,14 +424,25 @@ def fn_bracket(form: VectorOneForm) -> VectorTwoForm:
 
     On frame fields X = d_a, Y = d_b the bracket [X,Y] vanishes and
     [Z, d_b] = -d_b Z, so the value there is 2([K d_a, K d_b] + K(d_b K d_a - d_a K d_b)).
-    It is computed on the pairs a < b, the ones a two-form stores.
+    It is computed on the pairs a < b, the ones a two-form stores.  Each image
+    and the slots it depends on are found once.  d_b K d_a is taken only when
+    K d_a depends on slot b, and is zero otherwise.  Two constant images
+    differentiate nothing, so their pair is the shared zero field: a flat
+    connection's h and 2h - I, J and the identity cost no derivative.
     """
     size = len(form.matrix)
     images = [form.frame_image(s) for s in range(size)]
+    slots = [_slots(image) for image in images]
+    zero = TMField.zero(form.dim)
+
+    def partial(a: int, b: int) -> TMField:
+        return _partial(images[a], b) if b in slots[a] else zero
 
     def value(a: int, b: int) -> TMField:
-        ka, kb = images[a], images[b]
-        return (bracket_tm(ka, kb) + form.apply(_partial(ka, b) - _partial(kb, a))).scale(2)
+        if not slots[a] and not slots[b]:
+            return zero
+        bracket = bracket_tm(images[a], images[b])
+        return (bracket + form.apply(partial(a, b) - partial(b, a))).scale(2)
 
     return VectorTwoForm(
         tuple(tuple(value(a, b) for b in range(a + 1, size)) for a in range(size))

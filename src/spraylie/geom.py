@@ -49,6 +49,7 @@ __all__ = [
     "CurvatureData",
     "spray_from_metric",
     "connection_from_spray",
+    "horizontal_projector",
     "projectors",
     "connection_oneform",
     "tangent_structure",
@@ -295,14 +296,16 @@ def connection_from_spray(spray: SprayData) -> ConnectionData:
     )
 
 
+def horizontal_projector(connection: ConnectionData) -> VectorOneForm:
+    """The horizontal projector h = (I + P)/2 of the almost-product structure P = 2h - I."""
+    ident = VectorOneForm.identity(connection.dim)
+    return (ident + connection_oneform(connection)).scale(Fraction(1, 2))
+
+
 def projectors(connection: ConnectionData) -> tuple[VectorOneForm, VectorOneForm]:
-    """Horizontal and vertical projectors h = (I + P)/2 and v = (I - P)/2."""
-    n = connection.dim
-    product = connection_oneform(connection)
-    ident = VectorOneForm.identity(n)
-    h = (ident + product).scale(Fraction(1, 2))
-    v = (ident - product).scale(Fraction(1, 2))
-    return h, v
+    """Horizontal and vertical projectors h and v = I - h = (I - P)/2."""
+    h = horizontal_projector(connection)
+    return h, VectorOneForm.identity(connection.dim) - h
 
 
 def tangent_structure(n: int) -> VectorOneForm:
@@ -366,8 +369,7 @@ def curvature_two_form(curv: CurvatureData) -> VectorTwoForm:
 
 def curvature_via_projector(connection: ConnectionData) -> VectorTwoForm:
     """Curvature as half the self-bracket of the horizontal projector."""
-    h, _v = projectors(connection)
-    return fn_bracket(h).scale(Fraction(1, 2))
+    return fn_bracket(horizontal_projector(connection)).scale(Fraction(1, 2))
 
 
 def curvature_via_almost_product(connection: ConnectionData) -> VectorTwoForm:

@@ -145,6 +145,30 @@ def test_field_arithmetic_keeps_the_class(a, b):
     assert a.scale(0).is_zero()
 
 
+def test_arithmetic_on_different_dimensions_raises():
+    two, three = base_field("x1", "1"), base_field("x1", "x2", "1")
+    tm2 = TMField.make(E(c) for c in ("x1", "y1"))
+    cases = [
+        lambda: two + three,
+        lambda: two - three,
+        lambda: two + BaseField.zero(3),  # checked before a zero operand is skipped
+        lambda: tm2 - TMField.zero(2),
+        lambda: VectorOneForm.identity(2).apply(tm2),
+        lambda: VectorOneForm.identity(2).apply(TMField.zero(1)),
+        lambda: VectorOneForm.identity(1) + VectorOneForm.identity(2),
+        lambda: fn_bracket(VectorOneForm.identity(1)) - fn_bracket(VectorOneForm.identity(2)),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="different dimension"):
+            case()
+
+
+def test_a_zero_operand_returns_the_field_itself():
+    a = TMField.make(E(c) for c in ("x1", "0", "y1", "1"))
+    zero = TMField.zero(2)
+    assert a + zero is a and a - zero is a and zero.scale(3) is zero
+
+
 def test_complete_lift_rejects_nothing_but_projects():
     X = base_field("1", "0")
     lifted = complete_lift(X)
@@ -258,16 +282,34 @@ def test_frame_field_and_oneform_apply():
     assert J.apply(dy1).is_zero()
 
 
+# a metric on 3 coordinates that only x2 enters: no frame image of h depends on x1 or x3
+_X2_ONLY = ("exp(x2)", "1", "exp(x2)")
+
+
+def _lie_derivative_cases():
+    _, _, connection, _ = build_pipeline(("exp(x2)", "1"))
+    _, _, x2_only, _ = build_pipeline(_X2_ONLY)
+    _, flat, _, _ = build_pipeline(("1", "1"))
+    return [
+        (complete_lift(base_field("x1", "x2")), geom.horizontal_projector(connection)),
+        # X depends on x2 and y2 only, the images of h on neither x1 nor x3
+        (complete_lift(base_field("x2", "0", "1")), geom.horizontal_projector(x2_only)),
+        (TMField.make(E(c) for c in ("y1*x2", "0", "0", "x2^2", "0", "0")), connection_oneform(x2_only)),
+        # the flat spray y^i d/dx^i with the tangent structure: [J, S] = -(2h - I)
+        (flat.field, geom.tangent_structure(2)),
+    ]
+
+
 def test_lie_derivative_is_bracket_of_images():
     # (L_X L)(Y) = [X, LY] - L[X, Y] checked against a direct expansion
-    X = complete_lift(base_field("x1", "x2"))
-    _, _, connection, _ = build_pipeline(("exp(x2)", "1"))
-    h, _ = geom.projectors(connection)
-    derived = lie_derivative_oneform(X, h)
-    for a in range(4):
-        Y = frame_field(2, a)
-        direct = bracket_tm(X, h.apply(Y)) - h.apply(bracket_tm(X, Y))
-        assert (derived.apply(Y) - direct).is_zero()
+    for X, form in _lie_derivative_cases():
+        size = len(form.matrix)
+        derived = lie_derivative_oneform(X, form)
+        for a in range(size):
+            Y = frame_field(size // 2, a)
+            direct = bracket_tm(X, form.apply(Y)) - form.apply(bracket_tm(X, Y))
+            assert (derived.apply(Y) - direct).is_zero()
+        assert not derived.is_zero()
 
 
 def test_fn_bracket_graded_antisymmetry_degree_one():
@@ -306,25 +348,42 @@ def _fn_bracket_by_definition(K: VectorOneForm, L: VectorOneForm, x: TMField, y:
     )
 
 
+def _constant_forms():
+    """Forms whose every frame image is constant, so their self-bracket vanishes."""
+    _, _, flat, _ = build_pipeline(("1", "1"))
+    return [
+        VectorOneForm.identity(2),
+        geom.tangent_structure(2),
+        geom.horizontal_projector(flat),
+        connection_oneform(flat),
+    ]
+
+
 def _fn_forms():
     # images depending on x and y: the projectors and 2h - I of curved connections
     _, _, curved, _ = build_pipeline(("exp(x2)", "1"))
     _, _, other, _ = build_pipeline(("exp(x1 + x2)", "exp(x1)"))
     _, _, shell, _ = build_pipeline(("exp(x3)", "exp(x3)", "1"))
     _, _, blocks, _ = build_pipeline(("exp(x2 - x3)", "exp(x1)", "1"))
+    _, _, x2_only, _ = build_pipeline(_X2_ONLY)
     return [
         geom.projectors(curved)[0],
         geom.projectors(other)[1],
         connection_oneform(other),
         geom.projectors(shell)[0],
         connection_oneform(blocks),
-    ]
+        # no image depends on x1 or x3, and the vertical images are constant
+        geom.horizontal_projector(x2_only),
+        # y1 d/dx1 and the constant d/dx1: a pair that is not zero with one constant image
+        VectorOneForm.make([[yvar(1), CanonicalExpr.const(1)], [CanonicalExpr(), CanonicalExpr()]]),
+    ] + _constant_forms()
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(11))
 def test_fn_self_bracket_matches_the_definition(index):
     K = _fn_forms()[index]
     assert not K.is_zero()
+    constant = K in _constant_forms()
     size = len(K.matrix)
     frames = [frame_field(size // 2, s) for s in range(size)]
     got = fn_bracket(K)
@@ -334,7 +393,36 @@ def test_fn_self_bracket_matches_the_definition(index):
             expected = _fn_bracket_by_definition(K, K, frames[a], frames[b])
             assert (got.entry(a, b) - expected).is_zero(), (a, b)
             nonzero += not expected.is_zero()
-    assert nonzero
+    assert bool(nonzero) != constant
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_tm_components)
+def test_slots_are_the_variables_with_a_nonzero_partial(components):
+    field = TMField(components)
+    names = ("x1", "x2", "y1", "y2")
+    expected = {s for s, var in enumerate(names) if any(c.diff(var) for c in components)}
+    assert fields._slots(field) == expected
+
+
+def test_slots_ignore_variables_beyond_the_dimension():
+    # x2 and y2 name no frame slot of a field on a 1-dimensional base
+    assert fields._slots(TMField.make(E(c) for c in ("x2*y2", "x1*exp(x2)"))) == {0}
+
+
+def test_self_bracket_of_constant_images_differentiates_nothing(monkeypatch):
+    forms = _constant_forms()
+    calls = []
+    diff = CanonicalExpr.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(CanonicalExpr, "diff", counted)
+    for form in forms:
+        assert fn_bracket(form).is_zero()
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
