@@ -19,6 +19,7 @@ from integers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -28,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import geom, liealg, linalg
+from . import geom, liealg
 from .fields import (
     BaseField,
     MembershipVerdict,
@@ -44,6 +45,7 @@ from .fields import (
     solve_in_span,
 )
 from .liealg import render_combination
+from .linalg import SparseRow
 from .symexpr import (
     MAX_DIGITS,
     MAX_INDEX,
@@ -87,7 +89,7 @@ class Problem:
     fields: dict[str, BaseField]
     sets: dict[str, tuple[str, ...]]
     expected_tables: dict[str, list[list[str]]]
-    expected_coeffs: dict[str, list[list[list[Fraction]]]]
+    expected_coeffs: dict[str, list[list[SparseRow]]]
     accepted_corrections: dict[str, set[tuple[str, str]]]
     analyses: tuple[str, ...]
 
@@ -240,14 +242,14 @@ def load_problem(path: str | Path) -> Problem:
         sets[set_name] = tuple(members)
 
     expected: dict[str, list[list[str]]] = {}
-    expected_coeffs: dict[str, list[list[list[Fraction]]]] = {}
+    expected_coeffs: dict[str, list[list[SparseRow]]] = {}
     for set_name, table in _block(doc, "expected_tables", dict, {}).items():
         if set_name not in sets:
             raise InputError(f"expected_tables references unknown set {set_name!r}")
         _square(table, len(sets[set_name]), f"expected table for {set_name!r}")
         # each distinct cell text is parsed once; cells with the same text share
-        # one list, which nothing mutates, and a bad text fails at its first cell
-        by_text: dict[str, list[Fraction]] = {}
+        # one row, which nothing mutates, and a bad text fails at its first cell
+        by_text: dict[str, SparseRow] = {}
         coeffs = []
         for i, row in enumerate(table):
             coeffs.append([])
@@ -315,10 +317,10 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_combination(text: str, labels: Sequence[str]) -> list[Fraction]:
-    """Parse e.g. '-e1/2+e6/2' or '3/2*e4 - e1' into a coefficient vector."""
+def parse_combination(text: str, labels: Sequence[str]) -> SparseRow:
+    """Parse e.g. '-e1/2+e6/2' or '3/2*e4 - e1' into a sparse coefficient row."""
     compact = text.replace(" ", "")
-    coeffs = [Fraction(0)] * len(labels)
+    coeffs: SparseRow = {}
     if compact in ("0", ""):
         return coeffs
     index = {label: i for i, label in enumerate(labels)}
@@ -344,9 +346,10 @@ def parse_combination(text: str, labels: Sequence[str]) -> list[Fraction]:
         num, den, post = map(int, digits)
         if not den * post:
             raise InputError(f"combination {text!r} divides by zero at position {pos}")
-        coeffs[index[name]] += sign * Fraction(num, den * post)
+        j = index[name]
+        coeffs[j] = coeffs.get(j, 0) + sign * Fraction(num, den * post)
         pos = match.end()
-    return coeffs
+    return {j: q for j, q in coeffs.items() if q}
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +435,14 @@ def _structure_constants(problem: Problem, set_name: str) -> liealg.StructureCon
         raise InputError(f"set {set_name!r}: {exc}") from exc
 
 
+def _cell(sc: liealg.StructureConstants, i: int, j: int) -> SparseRow:
+    """[b_i, b_j] as a sparse row, read off the nonzero index."""
+    return dict(sc.nonzero.get((i, j), ()))
+
+
 def _table_cells(sc: liealg.StructureConstants) -> list[list[str]]:
     m = sc.dim
-    return [
-        [render_combination(sc.c[i][j], sc.labels) for j in range(m)]
-        for i in range(m)
-    ]
+    return [[render_combination(_cell(sc, i, j), sc.labels) for j in range(m)] for i in range(m)]
 
 
 def _compare_expected(problem: Problem, set_name: str, sc, points):
@@ -452,7 +457,7 @@ def _compare_expected(problem: Problem, set_name: str, sc, points):
     for i, row in enumerate(labels):
         for j, col in enumerate(labels):
             want = wanted[i][j]
-            have = list(sc.c[i][j])
+            have = _cell(sc, i, j)
             if want == have:
                 continue
             direct = bracket_base(generators[i], generators[j])
@@ -482,7 +487,7 @@ def _subspace(sc: liealg.StructureConstants, vectors) -> dict:
     space = liealg.Subspace.from_vectors(vectors, sc.dim)
     out: dict = {
         "dimension": space.dim,
-        "basis": [render_combination(v, sc.labels) for v in space.basis],
+        "basis": [render_combination(v, sc.labels) for v in space.rows.values()],
     }
     if space.dim:
         out["ideal"] = liealg.is_ideal(sc, space)
@@ -524,12 +529,12 @@ def _analyze_algebra(
         "center_dimension": liealg.center(canonical).dim,
         "radical": {
             "dimension": radical.dim,
-            "basis": [render_combination(v, labels) for v in radical.basis],
+            "basis": [render_combination(v, labels) for v in radical.rows.values()],
         },
         "levi": {
             "radical_dimension": levi.radical.dim,
             "complement_dimension": levi.levi.dim,
-            "complement_basis": [render_combination(v, labels) for v in levi.levi.basis],
+            "complement_basis": [render_combination(v, labels) for v in levi.levi.rows.values()],
         },
         "derivations": {
             "dimension": derivation_space.dimension,
@@ -901,7 +906,7 @@ def _oracle_table_cell(problem, points, tokens: list[str]):
         source = "expected table cell"
     else:
         sc = _structure_constants(problem, set_name)
-        coeffs = list(sc.c[labels.index(f1)][labels.index(f2)])
+        coeffs = _cell(sc, labels.index(f1), labels.index(f2))
         source = "computed table cell"
     combo = combine_fields(generators, coeffs)
     dev = _field_max_dev(direct, combo, points)
@@ -975,7 +980,7 @@ def cmd_solve(args) -> int:
         f"- solution dimension: {len(solutions)}",
     ]
     for idx, coeffs in enumerate(solutions, start=1):
-        combo = combine_fields(dictionary, list(coeffs))
+        combo = combine_fields(dictionary, coeffs)
         components = ", ".join(str(c) for c in combo.components)
         lines.append(f"- basis {idx}: {render_combination(coeffs, labels)}")
         lines.append(f"  components: ({components})")
@@ -1008,6 +1013,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spraylie",

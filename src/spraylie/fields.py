@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .linalg import kernel_basis, rank
+from .linalg import SparseRow, kernel_basis, rank
 from .symexpr import ZERO, CanonicalExpr, specialize, yvar
 
 __all__ = [
@@ -653,13 +653,13 @@ def solve_in_span(
     metric=None,
     spray=None,
     connection=None,
-) -> list[tuple[Fraction, ...]]:
+) -> list[SparseRow]:
     """All rational combinations of the dictionary satisfying every condition.
 
-    Returns a reduced (echelon) basis of coefficient vectors over the
-    dictionary, found by exact coefficient matching: the obstruction of a
-    combination is the same combination of per-field obstruction expressions,
-    so the kernel of the term-coefficient matrix is exactly the solution set.
+    Returns a basis of sparse coefficient rows over the dictionary, found by
+    exact coefficient matching: the obstruction of a combination is the same
+    combination of per-field obstruction expressions, so the kernel of the
+    term-coefficient matrix is exactly the solution set.
     """
     wanted = list(dict.fromkeys(conditions))
     for name in wanted:
@@ -697,7 +697,7 @@ def solve_in_span(
 
 def horizontal_nullity_span(
     dictionary: Sequence[BaseField], connection, curvature
-) -> list[tuple[Fraction, ...]]:
+) -> list[SparseRow]:
     """Combinations whose horizontal lift is closed and that lie in the curvature nullity.
 
     The conditions are those of `is_horizontal` and `in_nullity`; this is the
@@ -713,7 +713,7 @@ def horizontal_nullity_span(
     )
 
 
-def constant_span(dictionary: Sequence[BaseField]) -> list[tuple[Fraction, ...]]:
+def constant_span(dictionary: Sequence[BaseField]) -> list[SparseRow]:
     """Combinations with constant components, d_l X^j = 0 for all j and l."""
     return _matching_kernel(dictionary, _constant_obstruction)
 
@@ -724,8 +724,8 @@ def _constant_obstruction(field: BaseField) -> list[CanonicalExpr]:
 
 def _matching_kernel(
     dictionary: Sequence[BaseField], obstruction: Callable[[BaseField], list[CanonicalExpr]]
-) -> list[tuple[Fraction, ...]]:
-    """Coefficient vectors over the dictionary whose combination has zero obstruction.
+) -> list[SparseRow]:
+    """Coefficient rows over the dictionary whose combination has zero obstruction.
 
     Each obstruction expression is linear in the field, so that of a
     combination is the same combination of the per-field expressions, and the
@@ -737,14 +737,12 @@ def _matching_kernel(
         for pos, expr in enumerate(obstruction(field)):
             for key, c in expr.items():
                 rows.setdefault((pos, key), {})[col] = c
-    basis = kernel_basis(rows.values(), ncols=len(dictionary))
-    return [tuple(v) for v in basis]
+    return kernel_basis(rows.values(), ncols=len(dictionary))
 
 
-def combine_fields(dictionary: Sequence[BaseField], coeffs: Sequence[Fraction]) -> BaseField:
-    n = dictionary[0].dim
-    acc = BaseField.zero(n)
-    for field, q in zip(dictionary, coeffs):
-        if q:
-            acc = acc + field.scale(q)
+def combine_fields(dictionary: Sequence[BaseField], coeffs: SparseRow) -> BaseField:
+    """sum_j coeffs[j] * dictionary[j] for a sparse coefficient row."""
+    acc = BaseField.zero(dictionary[0].dim)
+    for j, q in coeffs.items():
+        acc = acc + dictionary[j].scale(q)
     return acc

@@ -12,11 +12,10 @@ with [b_i, b_j] != 0, the nonzero (k, c[i][j][k]) in increasing k.  The
 dense array c is built from it only when something reads it, whether the
 table was given as that array or built from fields.  Vectors are sparse
 rows, {coordinate: value} with no stored zero (`linalg.SparseRow`): the
-brackets, subspaces, witnesses and the linear systems for the center,
-derivations and Levi complements are assembled from the index and from
-those rows, so their cost follows the nonzero constants rather than m^3 or
-m^4.  A dense vector is built only to print it, for the Killing form, and
-for the centroid and its minimal polynomial.
+brackets, subspaces, witnesses, the Killing form, the centroid and the
+linear systems for the center, derivations and Levi complements are
+assembled from the index and from those rows, so their cost follows the
+nonzero constants rather than m^3 or m^4.
 
 A table built from vector fields has a second, canonical form: the same
 algebra over the reduced echelon basis of the fields' span, which does not
@@ -52,7 +51,7 @@ from typing import Iterable, Sequence
 
 from . import linalg, symexpr
 from .fields import BaseField, bracket_base
-from .linalg import Mat, SparseRow, Vec
+from .linalg import SparseRow, Vec
 from .symexpr import CanonicalExpr
 
 __all__ = [
@@ -103,37 +102,30 @@ class DependentGeneratorsError(LieAlgebraError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n held as its reduced row echelon basis (zero rows dropped).
+    """Subspace of Q^n held as its reduced row echelon basis.
 
-    `rows` holds that basis as sparse rows keyed by leading column, in
-    column order, and every computation reads it; the dense `basis` holds
-    the same rows for printing and equality.
+    `rows` holds the basis's nonzero rows as sparse rows keyed by leading
+    column, in column order; every computation, printing and equality read
+    them.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    rows: dict[int, SparseRow]
 
     @staticmethod
     def from_vectors(vectors: Iterable[Sequence | SparseRow], ambient_dim: int) -> "Subspace":
         """The span of dense or sparse vectors of length `ambient_dim`."""
-        rows = list(vectors)
-        if not rows:
-            return Subspace(ambient_dim, ())
-        reduced, pivots = linalg.rref(rows, ambient_dim)
-        return Subspace(ambient_dim, tuple(tuple(reduced[r]) for r in range(len(pivots))))
+        # through the module attribute, which perfbench's tracer patches to
+        # count the eliminations
+        reduced, pivots = linalg.rref(vectors)
+        return Subspace(ambient_dim, dict(zip(pivots, reduced)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
-
-    @functools.cached_property
-    def rows(self) -> dict[int, SparseRow]:
-        """The basis rows as sparse rows keyed by their leading column."""
-        rows = (linalg._sparse(row) for row in self.basis)
-        return {min(row): row for row in rows}
+        return not self.rows
 
     def reduce(self, vector: Sequence[Fraction] | SparseRow) -> SparseRow:
         """The vector minus the basis rows that clear its pivot coordinates.
@@ -220,12 +212,12 @@ class StructureConstants:
         """A vector over this table's basis, written in the generators' labels."""
         if self.to_user is not None:
             v = _combine(self.to_user, v)
-        return render_combination(linalg._dense(v, self.dim), self.labels)
+        return render_combination(v, self.labels)
 
     @functools.cached_property
-    def killing(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The Killing form in this table's basis, computed on first use."""
-        return tuple(tuple(row) for row in killing_form(self))
+    def killing(self) -> tuple[SparseRow, ...]:
+        """The Killing form's rows in this table's basis, computed on first use."""
+        return tuple(killing_form(self))
 
     @functools.cached_property
     def killing_determinant(self) -> Fraction:
@@ -237,7 +229,7 @@ class StructureConstants:
         return self.canonical.killing_determinant * self.det_to_canonical**2
 
     @functools.cached_property
-    def centroid(self) -> tuple[tuple[Fraction, ...], ...]:
+    def centroid(self) -> tuple[SparseRow, ...]:
         """Basis of the centroid in this table's basis, computed on first use."""
         return _centroid(self)
 
@@ -305,12 +297,11 @@ def _change_basis(space: Subspace, rows: Sequence[SparseRow] | None) -> Subspace
     return Subspace.from_vectors((_combine(rows, v) for v in space.rows.values()), space.ambient_dim)
 
 
-def render_combination(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
-    """`2*b1 - b3` style text of a coordinate vector; "0" for the zero vector."""
+def render_combination(coeffs: SparseRow, labels: Sequence[str]) -> str:
+    """`2*b1 - b3` style text of a sparse row, in column order; "0" for the zero row."""
     parts = []
-    for coeff, label in zip(coeffs, labels):
-        if not coeff:
-            continue
+    for j in sorted(coeffs):
+        coeff, label = coeffs[j], labels[j]
         magnitude = label if abs(coeff) == 1 else f"{abs(coeff)}*{label}"
         if not parts:
             parts.append(magnitude if coeff > 0 else f"-{magnitude}")
@@ -516,22 +507,23 @@ def _jacobi_witness(sc: StructureConstants):
     return True, None
 
 
-def killing_form(sc: StructureConstants) -> Mat:
-    """kappa[i][j] = trace(ad b_i ad b_j), summed over nonzero constants only."""
+def killing_form(sc: StructureConstants) -> list[SparseRow]:
+    """Rows kappa[i] = {j: trace(ad b_i ad b_j)}, summed over nonzero constants only."""
     m = sc.dim
     # ads[i][(p, q)] is entry (p, q) of ad(b_i), that is c[i][q][p]
     ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(m)]
     for (i, q), entries in sc.nonzero.items():
         for p, v in entries:
             ads[i][(p, q)] = v
-    kappa = linalg.zeros(m, m)
+    kappa: list[SparseRow] = [{} for _ in range(m)]
     for i in range(m):
         a = ads[i]
         for j in range(i, m):
             b = ads[j]
             trace = sum((v * b[(q, p)] for (p, q), v in a.items() if (q, p) in b), Fraction(0))
-            kappa[i][j] = trace
-            kappa[j][i] = trace
+            if trace:
+                kappa[i][j] = trace
+                kappa[j][i] = trace
     return kappa
 
 
@@ -609,8 +601,7 @@ def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
     an ideal and, by the series reaching zero, solvable."""
     m = sc.dim
     # kappa is symmetric, so kappa d is the combination of its rows by d
-    kappa = [linalg._sparse(row) for row in sc.killing]
-    rows = [_combine(kappa, d) for d in derived_subalgebra(sc).rows.values()]
+    rows = [_combine(sc.killing, d) for d in derived_subalgebra(sc).rows.values()]
     rad = Subspace.from_vectors(linalg.kernel_basis(rows, ncols=m), m)
     witness = _ideal_witness(sc, rad)
     if witness:
@@ -633,7 +624,7 @@ def _radical_series(sc: StructureConstants) -> tuple[Subspace, ...]:
     return tuple(series)
 
 
-def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
+def _centroid(sc: StructureConstants) -> tuple[SparseRow, ...]:
     """Kernel of T[b_i, b_j] = [b_i, T b_j] over all ordered pairs (i, j).
 
     Unknowns are the m^2 entries of T, flattened like a derivation (column c
@@ -658,24 +649,30 @@ def _centroid(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
     bound = m * m - 1
     pivot_rows, _ = linalg._echelon(rows, bound)
     if len(pivot_rows) == bound:
-        return (tuple(v for row in linalg.identity(m) for v in row),)
-    return tuple(tuple(v) for v in linalg._kernel(pivot_rows, m * m))
+        return ({k * m + k: _ONE for k in range(m)},)
+    return tuple(linalg._kernel(pivot_rows, m * m))
 
 
-def _minimal_polynomial(matrix: Mat) -> Vec:
-    """Coefficients a_0, ..., a_{d-1}, 1 of the monic minimal polynomial over Q.
+def _minimal_polynomial(matrix: Sequence[SparseRow]) -> Vec:
+    """Coefficients a_0, ..., a_{d-1}, 1 of the monic minimal polynomial over Q
+    of the matrix given by its sparse rows.
 
     The powers I, c, c^2, ... are independent up to c^(d-1); the first
-    dependent power's kernel vector is 1 at its own column.
+    dependent power's kernel vector is 1 at its own column.  Row r of P c is
+    the combination of c's rows by row r of P.
     """
-    m = len(matrix)
-    powers = [linalg.identity(m)]
+    powers = [[{r: _ONE} for r in range(len(matrix))]]
     while True:
-        powers.append(linalg.mat_mul(powers[-1], matrix))
-        rows = [[p[r][c] for p in powers] for r in range(m) for c in range(m)]
-        kernel = linalg.kernel_basis(rows)
+        powers.append([_combine(matrix, row) for row in powers[-1]])
+        # one row per matrix entry, over the powers
+        rows: dict[tuple[int, int], SparseRow] = {}
+        for d, power in enumerate(powers):
+            for r, row in enumerate(power):
+                for c, v in row.items():
+                    rows.setdefault((r, c), {})[d] = v
+        kernel = linalg.kernel_basis(rows.values(), ncols=len(powers))
         if kernel:
-            return kernel[0]
+            return [kernel[0].get(d, Fraction(0)) for d in range(len(powers))]
 
 
 def _sturm_sequence(p: Vec) -> list[Vec]:
@@ -761,9 +758,12 @@ def is_simple(sc: StructureConstants) -> bool | None:
     if len(centroid) == 1:
         return True
     m = sc.dim
-    scalar = [v for row in linalg.identity(m) for v in row]
+    scalar = {k * m + k: _ONE for k in range(m)}
     c = next(v for v in centroid if linalg.rank([scalar, v]) == 2)
-    p = _minimal_polynomial([list(c[r * m : (r + 1) * m]) for r in range(m)])
+    matrix: list[SparseRow] = [{} for _ in range(m)]
+    for k, v in c.items():
+        matrix[k // m][k % m] = v
+    p = _minimal_polynomial(matrix)
     if _has_rational_root(p):
         return False
     return True if len(centroid) <= 3 else None
@@ -988,11 +988,9 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Sp
                 f"{sc.render({k: _ONE})} coordinate of their bracket; "
                 f"{value} is left over"
             )
-        for a, y in enumerate(ys):
-            for t in range(p):
-                q = solution[a * p + t]
-                if q:
-                    linalg._subtract(y, -q, us[t])
+        for col, q in solution.items():
+            a, t = divmod(col, p)
+            linalg._subtract(ys[a], -q, us[t])
     return ys
 
 
@@ -1037,13 +1035,13 @@ def _levi_decomposition(sc: StructureConstants) -> LeviResult:
             for k, x in v.items():
                 columns[k][c] = x
         alpha = linalg.kernel_basis(columns, ncols=levi.dim + rad.dim)[0]
-        meet = _combine(complement, linalg._sparse(alpha[: levi.dim]))
+        meet = _combine(complement, {c: x for c, x in alpha.items() if c < levi.dim})
         raise LieAlgebraError(f"Levi complement meets the radical in {sc.render(meet)}")
     kappa = killing_form(subalgebra_constants(sc, levi))
     null = linalg.kernel_basis(kappa, ncols=levi.dim)
     if null:
         # the Killing radical of the complement, back in the ambient basis
-        vector = _combine(complement, linalg._sparse(null[0]))
+        vector = _combine(complement, null[0])
         raise LieAlgebraError(
             f"Levi complement is not semisimple: {sc.render(vector)} "
             "is orthogonal to it under its Killing form"
@@ -1066,7 +1064,8 @@ def classify_3dim_simple(sc: StructureConstants) -> str:
     if not det:
         return "not-simple"
     # leading minors (Sylvester): a zero minor means the form is not definite
-    k00, minor = kappa[0][0], kappa[0][0] * kappa[1][1] - kappa[0][1] ** 2
+    k00, k01, k11 = (kappa[i].get(j, 0) for i, j in ((0, 0), (0, 1), (1, 1)))
+    minor = k00 * k11 - k01**2
     if det < 0:
         # an odd number of negative eigenvalues: three, or exactly one
         return "so3-type" if k00 < 0 and minor > 0 else "sl2-type"

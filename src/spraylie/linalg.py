@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are row-major lists of Fractions; `rref`, `rank`, `kernel_basis`
-and `solve` also take rows as {column: value} mappings, the sparse rows
-(`SparseRow`) that the Lie layer computes with.  The solvers never touch
-floats: ranks, kernels and determinants are all decided exactly, which is
-what the algebraic layer requires.
+Every vector this module returns is a sparse row (`SparseRow`), a
+{column: value} mapping with no stored zero, the format the Lie layer
+computes with.  Its functions take rows dense (lists of numbers) or sparse.
+The solvers never touch floats: ranks, kernels and determinants are all
+decided exactly, which is what the algebraic layer requires.
 """
 
 from __future__ import annotations
@@ -14,35 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
-Mat = list[list[Fraction]]
-
-
-def identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if not f:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += f * bk[j]
-    return out
-
-
 SparseRow = dict[int, Fraction]
+
+_ONE = Fraction(1)
 
 
 def _sparse(row: Iterable | dict) -> SparseRow:
@@ -125,29 +99,15 @@ def _echelon(
     return basis, steps
 
 
-def rref(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column list.
+def rref(matrix: Iterable[Iterable | dict]) -> tuple[list[SparseRow], list[int]]:
+    """The nonzero rows of the reduced row echelon form and their pivot columns.
 
-    Rows may be dense or {column: value} mappings; `ncols` is required when
-    the first row is a mapping.  The form has as many rows as the input,
-    zero rows last, all dense.
+    Rows may be dense or {column: value} mappings; the form's rows come back
+    as sparse rows in pivot column order, one per pivot.
     """
-    m = list(matrix)
-    ncols = _width(m, ncols)
-    basis, _ = _echelon(m)
+    basis, _ = _echelon(matrix)
     pivots = sorted(basis)
-    reduced = [_dense(basis[p], ncols) for p in pivots]
-    reduced.extend(_dense({}, ncols) for _ in range(len(m) - len(pivots)))
-    return reduced, pivots
-
-
-def _width(m: list, ncols: int | None) -> int:
-    """`ncols`, or the length of the first row when that is dense; 0 for no rows."""
-    if ncols is not None:
-        return ncols
-    if m and isinstance(m[0], dict):
-        raise ValueError("ncols is required for a sparse matrix")
-    return len(m[0]) if m else 0
+    return [basis[p] for p in pivots], pivots
 
 
 def rank(matrix: Iterable[Iterable | dict], limit: int | None = None) -> int:
@@ -155,8 +115,8 @@ def rank(matrix: Iterable[Iterable | dict], limit: int | None = None) -> int:
     return len(_echelon(matrix, limit)[0])
 
 
-def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, in column order.
+def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) -> list[SparseRow]:
+    """Basis of the right kernel, one sparse row per free column, in column order.
 
     Rows may be dense or {column: value} mappings; `ncols` is required when
     the matrix is empty or its first row is a mapping.
@@ -169,13 +129,13 @@ def kernel_basis(matrix: Iterable[Iterable | dict], ncols: int | None = None) ->
     return _kernel(_echelon(m)[0], ncols)
 
 
-def _kernel(pivot_rows: dict[int, SparseRow], ncols: int) -> list[Vec]:
+def _kernel(pivot_rows: dict[int, SparseRow], ncols: int) -> list[SparseRow]:
     """The kernel of every row inserted into `pivot_rows` by `_echelon`.
 
     Free column j gives x_j = 1, 0 at the other free columns, and each pivot
     coordinate minus its row's entry at j.
     """
-    kernel = {j: unit_vector(ncols, j) for j in range(ncols) if j not in pivot_rows}
+    kernel = {j: {j: _ONE} for j in range(ncols) if j not in pivot_rows}
     for p, row in pivot_rows.items():
         for j, v in row.items():
             if j != p:
@@ -183,25 +143,24 @@ def _kernel(pivot_rows: dict[int, SparseRow], ncols: int) -> list[Vec]:
     return list(kernel.values())
 
 
-def unit_vector(n: int, j: int) -> Vec:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
-
-
-def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -> Vec | None:
-    """One solution of A x = b, or None when inconsistent.
+def solve(
+    a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None
+) -> SparseRow | None:
+    """One solution of A x = b as a sparse row, or None when inconsistent.
 
     When the solution is not unique the free coordinates are set to zero.
     Rows may be dense or {column: value} mappings; `ncols` is required when
-    the first row is a mapping.  The right-hand side joins each row at
-    column `ncols`.
+    the first row is a mapping, and taken as 0 when there are no rows.  The
+    right-hand side joins each row at column `ncols`.
     """
     m = [row if isinstance(row, dict) else list(row) for row in a]
     rhs = list(b)
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
-    ncols = _width(m, ncols)
+    if ncols is None:
+        if m and isinstance(m[0], dict):
+            raise ValueError("ncols is required for a sparse matrix")
+        ncols = len(m[0]) if m else 0
     augmented = (
         {**(row if isinstance(row, dict) else dict(enumerate(row))), ncols: rv}
         for row, rv in zip(m, rhs)
@@ -209,15 +168,17 @@ def solve(a: Iterable[Iterable | dict], b: Sequence, ncols: int | None = None) -
     pivot_rows, _ = _echelon(augmented)
     if ncols in pivot_rows:
         return None
-    return _dense({p: row[ncols] for p, row in pivot_rows.items() if ncols in row}, ncols)
+    return {p: row[ncols] for p, row in pivot_rows.items() if ncols in row}
 
 
-def det(matrix: Iterable[Iterable]) -> Fraction:
-    """Determinant from the same elimination as rref (`_determinant`)."""
-    m = [list(row) for row in matrix]
+def det(matrix: Iterable[Iterable | dict]) -> Fraction:
+    """Determinant of n rows of width n, dense or {column: value} mappings,
+    from the same elimination as rref (`_determinant`)."""
+    m = [row if isinstance(row, dict) else list(row) for row in matrix]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
+    for row in m:
+        if (max(row, default=-1) >= n) if isinstance(row, dict) else len(row) != n:
+            raise ValueError("determinant requires a square matrix")
     return _determinant(_echelon(m)[1])
 
 

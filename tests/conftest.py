@@ -134,7 +134,32 @@ def mat_vec(a, v) -> list[Fraction]:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def ad_matrix(sc: liealg.StructureConstants, i: int) -> linalg.Mat:
+def mat_mul(a, b) -> list[list[Fraction]]:
+    """The exact product of two dense matrices."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [unit_vector(n, i) for i in range(n)]
+
+
+def unit_vector(n: int, j: int) -> list[Fraction]:
+    return dense({j: Fraction(1)}, n)
+
+
+def dense(row: dict[int, Fraction], n: int) -> list[Fraction]:
+    """A sparse row written out as a dense vector of length n."""
+    out = [Fraction(0)] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+def ad_matrix(sc: liealg.StructureConstants, i: int) -> list[list[Fraction]]:
     """Matrix of ad(b_i): column j holds [b_i, b_j]."""
     m = sc.dim
     return [[Fraction(sc.c[i][j][k]) for j in range(m)] for k in range(m)]

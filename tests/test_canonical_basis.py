@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from spraylie import cli, linalg
+from spraylie import cli
 from spraylie import liealg as la
 from spraylie.fields import bracket_base, combine_fields
-from spraylie.linalg import det, mat_mul, unit_vector
-from tests.conftest import base_field
+from spraylie.linalg import det
+from tests.conftest import base_field, mat_mul
 from tests.test_liealg import _affine, _heisenberg, _parabolic_fields, _rotations
 
 
@@ -34,13 +34,16 @@ def lu_matrix(m: int, seed: int) -> list[list[int]]:
 def lu_basis(fields, seed: int):
     """Generator r of the new basis is sum_c M[r][c] fields[c]; returns it and M."""
     matrix = lu_matrix(len(fields), seed)
-    return [combine_fields(fields, [Fraction(q) for q in row]) for row in matrix], matrix
+    rows = [{c: Fraction(q) for c, q in enumerate(row) if q} for row in matrix]
+    return [combine_fields(fields, row) for row in rows], matrix
 
 
 def _standard(space: la.Subspace, matrix) -> la.Subspace:
     """A subspace over the L*U generators, over the standard ones: v -> v M."""
     m = space.ambient_dim
-    vectors = [[sum(v[r] * matrix[r][c] for r in range(m)) for c in range(m)] for v in space.basis]
+    vectors = [
+        [sum(q * matrix[r][c] for r, q in v.items()) for c in range(m)] for v in space.rows.values()
+    ]
     return la.Subspace.from_vectors(vectors, m)
 
 
@@ -113,7 +116,8 @@ def test_user_table_is_the_bracket_of_the_generators(case, seed, generators):
     for i, a in enumerate(fields):
         for j, b in enumerate(fields):
             # the generators are independent, so the coefficients are unique
-            assert combine_fields(fields, sc.c[i][j]) == bracket_base(a, b), (i, j)
+            cell = dict(sc.nonzero.get((i, j), ()))
+            assert combine_fields(fields, cell) == bracket_base(a, b), (i, j)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -132,7 +136,7 @@ def test_mapped_complement_passes_the_levi_verification(case, seed, generators, 
     shown = la.levi_decomposition(sc)
     # verify the printed complement in the generators' own basis, on the
     # table read off the canonical one
-    complement = [list(v) for v in shown.levi.basis]
+    complement = [dict(v) for v in shown.levi.rows.values()]
     monkeypatch.setattr(la, "_levi_vectors", lambda table, series: complement)
     assert la._levi_decomposition(sc) == shown
 
@@ -144,7 +148,8 @@ def test_complement_of_a_dense_basis_keeps_small_coefficients(seed):
     sc = la.structure_constants_from_fields(lu_basis(_affine(3), seed)[0])
     levi = la.levi_decomposition(sc).levi
     assert levi.dim == 8
-    parts = [part for v in levi.basis for q in v for part in (q.numerator, q.denominator)]
+    entries = [q for v in levi.rows.values() for q in v.values()]
+    parts = [part for q in entries for part in (q.numerator, q.denominator)]
     assert max(len(str(abs(part))) for part in parts) <= 2
 
 
@@ -189,7 +194,7 @@ def test_field_built_set_names_its_levi_witness_in_user_labels(tmp_path, monkeyp
     canonical = sc.canonical
     assert canonical is not sc
     levi = la.levi_decomposition(canonical)
-    kept = [list(v) for v in levi.levi.basis[:-1]]
+    kept = [dict(v) for v in list(levi.levi.rows.values())[:-1]]
     monkeypatch.setattr(la, "_levi_vectors", lambda table, series: kept)
     assert cli.main(["analyze", str(path)]) == cli.EXIT_INTERNAL
     message = capsys.readouterr().err
@@ -203,6 +208,6 @@ def test_field_built_set_names_its_levi_witness_in_user_labels(tmp_path, monkeyp
     # canonical basis element that the shortened complement misses
     named, leftover = (cli.parse_combination(text, labels) for text in found.groups())
     total = levi.radical.sum(la.Subspace.from_vectors(kept, 4))
-    missing = next(a for a in range(4) if not total.contains(unit_vector(4, a)))
-    assert named == linalg._dense(la._combine(canonical.to_user, {missing: 1}), 4)
-    assert any(leftover)
+    missing = next(a for a in range(4) if not total.contains({a: Fraction(1)}))
+    assert named == la._combine(canonical.to_user, {missing: 1})
+    assert leftover

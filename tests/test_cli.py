@@ -38,20 +38,16 @@ def run_cli(*argv):
 
 def test_parse_combination_verbatim_styles():
     labels = ["e1", "e2", "e6"]
-    assert cli.parse_combination("0", labels) == [0, 0, 0]
-    assert cli.parse_combination("e2/2", labels) == [0, Fraction(1, 2), 0]
-    assert cli.parse_combination("-e1/2+e6/2", labels) == [
-        Fraction(-1, 2),
-        0,
-        Fraction(1, 2),
-    ]
-    assert cli.parse_combination("-2*e1", labels) == [-2, 0, 0]
-    assert cli.parse_combination("3/2*e2 - e6", labels) == [0, Fraction(3, 2), -1]
+    assert cli.parse_combination("0", labels) == {}
+    assert cli.parse_combination("e2/2", labels) == {1: Fraction(1, 2)}
+    assert cli.parse_combination("-e1/2+e6/2", labels) == {0: Fraction(-1, 2), 2: Fraction(1, 2)}
+    assert cli.parse_combination("-2*e1", labels) == {0: -2}
+    assert cli.parse_combination("3/2*e2 - e6", labels) == {1: Fraction(3, 2), 2: -1}
 
 
 def test_parse_combination_roundtrips_renderer():
     labels = ["e1", "e2", "e3"]
-    coeffs = [Fraction(-1, 2), Fraction(0), Fraction(5, 3)]
+    coeffs = {0: Fraction(-1, 2), 2: Fraction(5, 3)}
     text = cli.render_combination(coeffs, labels)
     assert text == "-1/2*e1 + 5/3*e3"
     assert cli.parse_combination(text, labels) == coeffs
@@ -63,11 +59,19 @@ def test_parse_combination_rejects_unknown_generator():
 
 
 def test_parse_combination_accumulates_duplicates():
-    assert cli.parse_combination("e1 + e1/2", ["e1"]) == [Fraction(3, 2)]
+    assert cli.parse_combination("e1 + e1/2", ["e1"]) == {0: Fraction(3, 2)}
+    # a coefficient that cancels is not stored
+    assert cli.parse_combination("e1 + e2 - e1", ["e1", "e2"]) == {1: 1}
 
 
 def test_render_combination_zero():
-    assert cli.render_combination([Fraction(0)], ["e1"]) == "0"
+    assert cli.render_combination({}, ["e1"]) == "0"
+
+
+def test_render_combination_reads_a_sparse_row_in_column_order():
+    # a kernel row holds its free column first, then the pivots
+    row = {2: Fraction(1), 0: Fraction(-1)}
+    assert cli.render_combination(row, ["e1", "e2", "e3"]) == "-e1 + e3"
 
 
 # ---------------------------------------------------------------------------
@@ -1091,6 +1095,20 @@ def test_bad_subcommand_exits_one():
 def test_missing_required_argument_exits_one():
     proc = run_cli("table", str(PROBLEMS / "example1.json"))
     assert proc.returncode == 1
+
+
+def test_successive_calls_parse_their_own_arguments(capsys):
+    # one parser serves every call in a process; no option carries over
+    section5 = str(PROBLEMS / "section5.json")
+    assert cli.main(["table", section5, "--set", "isometry_levi", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith(",g1,g3,g5\n")
+    assert cli.main(["solve", section5, "--dict", "isometries", "--isometry"]) == 0
+    assert "- conditions: isometry\n" in capsys.readouterr().out
+    assert cli.main(["table", section5, "--set", "isometry_levi"]) == 0
+    assert capsys.readouterr().out.startswith("| [.,.] |")
+    assert cli.main(["solve", section5, "--dict", "isometries", "--spray-symmetry"]) == 0
+    assert "- conditions: spray-symmetry\n" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_package_runs_as_a_module(capsys):

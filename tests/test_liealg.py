@@ -21,14 +21,17 @@ from hypothesis import given, settings, strategies as st
 from perfbench import workloads
 from spraylie import cli, liealg as la, linalg
 from spraylie.fields import bracket_base, combine_fields, constant_span, horizontal_nullity_span
-from spraylie.linalg import det, unit_vector
+from spraylie.linalg import det
 from tests.conftest import (
     abelian_ideal_check,
     ad_matrix,
     base_field,
     build_pipeline,
+    dense,
+    identity,
     in_inner_span,
     is_derivation,
+    unit_vector,
 )
 
 H = Fraction(1, 2)
@@ -172,7 +175,7 @@ def test_bracket_table_matches_field_brackets(flat_spray_generators, flat_spray_
     for i in range(12):
         for j in range(i + 1, 12):
             direct = bracket_base(fields[i], fields[j])
-            via_table = combine_fields(fields, list(flat_spray_sc.c[i][j]))
+            via_table = combine_fields(fields, dict(flat_spray_sc.nonzero.get((i, j), ())))
             assert (direct - via_table).is_zero()
 
 
@@ -284,8 +287,8 @@ def test_jacobi_witness_matches_dense_definition(shell_sc, cells):
 
 def test_killing_form_symmetric_ad_invariant(flat_spray_sc):
     sc = flat_spray_sc
-    kappa = la.killing_form(sc)
     m = sc.dim
+    kappa = [dense(row, m) for row in la.killing_form(sc)]
     for i in range(m):
         for j in range(m):
             assert kappa[i][j] == kappa[j][i]
@@ -321,7 +324,7 @@ def test_abelian_killing_form_is_zero():
     sc = la.structure_constants_from_fields(
         [base_field("1", "0"), base_field("0", "1")]
     )
-    assert la.killing_form(sc) == [[0, 0], [0, 0]]
+    assert la.killing_form(sc) == [{}, {}]
     assert not la.is_semisimple(sc)
 
 
@@ -428,7 +431,7 @@ def test_constant_subspace_of_an_abelian_algebra_is_everything():
     fields = [base_field("1", "0"), base_field("0", "1")]
     sc = la.structure_constants_from_fields(fields)
     space = _subspace(sc, constant_span(fields))
-    assert space == la.Subspace.from_vectors(linalg.identity(2), 2)
+    assert space == la.Subspace.from_vectors(identity(2), 2)
     assert abelian_ideal_check(sc, space)
 
 
@@ -555,11 +558,7 @@ def test_classify_flat_isometry_levi_so3(flat_isometry_sc):
     )
     assert la.classify_3dim_simple(sub) == "so3-type"
     kappa = la.killing_form(sub)
-    assert kappa == [
-        [-H, 0, 0],
-        [0, -H, 0],
-        [0, 0, -H],
-    ]
+    assert kappa == [{0: -H}, {1: -H}, {2: -H}]
 
 
 def test_classify_abelian_not_simple():
@@ -598,7 +597,7 @@ def test_classify_a_table_given_as_constants(brackets, expected):
 def test_classify_refuses_a_positive_killing_determinant(diagonal, pair):
     # no Lie algebra reaches this guard, so plant the form on the canonical table
     sc = la.structure_constants_from_fields(_rotations(3))
-    kappa = tuple(tuple(Fraction(d * (i == j)) for j in range(3)) for i, d in enumerate(diagonal))
+    kappa = tuple({i: Fraction(d)} for i, d in enumerate(diagonal))
     sc.canonical.__dict__.update(killing=kappa, killing_determinant=det(kappa))
     with pytest.raises(la.LieAlgebraError, match=re.escape(f"signature {pair}")):
         la.classify_3dim_simple(sc)
@@ -958,7 +957,7 @@ def test_rank_certificates_return_the_full_kernel(tag, seed, tmp_path, monkeypat
     # so(3) a two-dimensional one: only those compute a kernel
     assert routes == (["kernel"] if tag.startswith("h") or tag == "so4" else [])
     expected = linalg.kernel_basis(_centroid_rows(sc), m * m)
-    assert centroid == tuple(tuple(v) for v in expected)
+    assert centroid == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -998,13 +997,12 @@ def _parabolic(blocks: tuple[int, ...], special: bool, seed: int | None) -> la.S
     if seed is not None:
         rng = random.Random(seed)
         m = len(generators)
-        generators = [
-            combine_fields(
-                generators,
-                [Fraction(1 if c == r else rng.choice((-1, 0, 1)) if c > r else 0) for c in range(m)],
-            )
-            for r in range(m)
+        draws = [{c: rng.choice((-1, 0, 1)) for c in range(r + 1, m)} for r in range(m)]
+        rows = [
+            {r: Fraction(1)} | {c: Fraction(q) for c, q in row.items() if q}
+            for r, row in enumerate(draws)
         ]
+        generators = [combine_fields(generators, row) for row in rows]
     return la.structure_constants_from_fields(generators)
 
 
@@ -1128,7 +1126,7 @@ def _mixed(sc: la.StructureConstants) -> la.StructureConstants:
         basis[a][a + 1] = Fraction(1)
     brackets = {}
     for i, j in itertools.combinations(range(m), 2):
-        w = linalg._dense(sc.bracket_coords(basis[i], basis[j]), m)
+        w = dense(sc.bracket_coords(basis[i], basis[j]), m)
         # b_2t = new_2t - new_2t+1
         for a in range(0, m - 1, 2):
             w[a + 1] -= w[a]
@@ -1147,7 +1145,7 @@ def test_levi_complement_of_sl2_plus_upper_triangular_3x3():
     assert dims == [6, 3, 1, 0]
     _check_levi(sc, result)
     # rendered by the quotient-algebra recursion this loop replaced
-    assert [la.render_combination(v, sc.labels) for v in result.levi.basis] == [
+    assert [la.render_combination(v, sc.labels) for v in result.levi.rows.values()] == [
         "b1",
         "b2",
         "b3 - b4",
@@ -1200,7 +1198,7 @@ def test_unsolvable_radical_names_its_stalled_derived_term(monkeypatch):
     # no seeded table reached this check; with the derived algebra taken as
     # zero, the radical of so(3) is all of it, an ideal that is perfect
     sc = _table(3, SO3)
-    monkeypatch.setattr(la, "derived_subalgebra", lambda sc: la.Subspace(sc.dim, ()))
+    monkeypatch.setattr(la, "derived_subalgebra", lambda sc: la.Subspace(sc.dim, {}))
     with pytest.raises(la.LieAlgebraError) as err:
         la.radical(sc)
     assert str(err.value).startswith(

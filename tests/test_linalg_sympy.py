@@ -10,7 +10,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spraylie.linalg import det, kernel_basis, mat_mul, rank, rref, solve
+from spraylie.linalg import det, kernel_basis, rank, rref, solve
+from tests.conftest import mat_mul
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,8 +45,18 @@ def _frac(x) -> Q:
     return Q(int(x.p), int(x.q))
 
 
-def _rows(m) -> list[list[Q]]:
-    return [[_frac(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+def _sparse(v) -> dict[int, Q]:
+    """A sympy row or column vector as a sparse row: {index: value}, no zeros."""
+    return {j: _frac(x) for j, x in enumerate(v) if x}
+
+
+def _sparse_rows(a: list[list[Q]]) -> list[dict[int, Q]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def _nonzero_rows(m) -> list[dict[int, Q]]:
+    """The nonzero rows of a sympy matrix as sparse rows."""
+    return [row for row in (_sparse(m.row(i)) for i in range(m.rows)) if row]
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,12 +64,13 @@ def _rows(m) -> list[list[Q]]:
 def test_rref_rank_and_kernel_agree_with_sympy(a):
     reduced, pivots = rref(a)
     want, want_pivots = _sym(a).rref()
-    assert reduced == _rows(want)
+    # sympy's nonzero rows, as sparse rows
+    assert reduced == _nonzero_rows(want)
     assert pivots == list(want_pivots)
     assert rank(a) == _sym(a).rank()
-    assert kernel_basis(a) == [[_frac(x) for x in v] for v in _sym(a).nullspace()]
+    assert kernel_basis(a) == [_sparse(v) for v in _sym(a).nullspace()]
     # the same matrix as {column: value} rows gives the same answers
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+    sparse = _sparse_rows(a)
     assert rank(sparse) == rank(a)
     assert kernel_basis(sparse, ncols=len(a[0])) == kernel_basis(a)
 
@@ -66,14 +78,12 @@ def test_rref_rank_and_kernel_agree_with_sympy(a):
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 def test_rref_takes_sparse_rows(a):
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
-    reduced, pivots = rref(sparse, ncols=len(a[0]))
+    sparse = _sparse_rows(a)
+    reduced, pivots = rref(sparse)
     assert (reduced, pivots) == rref(a)
     want, want_pivots = _sym(a).rref()
-    assert (reduced, pivots) == (_rows(want), list(want_pivots))
-    # a mapping has no length to read the width from, as in kernel_basis
-    with pytest.raises(ValueError):
-        rref(sparse)
+    assert (reduced, pivots) == (_nonzero_rows(want), list(want_pivots))
+    # rref needs no width, but a kernel does, and a mapping has no length to read it from
     with pytest.raises(ValueError):
         kernel_basis(sparse)
 
@@ -91,21 +101,20 @@ def test_solve_agrees_with_sympy(a, data):
         return
     # free coordinates at zero, as solve documents
     want = solution.subs({p: 0 for p in params})
-    assert got == [_frac(want[i, 0]) for i in range(want.rows)]
+    assert got == _sparse(want)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.data())
 def test_solve_takes_sparse_rows(a, data):
     b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
-    assert solve(sparse, b, ncols=len(a[0])) == solve(a, b)
+    assert solve(_sparse_rows(a), b, ncols=len(a[0])) == solve(a, b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(square=True))
 def test_det_agrees_with_sympy(a):
-    assert det(a) == _frac(_sym(a).det())
+    assert det(a) == det(_sparse_rows(a)) == _frac(_sym(a).det())
 
 
 def _inversions(perm: list[int]) -> int:
@@ -147,5 +156,4 @@ def test_answers_do_not_depend_on_the_row_order(a, data):
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.integers(0, 7))
 def test_rank_with_a_limit_is_the_smaller_of_the_two(a, limit):
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
-    assert rank(a, limit) == rank(sparse, limit) == min(rank(a), limit)
+    assert rank(a, limit) == rank(_sparse_rows(a), limit) == min(rank(a), limit)
