@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import geom, liealg
+from . import geom, liealg, linalg
 from .fields import (
     BaseField,
     MembershipVerdict,
@@ -349,7 +349,7 @@ def parse_combination(text: str, labels: Sequence[str]) -> SparseRow:
         j = index[name]
         coeffs[j] = coeffs.get(j, 0) + sign * Fraction(num, den * post)
         pos = match.end()
-    return {j: q for j, q in coeffs.items() if q}
+    return {j: linalg._exact(q) for j, q in coeffs.items() if q}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A Lie algebra arrives either as structure constants or as a list of base
 vector fields whose pairwise brackets close over their rational span.  All
 the invariants computed here -- Killing form, radical, derived series,
 center, derivations, Levi complement, 3-dimensional classification -- are
-decided with exact rational linear algebra; no floats anywhere.
+decided with exact rational linear algebra; no floats anywhere.  As in
+`linalg`, an integral value is held as an int and a Fraction only carries a
+denominator: ring coefficients are normalized where they become rows
+(`_terms`), and every table's index where it is built (`_antisymmetric_index`).
 
 Convention: c[i][j][k] is the coefficient of basis element k in [b_i, b_j].
 Every table stores only its nonzero index: for every ordered pair (i, j)
@@ -80,7 +83,7 @@ __all__ = [
     "render_combination",
 ]
 
-_ONE = Fraction(1)
+_ONE = 1
 
 class LieAlgebraError(Exception):
     """Base class for algebra-layer failures."""
@@ -164,7 +167,7 @@ class StructureConstants:
         nonzero = {}
         for i, plane in enumerate(c):
             for j, row in enumerate(plane):
-                entries = tuple((k, q) for k, q in enumerate(row) if q)
+                entries = tuple((k, linalg._exact(q)) for k, q in enumerate(row) if q)
                 if entries:
                     nonzero[(i, j)] = entries
         # every entry that could break c[i][j] = -c[j][i] is in the index
@@ -182,10 +185,10 @@ class StructureConstants:
     def _link(
         self,
         labels: tuple[str, ...],
-        nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+        nonzero: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]],
         canonical: "StructureConstants | None" = None,
         to_canonical: tuple[SparseRow, ...] | None = None,
-        det_to_canonical: Fraction = Fraction(1),
+        det_to_canonical: int | Fraction = 1,
         to_user: tuple[SparseRow, ...] | None = None,
     ) -> None:
         self.labels = labels
@@ -200,7 +203,7 @@ class StructureConstants:
         return len(self.labels)
 
     @functools.cached_property
-    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    def c(self) -> tuple[tuple[tuple[int | Fraction, ...], ...], ...]:
         """The dense table, built from the index on first read."""
         m = self.dim
         return tuple(
@@ -220,7 +223,7 @@ class StructureConstants:
         return tuple(killing_form(self))
 
     @functools.cached_property
-    def killing_determinant(self) -> Fraction:
+    def killing_determinant(self) -> int | Fraction:
         """det of the Killing form, computed once and shared by the report and
         the semisimplicity test: on the canonical table, times det(Q)^2 for
         the change of basis Q, since the form transforms as Q kappa Q^T."""
@@ -310,9 +313,12 @@ def render_combination(coeffs: SparseRow, labels: Sequence[str]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _terms(f: BaseField) -> dict[tuple, Fraction]:
-    """The field's coefficients keyed by (component, term key)."""
-    return {(pos, key): q for pos, comp in enumerate(f.components) for key, q in comp.items()}
+def _terms(f: BaseField) -> dict[tuple, int | Fraction]:
+    """The field's coefficients keyed by (component, term key), normalized:
+    the ring's Fractions become rows here."""
+    return {
+        (pos, key): linalg._exact(q) for pos, comp in enumerate(f.components) for key, q in comp.items()
+    }
 
 
 def structure_constants_from_fields(
@@ -354,7 +360,7 @@ def structure_constants_from_fields(
     column = {key: j for j, key in enumerate(keys)}
     width = len(keys)
     rows = [
-        {column[key]: q for key, q in t.items()} | {width + i: Fraction(1)}
+        {column[key]: q for key, q in t.items()} | {width + i: _ONE}
         for i, t in enumerate(terms)
     ]
     pivot_rows, steps = linalg._echelon(rows)
@@ -369,7 +375,7 @@ def structure_constants_from_fields(
     # took to the identity
     det_q = linalg._determinant(steps)
 
-    def coordinates(w: BaseField) -> tuple[tuple[int, Fraction], ...] | None:
+    def coordinates(w: BaseField) -> tuple[tuple[int, int | Fraction], ...] | None:
         """The canonical coordinates of w, or None when it leaves the span."""
         vector = {}
         for key, q in _terms(w).items():
@@ -410,11 +416,12 @@ def structure_constants_from_fields(
 
 def _antisymmetric_index(
     upper: dict[tuple[int, int], SparseRow],
-) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    """The nonzero index of the table with [b_i, b_j] = upper[(i, j)] for i < j."""
+) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
+    """The nonzero index of the table with [b_i, b_j] = upper[(i, j)] for i < j,
+    its entries normalized (`linalg._exact`)."""
     index = {}
     for (i, j), row in upper.items():
-        entries = tuple((k, q) for k, q in sorted(row.items()) if q)
+        entries = tuple((k, linalg._exact(q)) for k, q in sorted(row.items()) if q)
         if entries:
             index[(i, j)] = entries
             index[(j, i)] = tuple((k, -q) for k, q in entries)
@@ -422,18 +429,19 @@ def _antisymmetric_index(
 
 
 def _user_index(
-    nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+    nonzero: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]],
     to_user: Sequence[SparseRow],
     to_canonical: Sequence[SparseRow],
     m: int,
-) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
     """The generators' table off the canonical one, in two one-sided passes.
 
     With [h_a, h_b] written over the generators through P,
     [g_i, g_j] = sum_b Q_jb (sum_a Q_ia [h_a, h_b]): the inner sum runs once
     per (i, b) and the outer once per (i, j), i < j, each over nonzeros only.
     C, P and Q are scaled to integers first, so the passes add and multiply
-    integers and only the final entries become Fractions.
+    integers, and only the final division can leave a denominator
+    (`_antisymmetric_index` normalizes its quotients).
     """
     flat = {(a, b, c): q for (a, b), entries in nonzero.items() if a < b for c, q in entries}
     (constants,), scale_c = _integral([flat])
@@ -495,7 +503,7 @@ def jacobi_check(sc: StructureConstants):
 def _jacobi_witness(sc: StructureConstants):
     nonzero = sc.nonzero
     for i, j, k in itertools.combinations(range(sc.dim), 3):
-        total: dict[int, Fraction] = {}
+        total: dict[int, int | Fraction] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for l, q in nonzero.get((a, b), ()):
                 for s, r in nonzero.get((l, c), ()):
@@ -511,7 +519,7 @@ def killing_form(sc: StructureConstants) -> list[SparseRow]:
     """Rows kappa[i] = {j: trace(ad b_i ad b_j)}, summed over nonzero constants only."""
     m = sc.dim
     # ads[i][(p, q)] is entry (p, q) of ad(b_i), that is c[i][q][p]
-    ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(m)]
+    ads: list[dict[tuple[int, int], int | Fraction]] = [{} for _ in range(m)]
     for (i, q), entries in sc.nonzero.items():
         for p, v in entries:
             ads[i][(p, q)] = v
@@ -520,14 +528,14 @@ def killing_form(sc: StructureConstants) -> list[SparseRow]:
         a = ads[i]
         for j in range(i, m):
             b = ads[j]
-            trace = sum((v * b[(q, p)] for (p, q), v in a.items() if (q, p) in b), Fraction(0))
+            trace = sum(v * b[(q, p)] for (p, q), v in a.items() if (q, p) in b)
             if trace:
                 kappa[i][j] = trace
                 kappa[j][i] = trace
     return kappa
 
 
-def killing_det(sc: StructureConstants) -> Fraction:
+def killing_det(sc: StructureConstants) -> int | Fraction:
     return sc.killing_determinant
 
 
@@ -672,7 +680,7 @@ def _minimal_polynomial(matrix: Sequence[SparseRow]) -> Vec:
                     rows.setdefault((r, c), {})[d] = v
         kernel = linalg.kernel_basis(rows.values(), ncols=len(powers))
         if kernel:
-            return [kernel[0].get(d, Fraction(0)) for d in range(len(powers))]
+            return [kernel[0].get(d, 0) for d in range(len(powers))]
 
 
 def _sturm_sequence(p: Vec) -> list[Vec]:
@@ -681,7 +689,8 @@ def _sturm_sequence(p: Vec) -> list[Vec]:
     while len(seq[-1]) > 1:
         rem = list(seq[-2])
         while len(rem) >= len(seq[-1]):
-            f, shift = rem[-1] / seq[-1][-1], len(rem) - len(seq[-1])
+            # exact whatever the types: int / int would be a float
+            f, shift = Fraction(rem[-1], seq[-1][-1]), len(rem) - len(seq[-1])
             for k, b in enumerate(seq[-1]):
                 rem[shift + k] -= f * b
             while rem and not rem[-1]:
@@ -952,7 +961,7 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Sp
         # unknown a*p + t: the coefficient of u_t in z_a; one row per pair and
         # coordinate that is not 0 = 0
         rows: list[SparseRow] = []
-        rhs: list[Fraction] = []
+        rhs: list[int | Fraction] = []
         where: list[tuple[int, int, int]] = []
         for a, b in itertools.combinations(range(s), 2):
             e = sc.bracket_coords(ys[a], ys[b])

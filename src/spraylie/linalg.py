@@ -5,6 +5,13 @@ Every vector this module returns is a sparse row (`SparseRow`), a
 computes with.  Its functions take rows dense (lists of numbers) or sparse.
 The solvers never touch floats: ranks, kernels and determinants are all
 decided exactly, which is what the algebraic layer requires.
+
+A value is a Python int when it is integral and a `Fraction` only when it
+has a denominator, never a float: integer arithmetic costs a fraction of
+`Fraction`'s.  `_exact` is the one normalization, applied where values
+enter (`_sparse`, for every row `_echelon` takes) and where they are
+divided (pivot scaling and the determinant); sums and products in between
+stay exact whatever their type.
 """
 
 from __future__ import annotations
@@ -13,26 +20,32 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vec = list[Fraction]
-SparseRow = dict[int, Fraction]
+Vec = list[int | Fraction]
+SparseRow = dict[int, int | Fraction]
 
-_ONE = Fraction(1)
+_ONE = 1
+
+
+def _exact(q: int | Fraction) -> int | Fraction:
+    """q as an int when its denominator is 1, else q: an int or a Fraction
+    stays exact, a bool becomes its int, and a float raises."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _sparse(row: Iterable | dict) -> SparseRow:
     """A fresh sparse row from a dense row or a {column: value} mapping."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
+    return {j: _exact(v) for j, v in items if v}
 
 
 def _dense(row: SparseRow, n: int) -> Vec:
-    out = [Fraction(0)] * n
+    out: Vec = [0] * n
     for j, v in row.items():
         out[j] = v
     return out
 
 
-def _subtract(target: SparseRow, f: Fraction, row: SparseRow, skip: int | None = None) -> None:
+def _subtract(target: SparseRow, f: int | Fraction, row: SparseRow, skip: int | None = None) -> None:
     """target -= f * row on every column but `skip`, dropping entries that cancel."""
     for j, v in row.items():
         if j != skip:
@@ -57,14 +70,16 @@ def _reduce(pivot_rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
 
 def _echelon(
     rows: Iterable[Iterable | dict], limit: int | None = None
-) -> tuple[dict[int, SparseRow], list[tuple[int, Fraction]]]:
+) -> tuple[dict[int, SparseRow], list[tuple[int, int | Fraction]]]:
     """Insert rows one at a time into a reduced echelon basis held sparsely.
 
-    Every row, dense or a {column: value} mapping, is made sparse once, and
-    the rows are inserted fewest nonzeros first (stable among equal counts),
-    which fills in far less than insertion in input order.  Each row is
+    Every row, dense or a {column: value} mapping, is made sparse and
+    normalized once (`_sparse`), and the rows are inserted fewest nonzeros
+    first (stable among equal counts), which fills in far less than
+    insertion in input order.  Each row is
     reduced by the pivot rows found so far; a nonzero remainder is scaled to
-    1 at its leading column, which becomes a new pivot, and that column is
+    1 at its leading column (a sign flip for -1, else an exact division whose
+    entries are normalized), which becomes a new pivot, and that column is
     cleared from the earlier pivot rows.  A pivot row's leading entry stays
     its pivot throughout, and no pivot row has an entry in another's pivot
     column, so the pivot rows sorted by column are the reduced row echelon
@@ -78,7 +93,7 @@ def _echelon(
     """
     sparse = [_sparse(row) for row in rows]
     basis: dict[int, SparseRow] = {}
-    steps: list[tuple[int, Fraction]] = [(-1, Fraction(0))] * len(sparse)
+    steps: list[tuple[int, int | Fraction]] = [(-1, 0)] * len(sparse)
     for r in sorted(range(len(sparse)), key=lambda r: len(sparse[r])):
         if limit is not None and len(basis) >= limit:
             break
@@ -87,9 +102,11 @@ def _echelon(
             continue
         lead = min(residual)
         value = residual[lead]
-        if value != 1:
-            inv = 1 / value
-            residual = {j: v * inv for j, v in residual.items()}
+        if value == -1:
+            residual = {j: -v for j, v in residual.items()}
+        elif value != 1:
+            inv = Fraction(1, value)
+            residual = {j: _exact(v * inv) for j, v in residual.items()}
         for other in basis.values():
             f = other.pop(lead, None)
             if f:
@@ -171,7 +188,7 @@ def solve(
     return {p: row[ncols] for p, row in pivot_rows.items() if ncols in row}
 
 
-def det(matrix: Iterable[Iterable | dict]) -> Fraction:
+def det(matrix: Iterable[Iterable | dict]) -> int | Fraction:
     """Determinant of n rows of width n, dense or {column: value} mappings,
     from the same elimination as rref (`_determinant`)."""
     m = [row if isinstance(row, dict) else list(row) for row in matrix]
@@ -182,7 +199,7 @@ def det(matrix: Iterable[Iterable | dict]) -> Fraction:
     return _determinant(_echelon(m)[1])
 
 
-def _determinant(steps: list[tuple[int, Fraction]]) -> Fraction:
+def _determinant(steps: list[tuple[int, int | Fraction]]) -> int | Fraction:
     """det of the square matrix whose rows `_echelon` took through `steps`.
 
     Reducing a row by other rows keeps the determinant and scaling it by
@@ -193,10 +210,10 @@ def _determinant(steps: list[tuple[int, Fraction]]) -> Fraction:
     determinant zero.
     """
     if any(lead < 0 for lead, _ in steps):
-        return Fraction(0)
+        return 0
     rank = {lead: r for r, lead in enumerate(sorted(lead for lead, _ in steps))}
     sign = _permutation_sign([rank[lead] for lead, _ in steps])
-    return math.prod((value for _, value in steps), start=Fraction(sign))
+    return _exact(math.prod((value for _, value in steps), start=sign))
 
 
 def _permutation_sign(perm: list[int]) -> int:

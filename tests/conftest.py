@@ -129,6 +129,16 @@ def curvature_potential(spray: geom.SprayData, curv: geom.CurvatureData):
     return tuple(out)
 
 
+def assert_exact(values, normalized: bool = False) -> None:
+    """Every value is an int or a Fraction, never a float or a bool; with
+    `normalized`, an integral value is an int and a Fraction has a
+    denominator above 1."""
+    for v in values:
+        assert type(v) in (int, Fraction), f"{v!r} is a {type(v).__name__}"
+        if normalized:
+            assert type(v) is int or v.denominator > 1, f"{v!r} is integral but not an int"
+
+
 def mat_vec(a, v) -> list[Fraction]:
     """The exact product of a dense matrix and a vector."""
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]

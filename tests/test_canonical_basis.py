@@ -12,6 +12,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from spraylie import cli
 from spraylie import liealg as la
 from spraylie.fields import bracket_base, combine_fields
 from spraylie.linalg import det
-from tests.conftest import base_field, mat_mul
+from tests.conftest import assert_exact, base_field, mat_mul
 from tests.test_liealg import _affine, _heisenberg, _parabolic_fields, _rotations
 
 
@@ -167,6 +168,43 @@ def test_three_dim_class_does_not_depend_on_the_basis(case, seed):
     build, expected = THREE_DIM[case]
     fields = build() if seed is None else lu_basis(build(), seed)[0]
     assert la.classify_3dim_simple(la.structure_constants_from_fields(fields)) == expected
+
+
+def _section5_isometries() -> la.StructureConstants:
+    problem = cli.load_problem(Path(__file__).resolve().parent.parent / "problems" / "section5.json")
+    labels = problem.sets["isometries"]
+    return la.structure_constants_from_fields([problem.fields[f] for f in labels], labels)
+
+
+# the Killing determinants as the report prints them
+NORMALIZED = {
+    "aff2": (lambda: lu_basis(_affine(2), 1)[0], "0"),
+    "so3": (lambda: lu_basis(_rotations(3), 1)[0], "-8"),
+    "h3": (lambda: lu_basis(_heisenberg(1), 1)[0], "0"),
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(NORMALIZED), "section5-isometries"])
+def test_tables_hold_ints_when_integral_and_never_floats(case):
+    if case in NORMALIZED:
+        build, killing_text = NORMALIZED[case]
+        sc = la.structure_constants_from_fields(build())
+    else:  # constants with denominator 2
+        sc, killing_text = _section5_isometries(), "0"
+    for table in (sc, sc.canonical):
+        assert_exact((q for entries in table.nonzero.values() for _k, q in entries), normalized=True)
+    canonical = sc.canonical
+    levi = la.levi_decomposition(sc)
+    rows = [
+        *canonical.killing,
+        *canonical.centroid,
+        *levi.radical.rows.values(),
+        *levi.levi.rows.values(),
+    ]
+    assert_exact(v for row in rows for v in row.values())
+    assert str(la.killing_det(sc)) == killing_text == str(Fraction(la.killing_det(sc)))
+    if case == "section5-isometries":
+        assert any(type(q) is Fraction for entries in sc.nonzero.values() for _k, q in entries)
 
 
 def test_table_given_as_constants_is_its_own_canonical_form():

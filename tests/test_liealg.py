@@ -25,6 +25,7 @@ from spraylie.linalg import det
 from tests.conftest import (
     abelian_ideal_check,
     ad_matrix,
+    assert_exact,
     base_field,
     build_pipeline,
     dense,
@@ -843,6 +844,13 @@ BIG = Fraction(10**30 + 57, 10**29 + 3)
 )
 def test_rational_root_search_needs_no_factoring(p, expected):
     assert la._has_rational_root([Fraction(a) for a in p]) is expected
+    # the same polynomial as `_minimal_polynomial` returns it: integral
+    # coefficients as ints, which true division would turn into floats
+    exact = [linalg._exact(a) for a in p]
+    assert la._has_rational_root(exact) is expected
+    sturm = la._sturm_sequence(exact)
+    assert sturm == la._sturm_sequence([Fraction(a) for a in p])
+    assert_exact(q for f in sturm for q in f)
 
 
 def test_shell_centroid_is_a_quadratic_field(shell_sc):

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spraylie.linalg import det, kernel_basis, rank, rref, solve
-from tests.conftest import mat_mul
+from tests.conftest import assert_exact, mat_mul
 
 sympy = pytest.importorskip("sympy")
 
 _entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_ints = st.integers(-3, 3)
 
 
 def _grid(draw, rows: int, cols: int, entries) -> list[list[Q]]:
@@ -24,16 +25,22 @@ def _grid(draw, rows: int, cols: int, entries) -> list[list[Q]]:
 
 @st.composite
 def _matrices(draw, square: bool = False):
-    """Small rational matrices: tall, wide or square; dense, sparse, zero or rank-deficient."""
+    """Small rational matrices: tall, wide or square; dense, sparse, zero or
+    rank-deficient; all Fractions, all ints or a mix of the two."""
     rows = draw(st.integers(1, 6))
     cols = rows if square else draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("dense", "sparse", "zero", "low-rank")))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "low-rank", "int", "mixed")))
     if kind == "zero":
         return [[Q(0)] * cols for _ in range(rows)]
     if kind == "low-rank":
         inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
         return mat_mul(_grid(draw, rows, inner, _entries), _grid(draw, inner, cols, _entries))
-    entries = _entries if kind == "dense" else st.one_of(st.just(Q(0)), st.just(Q(0)), _entries)
+    entries = {
+        "dense": _entries,
+        "sparse": st.one_of(st.just(Q(0)), st.just(Q(0)), _entries),
+        "int": _ints,
+        "mixed": st.one_of(_ints, _entries),
+    }[kind]
     return _grid(draw, rows, cols, entries)
 
 
@@ -68,7 +75,9 @@ def test_rref_rank_and_kernel_agree_with_sympy(a):
     assert reduced == _nonzero_rows(want)
     assert pivots == list(want_pivots)
     assert rank(a) == _sym(a).rank()
-    assert kernel_basis(a) == [_sparse(v) for v in _sym(a).nullspace()]
+    kernel = kernel_basis(a)
+    assert kernel == [_sparse(v) for v in _sym(a).nullspace()]
+    assert_exact(v for row in reduced + kernel for v in row.values())
     # the same matrix as {column: value} rows gives the same answers
     sparse = _sparse_rows(a)
     assert rank(sparse) == rank(a)
@@ -91,7 +100,7 @@ def test_rref_takes_sparse_rows(a):
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.data())
 def test_solve_agrees_with_sympy(a, data):
-    b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+    b = data.draw(st.lists(st.one_of(_entries, _ints), min_size=len(a), max_size=len(a)))
     got = solve(a, b)
     rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
     try:
@@ -102,6 +111,7 @@ def test_solve_agrees_with_sympy(a, data):
     # free coordinates at zero, as solve documents
     want = solution.subs({p: 0 for p in params})
     assert got == _sparse(want)
+    assert_exact(got.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,6 +125,32 @@ def test_solve_takes_sparse_rows(a, data):
 @given(_matrices(square=True))
 def test_det_agrees_with_sympy(a):
     assert det(a) == det(_sparse_rows(a)) == _frac(_sym(a).det())
+    assert_exact([det(a)], normalized=True)
+
+
+@st.composite
+def _unit_pivots(draw):
+    """Integer rows with distinct leading columns, each leading entry +-1, in
+    shuffled order: every pivot of the elimination is +-1."""
+    cols = draw(st.integers(1, 6))
+    leads = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+    rows = []
+    for lead in leads:
+        row = [0] * lead + [draw(st.sampled_from((-1, 1)))]
+        rows.append(row + [draw(_ints) for _ in range(cols - lead - 1)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_pivots(), st.data())
+def test_int_rows_with_unit_pivots_come_back_as_ints(a, data):
+    b = data.draw(st.lists(_ints, min_size=len(a), max_size=len(a)))
+    reduced, _pivots = rref(a)
+    solution = solve(a, b)
+    values = [v for row in reduced + kernel_basis(a) + [solution] for v in row.values()]
+    assert all(type(v) is int for v in values), values
+    if len(a) == len(a[0]):
+        assert type(det(a)) is int and det(a) in (-1, 1)
 
 
 def _inversions(perm: list[int]) -> int:
