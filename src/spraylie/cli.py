@@ -138,6 +138,15 @@ def _square(rows, dim: int, what: str) -> None:
         raise InputError(f"{what} must form a {dim}x{dim} matrix")
 
 
+def _matrix(rows, dim: int, what: str, cell: str, by_text: dict[str, CanonicalExpr]):
+    """The dim x dim matrix `what`, its entry (i, j) labelled `<cell> (i,j)`."""
+    _square(rows, dim, what)
+    return tuple(
+        tuple(_parse_entry(text, f"{cell} ({i + 1},{j + 1})", by_text) for j, text in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+
+
 def load_problem(path: str | Path) -> Problem:
     path = Path(path)
     try:
@@ -169,43 +178,21 @@ def load_problem(path: str | Path) -> Problem:
     if kind not in ("diagonal", "general"):
         raise InputError("metric kind must be 'diagonal' or 'general'")
     entries = metric_doc.get("entries")
-    flat = isinstance(entries, list) and bool(entries) and not isinstance(entries[0], list)
-    if flat:
+    if isinstance(entries, list) and entries and not isinstance(entries[0], list):
         if kind != "diagonal":
             raise InputError("flat metric entry list is only allowed for diagonal metrics")
         if len(entries) != dim:
             raise InputError(f"flat metric entry list must hold {dim} entries")
-        diagonal = [
-            _parse_entry(cell, f"metric entry ({i + 1},{i + 1})", by_text)
-            for i, cell in enumerate(entries)
-        ]
-    else:
-        _square(entries, dim, "metric entries")
-        g = tuple(
-            tuple(
-                _parse_entry(entries[i][j], f"metric entry ({i + 1},{j + 1})", by_text)
-                for j in range(dim)
-            )
-            for i in range(dim)
-        )
+        entries = [[cell if i == j else "0" for j in range(dim)] for i, cell in enumerate(entries)]
+    g = _matrix(entries, dim, "metric entries", "metric entry", by_text)
+    g_inv = None
+    if kind == "general":
+        inverse = metric_doc.get("inverse")
+        if inverse is None:
+            raise InputError("general metrics require an 'inverse' matrix")
+        g_inv = _matrix(inverse, dim, "metric inverse", "metric inverse", by_text)
     try:
-        if flat:
-            metric = geom.diagonal_metric(diagonal)
-        elif kind == "general":
-            inverse = metric_doc.get("inverse")
-            if inverse is None:
-                raise InputError("general metrics require an 'inverse' matrix")
-            _square(inverse, dim, "metric inverse")
-            g_inv = tuple(
-                tuple(
-                    _parse_entry(inverse[i][j], f"metric inverse ({i + 1},{j + 1})", by_text)
-                    for j in range(dim)
-                )
-                for i in range(dim)
-            )
-            metric = geom.MetricSpec(dim, g, kind="general", g_inv=g_inv)
-        else:
-            metric = geom.MetricSpec(dim, g, kind="diagonal")
+        metric = geom.MetricSpec(dim, g, kind, g_inv)
     except geom.MetricError as exc:
         raise InputError(f"metric: {exc}") from exc
 
@@ -953,13 +940,8 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     if args.dict not in problem.sets:
         raise InputError(f"unknown dictionary {args.dict!r}; available: {', '.join(problem.sets)}")
-    conditions = []
-    if args.spray_symmetry:
-        conditions.append("spray-symmetry")
-    if args.isometry:
-        conditions.append("isometry")
-    if args.horizontal:
-        conditions.append("horizontality")
+    flags = (args.spray_symmetry, args.isometry, args.horizontal)
+    conditions = [c for c, on in zip(("spray-symmetry", "isometry", "horizontality"), flags) if on]
     if not conditions:
         raise InputError("choose at least one of --spray-symmetry, --isometry, --horizontal")
     spray = geom.spray_from_metric(problem.metric)
@@ -967,9 +949,8 @@ def cmd_solve(args) -> int:
     dictionary = [problem.fields[name] for name in labels]
     solutions = solve_in_span(
         dictionary,
-        conditions,
-        metric=problem.metric,
-        spray=spray,
+        spray=spray if args.spray_symmetry or args.isometry else None,
+        energy=problem.metric.energy if args.isometry else None,
         connection=geom.connection_from_spray(spray) if args.horizontal else None,
     )
     lines = [

@@ -3,7 +3,8 @@
 Frame convention: a tangent-bundle field on an n-dimensional base has 2n
 components; slots 0..n-1 multiply d/dx^1..d/dx^n and slots n..2n-1 multiply
 d/dy^1..d/dy^n.  Endomorphism fields ("vector one-forms") are 2n x 2n
-matrices in that frame, column a holding the image of the a-th frame field.
+matrices in that frame, column a holding the image of the a-th frame field;
+I, J, h, v and 2h - I are each built from their blocks (`VectorOneForm.blocks`).
 
 Every bracket and derivative here but the base bracket rests on one
 derivation, a field applied to a scalar, X(f) = sum_s X^s d_s f; the base
@@ -46,7 +47,7 @@ every bracket, membership, horizontality and constancy condition reads those
 copies.  In the same way the spray's partials d_s(-2 G^k) and the
 connection's x-partials d_k Gamma^j_i are taken once per spray and per
 connection (`SprayData.partials`, `ConnectionData.x_partials`) and shared by
-every field's test.
+every field's test.  The span solver reads its conditions off its arguments.
 """
 
 from __future__ import annotations
@@ -288,13 +289,17 @@ class VectorOneForm:
         return VectorOneForm(tuple(tuple(r) for r in rows))
 
     @staticmethod
+    def blocks(n: int, x: int, y: int, lower_left: Sequence[Sequence]) -> "VectorOneForm":
+        """[[x I, 0], [lower_left, y I]]: lower_left[j][i] is the d/dy^j
+        coefficient of the image of d/dx^i."""
+        x, y = CanonicalExpr.const(x), CanonicalExpr.const(y)
+        top = tuple((ZERO,) * i + (x,) + (ZERO,) * (2 * n - i - 1) for i in range(n))
+        rest = (tuple(lower_left[j]) + (ZERO,) * j + (y,) + (ZERO,) * (n - j - 1) for j in range(n))
+        return VectorOneForm(top + tuple(rest))
+
+    @staticmethod
     def identity(n: int) -> "VectorOneForm":
-        return VectorOneForm(
-            tuple(
-                tuple(CanonicalExpr.const(int(i == j)) for j in range(2 * n))
-                for i in range(2 * n)
-            )
-        )
+        return VectorOneForm.blocks(n, 1, 1, ((ZERO,) * n,) * n)
 
     @property
     def dim(self) -> int:
@@ -474,16 +479,9 @@ def spray_field(spray) -> TMField:
 
 
 def connection_oneform(connection) -> VectorOneForm:
-    """The almost-product structure 2h - I of the connection."""
-    n = connection.dim
-    rows = [[CanonicalExpr() for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][i] = CanonicalExpr.const(1)
-        rows[n + i][n + i] = CanonicalExpr.const(-1)
-    for j in range(n):
-        for i in range(n):
-            rows[n + j][i] = connection.gamma1[j][i] * Fraction(-2)
-    return VectorOneForm(tuple(tuple(r) for r in rows))
+    """The almost-product structure 2h - I: -2 Gamma^j_i from d/dx^i to d/dy^j."""
+    lower_left = [[g * -2 for g in row] for row in connection.gamma1]
+    return VectorOneForm.blocks(connection.dim, 1, -1, lower_left)
 
 
 def _verdict(predicate: str, labeled: Iterable[tuple[str, CanonicalExpr]]) -> MembershipVerdict:
@@ -643,52 +641,35 @@ def nullity_rank_numeric(curvature, points: Sequence[Mapping[str, Fraction]]) ->
 # span solver
 # ---------------------------------------------------------------------------
 
-CONDITION_ORDER = ("spray-symmetry", "isometry", "horizontality")
-
 
 def solve_in_span(
     dictionary: Sequence[BaseField],
-    conditions: Iterable[str],
     *,
-    metric=None,
     spray=None,
+    energy: CanonicalExpr | None = None,
     connection=None,
 ) -> list[SparseRow]:
-    """All rational combinations of the dictionary satisfying every condition.
-
-    Returns a basis of sparse coefficient rows over the dictionary, found by
-    exact coefficient matching: the obstruction of a combination is the same
-    combination of per-field obstruction expressions, so the kernel of the
-    term-coefficient matrix is exactly the solution set.
+    """All rational combinations of the dictionary satisfying the conditions
+    its arguments ask for: a spray asks for spray symmetries, the spray with
+    an energy for isometries, a connection for a closed horizontal lift (none:
+    the whole span).  A basis of sparse coefficient rows over the dictionary,
+    found by exact coefficient matching (`_matching_kernel`).
     """
-    wanted = list(dict.fromkeys(conditions))
-    for name in wanted:
-        if name not in CONDITION_ORDER:
-            raise ValueError(f"unknown condition {name!r}")
-    if not wanted:
-        raise ValueError("at least one condition is required")
-    if "spray-symmetry" in wanted and spray is None:
-        raise ValueError("spray-symmetry requires the spray")
-    if "isometry" in wanted and (spray is None or metric is None):
-        raise ValueError("isometry requires the metric and the spray")
-    if "horizontality" in wanted and connection is None:
-        raise ValueError("horizontality requires the connection")
+    if energy is not None and spray is None:
+        raise ValueError("isometry requires the spray")
     if not dictionary:
         return []
     dims = {f.dim for f in dictionary}
     if len(dims) != 1:
         raise ValueError("dictionary fields must share one dimension")
 
-    energy = metric.energy if "isometry" in wanted else None
-
-    # an isometry is a spray symmetry, so the spray obstruction is listed once
     def obstruction(field: BaseField) -> list[CanonicalExpr]:
         exprs: list[CanonicalExpr] = []
-        if "spray-symmetry" in wanted or "isometry" in wanted:
+        if spray is not None:
             exprs.extend(e for _lbl, e in _spray_obstruction(field, spray))
-        if "isometry" in wanted:
+        if energy is not None:
             exprs.append(_energy_residual(field, energy))
-        if "horizontality" in wanted:
+        if connection is not None:
             exprs.extend(e for _lbl, e in _horizontal_obstruction(field, connection))
         return exprs
 

@@ -3,12 +3,13 @@
 From a metric whose entries are exact exponential-polynomial scalars this
 module produces, in order: the energy, the geodesic spray read off the
 energy's Euler-Lagrange equations, the induced linear connection,
-horizontal/vertical projectors, and the curvature.  The curvature is
-computed twice on demand -- once from the component formula and once through
-the Frolicher-Nijenhuis self-bracket of the horizontal projector -- and the two
-routes are required to agree exactly.  Each sum of products on the way (the
-check g g^-1 = I, the spray's Euler-Lagrange sums, the quadratic terms of the
-curvature) is one call to the ring's `CanonicalExpr.sum_of_products`.
+horizontal/vertical projectors, each built from Gamma (`VectorOneForm.blocks`),
+and the curvature.  The curvature is computed twice on demand -- once from the
+component formula and once through the Frolicher-Nijenhuis self-bracket of the
+horizontal projector -- and the two routes are required to agree exactly.
+Each sum of products on the way (the check g g^-1 = I, the spray's
+Euler-Lagrange sums, the quadratic terms of the curvature) is one call to the
+ring's `CanonicalExpr.sum_of_products`.
 
 Index conventions (0-based indices over 1-based variables).  Each y-linear
 table is stored once; its y-coefficients are a sparse index that the data
@@ -297,23 +298,22 @@ def connection_from_spray(spray: SprayData) -> ConnectionData:
 
 
 def horizontal_projector(connection: ConnectionData) -> VectorOneForm:
-    """The horizontal projector h = (I + P)/2 of the almost-product structure P = 2h - I."""
-    ident = VectorOneForm.identity(connection.dim)
-    return (ident + connection_oneform(connection)).scale(Fraction(1, 2))
+    """The horizontal projector h: d/dx^i -> d/dx^i - Gamma^j_i d/dy^j, d/dy^i -> 0."""
+    lower_left = [[-g for g in row] for row in connection.gamma1]
+    return VectorOneForm.blocks(connection.dim, 1, 0, lower_left)
 
 
 def projectors(connection: ConnectionData) -> tuple[VectorOneForm, VectorOneForm]:
-    """Horizontal and vertical projectors h and v = I - h = (I - P)/2."""
-    h = horizontal_projector(connection)
-    return h, VectorOneForm.identity(connection.dim) - h
+    """Horizontal and vertical projectors, each from its own definition:
+    v: d/dx^i -> Gamma^j_i d/dy^j, d/dy^i -> d/dy^i, so h + v = I is a check."""
+    v = VectorOneForm.blocks(connection.dim, 0, 1, connection.gamma1)
+    return horizontal_projector(connection), v
 
 
 def tangent_structure(n: int) -> VectorOneForm:
     """J: d/dx^i -> d/dy^i, d/dy^i -> 0."""
-    rows = [[CanonicalExpr() for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        rows[n + i][i] = CanonicalExpr.const(1)
-    return VectorOneForm(tuple(tuple(r) for r in rows))
+    identity = [[CanonicalExpr.const(int(i == j)) for i in range(n)] for j in range(n)]
+    return VectorOneForm.blocks(n, 0, 0, identity)
 
 
 def liouville(n: int) -> TMField:

@@ -149,12 +149,12 @@ class Subspace:
 class StructureConstants:
     """Bracket table [b_i, b_j] = sum_k c[i][j][k] b_k over named basis elements.
 
-    Given as the dense array `c`, the table is checked and stores only its
-    `nonzero` index, as `structure_constants_from_fields` and
-    `subalgebra_constants` do; `c` is built from it on first read.
-    `canonical` is the same algebra
-    in the canonical basis of the span, or the table itself when it was given
-    as constants or is that canonical table.  `to_canonical[i]` holds the
+    Given as the dense array `c`, the table stores only its `nonzero` index,
+    built from the cells i < j by `_antisymmetric_index` like every table's,
+    and every cell of `c` must equal it; `c` is built from it on first read.
+    `canonical` is the same algebra in the canonical basis of the span, or
+    the table itself when it was given as constants or is that canonical
+    table.  `to_canonical[i]` holds the
     canonical coordinates of b_i, `det_to_canonical` the determinant of that
     change of basis, and on a canonical table `to_user[a]` the coordinates of
     its element a over the generators; None stands for the identity.
@@ -164,16 +164,13 @@ class StructureConstants:
         m = len(labels)
         if len(c) != m or any(len(p) != m or any(len(r) != m for r in p) for p in c):
             raise LieAlgebraError("structure constants must form an m x m x m array")
-        nonzero = {}
+        pairs = itertools.combinations(range(m), 2)
+        nonzero = _antisymmetric_index({(i, j): dict(enumerate(c[i][j])) for i, j in pairs})
+        # the index read off the cells i < j must be the whole array
         for i, plane in enumerate(c):
             for j, row in enumerate(plane):
-                entries = tuple((k, linalg._exact(q)) for k, q in enumerate(row) if q)
-                if entries:
-                    nonzero[(i, j)] = entries
-        # every entry that could break c[i][j] = -c[j][i] is in the index
-        for (i, j), entries in nonzero.items():
-            if nonzero.get((j, i)) != tuple((k, -q) for k, q in entries):
-                raise LieAlgebraError("structure constants must be antisymmetric")
+                if tuple((k, q) for k, q in enumerate(row) if q) != nonzero.get((i, j), ()):
+                    raise LieAlgebraError("structure constants must be antisymmetric")
         self._link(tuple(labels), nonzero)
 
     @classmethod
@@ -872,17 +869,13 @@ def _radical_rows(
             if e is not None:
                 for k, row in enumerate(block):
                     row[e * m + k] = beta
-        # sign * ad(x) d_b: ad(x)[k][j] at column b*m + j of row k; a fresh
-        # column takes +-v as it is, which spares a Fraction sum or product
+        # sign * ad(x) d_b: ad(x)[k][j] at column b*m + j of row k, added or
+        # subtracted, which spares a Fraction product on half-integral tables
         for ad, b, sign in terms:
             for row, ad_row in zip(block, ad):
                 for j, v in ad_row.items():
                     col = b * m + j
-                    old = row.get(col)
-                    if old is None:
-                        row[col] = v if sign > 0 else -v
-                    else:
-                        row[col] = old + v if sign > 0 else old - v
+                    row[col] = row.get(col, 0) + v if sign > 0 else row.get(col, 0) - v
         rows.extend(block)
 
     for s, ad in zip(levi.levi.rows.values(), ad_s):

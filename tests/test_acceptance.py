@@ -158,9 +158,9 @@ def test_acceptance_03_flat_solve_and_arbitrated_tables(flat_pipeline):
 
     problem = _load("section5.json")
     dictionary = [problem.fields[f] for f in problem.sets["spray_symmetries"]]
-    spray_sols = solve_in_span(dictionary, ["spray-symmetry"], spray=spray)
+    spray_sols = solve_in_span(dictionary, spray=spray)
     assert len(spray_sols) == 12
-    iso_sols = solve_in_span(dictionary, ["isometry"], metric=metric, spray=spray)
+    iso_sols = solve_in_span(dictionary, spray=spray, energy=metric.energy)
     assert len(iso_sols) == 6
 
     proc = subprocess.run(

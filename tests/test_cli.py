@@ -16,6 +16,7 @@ from spraylie import cli, fields, geom, liealg
 from spraylie.fields import nullity_rank_numeric
 from spraylie.symexpr import MAX_REDUCED_DEGREE, const, specialize
 from tests.conftest import child_env
+from tests.test_liealg import _sl2_over_biquadratic
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -406,6 +407,41 @@ def test_analyze_so7_is_simple_from_its_centroid(tmp_path, capsys):
     assert algebra["constant_subspace"] == {"dimension": 0, "basis": []}
 
 
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_analyze_reports_a_simplicity_limit_as_skipped(tmp_path, capsys, fmt):
+    """sl(2, Q(sqrt2, sqrt3)) as the linear fields Y_a = -(ad a x) d on flat R^12:
+    [Y_a, Y_b] = Y_[a,b], and its centroid, of dimension 4, has no rational eigenvalue."""
+    sc = _sl2_over_biquadratic()
+    m = sc.dim
+    components = [[[] for _ in range(m)] for _ in range(m)]  # [a][k]: terms of Y_a^k
+    for (a, l), entries in sc.nonzero.items():
+        for k, q in entries:
+            components[a][k].append(f"{-q}*x{l + 1}")
+    labels = [f"Y{a + 1}" for a in range(m)]
+    doc = {
+        "name": "sl2-biquadratic",
+        "dim": m,
+        "metric": {"kind": "diagonal", "entries": ["1"] * m},
+        "fields": {
+            label: [" + ".join(terms) or "0" for terms in comps]
+            for label, comps in zip(labels, components)
+        },
+        "sets": {"sl2K": labels},
+    }
+    path = tmp_path / "sl2k.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    skipped = "centroid dimension 4 > 3 with no rational eigenvalue"
+    if fmt == "md":
+        assert f"- simple: skipped ({skipped})\n" in out
+    else:
+        algebra = json.loads(out)["sets"][0]["algebra"]
+        assert algebra["semisimple"] is True
+        assert algebra["simple"] is None
+        assert algebra["simple_skipped"] == skipped
+
+
 def test_analyze_finishes_on_generators_scaled_by_large_primes(tmp_path):
     # the set still closes, but the centroid's minimal polynomial gets
     # prime-sized coefficients, which no rational-root search may factor
@@ -663,20 +699,88 @@ def _small_problem(**blocks) -> dict:
 
 
 @pytest.mark.parametrize(
-    "blocks",
+    "blocks, message",
     [
-        {"coordinates": 5},
-        {"coordinates": ["a", "a"]},
-        {"fields": [1]},
-        {"sets": [1]},
-        {"metric": {"kind": "general", "entries": [["1", "0"], ["0", "1"]], "inverse": 5}},
-        {"analyses": 5},
-        {"accepted_corrections": {"s": 5}},
-        {"sets": {"s": [["a"]]}},
-        {"name": 7},
-        {"name": ["a"]},
         *(
-            pytest.param({"metric": {"kind": "diagonal", "entries": [entry, "1"]}}, id=f"metric {name}")
+            pytest.param(blocks, None, id=json.dumps(blocks)[:40])
+            for blocks in (
+                {"coordinates": 5},
+                {"coordinates": ["a", "a"]},
+                {"fields": [1]},
+                {"sets": [1]},
+                {"metric": {"kind": "general", "entries": [["1", "0"], ["0", "1"]], "inverse": 5}},
+                {"analyses": 5},
+                {"accepted_corrections": {"s": 5}},
+                {"sets": {"s": [["a"]]}},
+                {"name": 7},
+                {"name": ["a"]},
+            )
+        ),
+        *(
+            pytest.param({"metric": metric}, message, id=f"metric {name}")
+            for name, metric, message in (
+                ("missing", None, "metric block is required"),
+                (
+                    "unknown kind",
+                    {"kind": "round", "entries": ["1", "1"]},
+                    "metric kind must be 'diagonal' or 'general'",
+                ),
+                (
+                    "flat list of a general metric",
+                    {"kind": "general", "entries": ["1", "1"]},
+                    "flat metric entry list is only allowed for diagonal metrics",
+                ),
+                (
+                    "flat list of the wrong length",
+                    {"kind": "diagonal", "entries": ["1"]},
+                    "flat metric entry list must hold 2 entries",
+                ),
+                (
+                    "cell that is not a string",
+                    {"kind": "diagonal", "entries": [5, "1"]},
+                    "metric entry (1,1): expected an expression string, got int",
+                ),
+                (
+                    "general without inverse",
+                    {"kind": "general", "entries": [["1", "0"], ["0", "1"]]},
+                    "general metrics require an 'inverse' matrix",
+                ),
+                (
+                    "rejected by the metric",
+                    {"kind": "diagonal", "entries": ["1 + x1", "1"]},
+                    "metric: diagonal metric entries must be single terms c*exp(l(x))",
+                ),
+            )
+        ),
+        *(
+            pytest.param(blocks, message, id=name)
+            for name, blocks, message in (
+                (
+                    "field of the wrong length",
+                    {"fields": {"e1": ["0"], "e2": ["x1", "x2"]}},
+                    "field 'e1' must list 2 component expressions",
+                ),
+                ("empty set", {"sets": {"s": []}}, "set 's' must be a nonempty list of field names"),
+                ("set repeating a field", {"sets": {"s": ["e1", "e1"]}}, "set 's' repeats a field name"),
+                (
+                    "correction that is not a pair",
+                    {"accepted_corrections": {"s": [["e1"]]}},
+                    "accepted_corrections cells must be [row, col] pairs",
+                ),
+                (
+                    "correction outside the set",
+                    {"accepted_corrections": {"s": [["e1", "e3"]]}},
+                    "accepted_corrections cell (e1,e3) is outside the set",
+                ),
+                (
+                    "table cell that does not parse",
+                    {"expected_tables": {"s": [["0", "e1*"], ["-e1", "0"]]}},
+                    "expected table for 's' cell (1,2): cannot parse combination 'e1*' at position 2",
+                ),
+            )
+        ),
+        *(
+            pytest.param({"metric": {"kind": "diagonal", "entries": [entry, "1"]}}, None, id=f"metric {name}")
             for name, entry in (
                 ("nested parentheses", "(" * 3000 + "1" + ")" * 3000),
                 ("nested unary minus", "-" * 3000 + "1"),
@@ -692,7 +796,7 @@ def _small_problem(**blocks) -> dict:
             )
         ),
         *(
-            pytest.param({"expected_tables": {"s": [["0", cell], ["-e1", "0"]]}}, id=f"table cell {name}")
+            pytest.param({"expected_tables": {"s": [["0", cell], ["-e1", "0"]]}}, None, id=f"table cell {name}")
             for name, cell in (
                 ("zero denominator", "e1/0"),
                 ("zero over zero", "0/0*e1"),
@@ -701,14 +805,15 @@ def _small_problem(**blocks) -> dict:
             )
         ),
     ],
-    ids=lambda blocks: json.dumps(blocks)[:40],
 )
-def test_malformed_block_exits_one_with_a_message(tmp_path, blocks):
+def test_malformed_block_exits_one_with_a_message(tmp_path, blocks, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_small_problem(**blocks)))
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    if message is not None:
+        assert proc.stderr == f"error: {message}\n"
     assert "Traceback" not in proc.stderr
 
 
@@ -728,16 +833,20 @@ def test_a_null_name_takes_the_file_stem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b'\xff\xfe{"dim": 1}', b"[" * 200_000 + b"]" * 200_000],
-    ids=["not UTF-8", "nested too deeply"],
+    "content, reason",
+    [
+        (b'\xff\xfe{"dim": 1}', "not UTF-8: "),
+        (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply\n"),
+        (b"[1]", "top level must be an object\n"),
+    ],
+    ids=["not UTF-8", "nested too deeply", "top level not an object"],
 )
-def test_unreadable_file_exits_one_with_a_message(tmp_path, content):
+def test_unreadable_file_exits_one_with_a_message(tmp_path, content, reason):
     path = tmp_path / "unreadable.json"
     path.write_bytes(content)
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {path}: ")
+    assert proc.stderr.startswith(f"error: {path}: {reason}")
     assert "Traceback" not in proc.stderr
 
 
@@ -985,14 +1094,40 @@ def test_oracle_fd_target_validation():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("target", ["G+1", "G\u0661", "G1_0", "G"])
+@pytest.mark.parametrize("target", ["G+1", "G\u0661", "G1_0", "G", "F"])
 def test_oracle_spray_target_takes_only_ascii_digits(target, capsys):
-    # int() reads the first three (two of them as 1); x<k> takes only ASCII digits
+    # int() reads the first three (two of them as 1); x<k> takes only ASCII
+    # digits; a target that is neither E, G<k> nor a field name is unknown too
     argv = ["oracle", str(PROBLEMS / "example1.json"), "--check", f"diff-vs-fd {target}"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown derivative target {target!r}\n"
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("", "empty selector"),
+        ("table-cell nope e1 e2", "unknown set 'nope'"),
+        ("table-cell e1", "table-cell expects [set] field field"),
+        ("table-cell left_block e1 e2 e3", "table-cell expects [set] field field"),
+        ("table-cell left_block e1 e4", "table-cell fields must belong to set 'left_block'"),
+    ],
+)
+def test_oracle_bad_selector_exits_one_with_a_message(check, message, capsys):
+    assert cli.main(["oracle", str(PROBLEMS / "example2.json"), "--check", check]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oracle_table_cell_checks_a_computed_cell_without_an_expected_table(capsys):
+    argv = ["oracle", str(PROBLEMS / "example2.json"), "--check", "table-cell left_block e1 e2"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "- check: [e1,e2] vs computed table cell\n" in out
+    assert "- verdict: within tolerance\n" in out
 
 
 def test_oracle_table_cell_needs_set_when_ambiguous():

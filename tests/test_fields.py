@@ -594,14 +594,14 @@ def test_nullity_rank_of_a_zero_curvature_specializes_nothing(monkeypatch):
 def test_solve_spray_symmetry_flat(flat_pipeline, flat_spray_generators):
     _, spray, _, _ = flat_pipeline
     dictionary = list(flat_spray_generators.values())
-    sols = solve_in_span(dictionary, ["spray-symmetry"], spray=spray)
+    sols = solve_in_span(dictionary, spray=spray)
     assert len(sols) == 12
 
 
 def test_solve_isometry_flat(flat_pipeline, flat_spray_generators):
     metric, spray, _, _ = flat_pipeline
     dictionary = list(flat_spray_generators.values())
-    sols = solve_in_span(dictionary, ["isometry"], metric=metric, spray=spray)
+    sols = solve_in_span(dictionary, spray=spray, energy=metric.energy)
     assert len(sols) == 6
     solution_rows, _ = linalg.rref(sols)
     g_rows, _ = linalg.rref(
@@ -620,7 +620,7 @@ def test_solve_isometry_flat(flat_pipeline, flat_spray_generators):
 def test_solve_horizontality_flat(flat_pipeline, flat_spray_generators):
     _, _, connection, _ = flat_pipeline
     dictionary = list(flat_spray_generators.values())
-    sols = solve_in_span(dictionary, ["horizontality"], connection=connection)
+    sols = solve_in_span(dictionary, connection=connection)
     decayed = {"e3": 2, "e7": 6, "e12": 11}
     expected = [[(i, 1)] for i in sorted(decayed.values())]
     assert sorted(sorted(s.items()) for s in sols) == expected
@@ -629,13 +629,7 @@ def test_solve_horizontality_flat(flat_pipeline, flat_spray_generators):
 def test_solve_combined_conditions(flat_pipeline, flat_spray_generators):
     metric, spray, connection, _ = flat_pipeline
     dictionary = list(flat_spray_generators.values())
-    sols = solve_in_span(
-        dictionary,
-        ["isometry", "horizontality"],
-        metric=metric,
-        spray=spray,
-        connection=connection,
-    )
+    sols = solve_in_span(dictionary, spray=spray, energy=metric.energy, connection=connection)
     # horizontal isometries: exactly the decaying coordinate fields
     assert len(sols) == 3
 
@@ -643,21 +637,19 @@ def test_solve_combined_conditions(flat_pipeline, flat_spray_generators):
 def test_solve_on_curved_shell(shell_pipeline, shell_generators):
     metric, spray, _, _ = shell_pipeline
     dictionary = list(shell_generators.values())
-    sols = solve_in_span(dictionary, ["isometry"], metric=metric, spray=spray)
+    sols = solve_in_span(dictionary, spray=spray, energy=metric.energy)
     assert len(sols) == 6  # every dictionary element is already a Killing field
 
 
 def test_solve_empty_dictionary(flat_pipeline):
     _, spray, _, _ = flat_pipeline
-    assert solve_in_span([], ["spray-symmetry"], spray=spray) == []
+    assert solve_in_span([], spray=spray) == []
 
 
 def test_solve_validates_condition_names(flat_pipeline):
-    _, spray, _, _ = flat_pipeline
+    metric, _, _, _ = flat_pipeline
     with pytest.raises(ValueError):
-        solve_in_span([base_field("1", "0", "0")], ["nonsense"], spray=spray)
-    with pytest.raises(ValueError):
-        solve_in_span([base_field("1", "0", "0")], ["isometry"], spray=spray)
+        solve_in_span([base_field("1", "0", "0")], energy=metric.energy)
 
 
 def test_combine_fields_matches_manual_sum(flat_spray_generators):

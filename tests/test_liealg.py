@@ -286,6 +286,25 @@ def test_jacobi_witness_matches_dense_definition(shell_sc, cells):
     assert la.jacobi_check(broken) == ((True, None) if witness is None else (False, witness))
 
 
+def test_jacobi_failure_is_searched_again_in_the_users_basis():
+    # a canonical table that breaks Jacobi only on (h2, h3, h4), and its image
+    # under the unimodular change of basis h1 = g4, h2 = g3 + g4, h3 = g2, h4 = g1
+    to_user = ({3: 1}, {2: 1, 3: 1}, {1: 1}, {0: 1})
+    to_canonical = ({3: 1}, {2: 1}, {1: 1, 0: -1}, {0: 1})
+    labels = ("g1", "g2", "g3", "g4")
+    nonzero = la._antisymmetric_index({(1, 2): {3: 1}, (1, 3): {1: 1}})
+    canonical = la.StructureConstants._from_index(labels, nonzero, to_user=to_user)
+    user = la.StructureConstants._from_index(
+        labels,
+        la._user_index(nonzero, to_user, to_canonical, 4),
+        canonical=canonical,
+        to_canonical=to_canonical,
+    )
+    assert la.jacobi_check(canonical) == (False, (1, 2, 3, 3, -1))
+    # the witness names the generators g1, g2, g3 and the coefficient of g1
+    assert la.jacobi_check(user) == (False, _dense_jacobi_witness(user.c)) == (False, (0, 1, 2, 0, 1))
+
+
 def test_killing_form_symmetric_ad_invariant(flat_spray_sc):
     sc = flat_spray_sc
     m = sc.dim
