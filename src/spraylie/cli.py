@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import geom, liealg, linalg
 from .fields import (
@@ -103,20 +103,22 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def _parse_entry(text, where: str, by_text: dict[str, CanonicalExpr]) -> CanonicalExpr:
+def _parse_entry(text, where: Callable[[], str], by_text: dict[str, CanonicalExpr]) -> CanonicalExpr:
     """The expression in one cell; `by_text` holds every text already read from the file.
 
     Values are immutable, so cells with the same text share one.  A bad text is
-    never stored, so it fails at its first cell.
+    never stored, so it fails at its first cell.  `where()` names the cell; it
+    is called only to report an error.
     """
     if not isinstance(text, str):
-        raise InputError(f"{where}: expected an expression string, got {type(text).__name__}")
-    if text not in by_text:
+        raise InputError(f"{where()}: expected an expression string, got {type(text).__name__}")
+    expr = by_text.get(text)
+    if expr is None:
         try:
-            by_text[text] = parse_expr(text)
+            expr = by_text[text] = parse_expr(text)
         except SymExprError as exc:
-            raise InputError(f"{where}: {exc}") from exc
-    return by_text[text]
+            raise InputError(f"{where()}: {exc}") from exc
+    return expr
 
 
 def _block(doc: dict, key: str, kind: type, default):
@@ -142,7 +144,7 @@ def _matrix(rows, dim: int, what: str, cell: str, by_text: dict[str, CanonicalEx
     """The dim x dim matrix `what`, its entry (i, j) labelled `<cell> (i,j)`."""
     _square(rows, dim, what)
     return tuple(
-        tuple(_parse_entry(text, f"{cell} ({i + 1},{j + 1})", by_text) for j, text in enumerate(row))
+        tuple(_parse_entry(text, lambda: f"{cell} ({i + 1},{j + 1})", by_text) for j, text in enumerate(row))
         for i, row in enumerate(rows)
     )
 
@@ -208,7 +210,7 @@ def load_problem(path: str | Path) -> Problem:
         if not isinstance(comps, list) or len(comps) != dim:
             raise InputError(f"field {name!r} must list {dim} component expressions")
         parsed = [
-            _parse_entry(c, f"field {name!r} component {i + 1}", by_text) for i, c in enumerate(comps)
+            _parse_entry(c, lambda: f"field {name!r} component {i + 1}", by_text) for i, c in enumerate(comps)
         ]
         for i, comp in enumerate(parsed):
             if comp.uses_y():
@@ -233,23 +235,28 @@ def load_problem(path: str | Path) -> Problem:
     for set_name, table in _block(doc, "expected_tables", dict, {}).items():
         if set_name not in sets:
             raise InputError(f"expected_tables references unknown set {set_name!r}")
-        _square(table, len(sets[set_name]), f"expected table for {set_name!r}")
+        labels = sets[set_name]
+        _square(table, len(labels), f"expected table for {set_name!r}")
         # each distinct cell text is parsed once; cells with the same text share
         # one row, which nothing mutates, and a bad text fails at its first cell
         by_text: dict[str, SparseRow] = {}
         coeffs = []
+        where = f"expected table for {set_name!r} cell"  # and (i,j), on an error
         for i, row in enumerate(table):
-            coeffs.append([])
+            parsed = []
             for j, cell in enumerate(row):
-                where = f"expected table for {set_name!r} cell ({i + 1},{j + 1})"
                 if not isinstance(cell, str):
-                    raise InputError(f"{where} must be a string, got {type(cell).__name__}")
-                if cell not in by_text:
+                    raise InputError(
+                        f"{where} ({i + 1},{j + 1}) must be a string, got {type(cell).__name__}"
+                    )
+                combination = by_text.get(cell)
+                if combination is None:
                     try:
-                        by_text[cell] = parse_combination(cell, sets[set_name])
+                        combination = by_text[cell] = parse_combination(cell, labels)
                     except InputError as exc:
-                        raise InputError(f"{where}: {exc}") from exc
-                coeffs[i].append(by_text[cell])
+                        raise InputError(f"{where} ({i + 1},{j + 1}): {exc}") from exc
+                parsed.append(combination)
+            coeffs.append(parsed)
         expected[set_name] = table
         expected_coeffs[set_name] = coeffs
 
@@ -299,42 +306,57 @@ def load_problem(path: str | Path) -> Problem:
 # rational combinations of named generators
 # ---------------------------------------------------------------------------
 
+# One term and the spaces around it: a sign, required before every term but
+# the first, then [num[/den]*]name[/post].  Spaces may separate these tokens
+# but never sit inside a number or a name.
 _TERM_RE = re.compile(
-    r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?\*)?(?P<name>[A-Za-z_]\w*)(?:/(?P<post>\d+))?"
+    r" *(?P<sign>[+-]?) *(?P<term>(?:(?P<num>\d+)(?: */ *(?P<den>\d+))? *\* *)?"
+    r"(?P<name>[A-Za-z_]\w*)(?: */ *(?P<post>\d+))?) *"
 )
+_SIGN_RE = re.compile(r" *[+-]? *")
+
+
+@functools.lru_cache(maxsize=64)
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """The column of each label, built once per label tuple; callers only read it."""
+    return {label: i for i, label in enumerate(labels)}
 
 
 def parse_combination(text: str, labels: Sequence[str]) -> SparseRow:
-    """Parse e.g. '-e1/2+e6/2' or '3/2*e4 - e1' into a sparse coefficient row."""
-    compact = text.replace(" ", "")
+    """Parse e.g. '-e1/2+e6/2' or '3/2*e4 - e1' into a sparse coefficient row.
+
+    An error names its position in `text` as written.
+    """
+    if text.strip(" ") in ("0", ""):
+        return {}
+    index = _label_index(tuple(labels))
     coeffs: SparseRow = {}
-    if compact in ("0", ""):
-        return coeffs
-    index = {label: i for i, label in enumerate(labels)}
     pos = 0
-    while pos < len(compact):
-        sign = 1
-        if compact[pos] == "+":
-            pos += 1
-        elif compact[pos] == "-":
-            sign = -1
-            pos += 1
-        match = _TERM_RE.match(compact, pos)
-        if not match:
-            raise InputError(f"cannot parse combination {text!r} at position {pos}")
-        name = match.group("name")
+    while pos < len(text):
+        match = _TERM_RE.match(text, pos)
+        if match is None or (pos and not match["sign"]):
+            at = _SIGN_RE.match(text, pos).end()
+            raise InputError(f"cannot parse combination {text!r} at position {at}")
+        sign, num, den, name, post = match.group("sign", "num", "den", "name", "post")
         if name not in index:
             raise InputError(f"combination {text!r} uses unknown generator {name!r}")
-        digits = [match.group(g) or "1" for g in ("num", "den", "post")]
-        if max(map(len, digits)) > MAX_DIGITS:
-            raise InputError(
-                f"combination {text!r} has a number longer than {MAX_DIGITS} digits at position {pos}"
-            )
-        num, den, post = map(int, digits)
-        if not den * post:
-            raise InputError(f"combination {text!r} divides by zero at position {pos}")
+        n = d = 1
+        if num or den or post:
+            digits = (num or "1", den or "1", post or "1")
+            if max(map(len, digits)) > MAX_DIGITS:
+                raise InputError(
+                    f"combination {text!r} has a number longer than {MAX_DIGITS} digits"
+                    f" at position {match.start('term')}"
+                )
+            n, d, p = map(int, digits)
+            d *= p
+            if not d:
+                raise InputError(f"combination {text!r} divides by zero at position {match.start('term')}")
+        if sign == "-":
+            n = -n
+        q = n if d == 1 else Fraction(n, d)
         j = index[name]
-        coeffs[j] = coeffs.get(j, 0) + sign * Fraction(num, den * post)
+        coeffs[j] = coeffs[j] + q if j in coeffs else q
         pos = match.end()
     return {j: linalg._exact(q) for j, q in coeffs.items() if q}
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -118,6 +119,7 @@ def _var_key(name: str) -> tuple[str, int]:
 
 
 _FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,11 +374,12 @@ class CanonicalExpr:
 
     @staticmethod
     def const(value: Fraction | int) -> "CanonicalExpr":
-        return CanonicalExpr({_CONST_KEY: Fraction(value)})
+        q = value if type(value) is Fraction else Fraction(value)
+        return CanonicalExpr._of({_CONST_KEY: q}) if q else ZERO
 
     @staticmethod
     def exponential(lin: LinForm) -> "CanonicalExpr":
-        return CanonicalExpr({(_EMPTY_MONO, lin): Fraction(1)})
+        return CanonicalExpr._of({(_EMPTY_MONO, lin): _FRACTION_ONE})
 
     # -- inspection --------------------------------------------------------
 
@@ -524,11 +527,11 @@ class CanonicalExpr:
         return result
 
     def __truediv__(self, other) -> "CanonicalExpr":
+        """Term by term: each coefficient over c and, for a unit c*exp(l(x)), l off each exponent."""
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
+            if not other:
                 raise UnitDivisionError("division by zero")
-            return self * (1 / q)
+            return CanonicalExpr._of({k: q / other for k, q in self._terms.items()})
         if not isinstance(other, CanonicalExpr):
             return NotImplemented
         unit = other.as_unit()
@@ -537,8 +540,8 @@ class CanonicalExpr:
                 "divisor must be a single term c*exp(l(x)) with nonzero rational c"
             )
         c, lin = unit
-        inverse = CanonicalExpr._of({(_EMPTY_MONO, -lin): 1 / c})
-        return self * inverse
+        shift = -lin
+        return CanonicalExpr._of({(m, l + shift): q / c for (m, l), q in self._terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -637,7 +640,7 @@ def _variable(kind: str, index: int) -> CanonicalExpr:
         raise SymExprError("variable indices start at 1")
     power = ((index, 1),)
     mono = Monomial(power, ()) if kind == "x" else Monomial((), power)
-    return CanonicalExpr({(mono, _ZERO_LIN): Fraction(1)})
+    return CanonicalExpr._of({(mono, _ZERO_LIN): _FRACTION_ONE})
 
 
 def xvar(index: int) -> CanonicalExpr:
@@ -762,99 +765,69 @@ def evaluate(
 # length of the text.  Each bound fails as a ParseError at its token.
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT NAME OP LPAREN RPAREN END
-    text: str
-    line: int
-    col: int
+# One pattern splits the source into tokens: an INT of ASCII digits, a NAME
+# (a letter, then letters, digits and '_'), or any other single character,
+# each after optional whitespace.  `\s` and `\w` match exactly what
+# str.isspace and str.isalnum (or '_') accept; the NAME class also admits the
+# non-decimal digits and numerals that are not letters (², Ⅻ), which the
+# tokenizer then refuses as characters.  A token is its text; where it starts
+# is found again only for a ParseError, whose column counts code points from
+# the last '\n'.
+_TOKEN = re.compile(r"\s*([0-9]+|[^\W\d_]\w*|\S)")
+_OPERATORS = frozenset("+-*/^()")
+_ADDITIVE = ("+", "-")
+_MULTIPLICATIVE = ("*", "/")
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _tokenize(source: str) -> list[str]:
+    """The tokens of `source`, then "" for its end; the first bad token raises."""
+    tokens = _TOKEN.findall(source)
+    for k, text in enumerate(tokens):
+        if text[0].isalpha() or text in _OPERATORS:
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < len(source) and source[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, start_col)
-            tokens.append(_Token("INT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, line, start_col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, start_col)
-        col += 1
-        i += 1
-    tokens.append(_Token("END", "", line, col))
+        if text[0] not in _DIGITS:
+            raise ParseError(f"unexpected character {text[0]!r}", *_position(source, k))
+        if len(text) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", *_position(source, k))
+    tokens.append("")
     return tokens
+
+
+def _position(source: str, k: int) -> tuple[int, int]:
+    """Line and column of token `k` of `source`, its end if there are only k tokens."""
+    offset = [*(m.start(1) for m in _TOKEN.finditer(source)), len(source)][k]
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, at: int | None = None):
+        raise ParseError(message, *_position(self.source, self.pos if at is None else at))
 
     def parse(self) -> CanonicalExpr:
         value = self.expr()
-        if self.peek().kind != "END":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.tokens[self.pos]:
+            self.fail(f"unexpected trailing input {self.tokens[self.pos]!r}")
         return value
 
     def expr(self) -> CanonicalExpr:
-        start = self.peek()
+        start = self.pos
         value = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
+        while (op := self.tokens[self.pos]) in _ADDITIVE:
+            self.pos += 1
             rhs = self.term()
             value = value - rhs if op == "-" else value + rhs
         return self.bounded(value, start)
 
     def term(self) -> CanonicalExpr:
         value = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
+        while (op := self.tokens[self.pos]) in _MULTIPLICATIVE:
+            self.pos += 1
             rhs = self.unary()
             value = value * rhs if op == "*" else value / rhs
         return value
@@ -863,8 +836,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels")
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             value = -self.unary()
         else:
             value = self.power()
@@ -873,77 +846,78 @@ class _Parser:
 
     def power(self) -> CanonicalExpr:
         value = self.atom()
-        while self.peek().kind == "OP" and self.peek().text == "^":
-            caret = self.advance()
+        tokens = self.tokens
+        while tokens[self.pos] == "^":
+            caret = self.pos
+            self.pos += 1
             sign = 1
-            if self.peek().kind == "OP" and self.peek().text == "-":
-                self.advance()
+            if tokens[self.pos] == "-":
+                self.pos += 1
                 sign = -1
-            tok = self.peek()
-            if tok.kind != "INT":
-                self.fail("power exponents must be integer literals", tok)
-            if int(tok.text) > MAX_EXPONENT:
-                self.fail(f"power exponent above {MAX_EXPONENT}", tok)
-            self.advance()
+            text = tokens[self.pos]
+            if not text[:1].isdigit():
+                self.fail("power exponents must be integer literals")
+            if int(text) > MAX_EXPONENT:
+                self.fail(f"power exponent above {MAX_EXPONENT}")
+            self.pos += 1
             try:
-                value = value ** (sign * int(tok.text))
+                value = value ** (sign * int(text))
             except TermBoundError as exc:
-                raise ParseError(str(exc), caret.line, caret.col) from None
+                raise ParseError(str(exc), *_position(self.source, caret)) from None
             value = self.bounded(value, caret)
         return value
 
-    def bounded(self, value: CanonicalExpr, tok: _Token) -> CanonicalExpr:
+    def bounded(self, value: CanonicalExpr, at: int) -> CanonicalExpr:
         """`value`, unless a coefficient or exp() coefficient has too many digits."""
         for (_mono, lin), q in value.items():
             for c in (q, *(c for _i, c in lin.coeffs)):
                 if abs(c.numerator) >= _COEFFICIENT_LIMIT or c.denominator >= _COEFFICIENT_LIMIT:
-                    self.fail(f"coefficient longer than {MAX_COEFFICIENT_DIGITS} digits", tok)
+                    self.fail(f"coefficient longer than {MAX_COEFFICIENT_DIGITS} digits", at)
         return value
 
+    def closing(self) -> None:
+        if self.tokens[self.pos] != ")":
+            self.fail("expected ')'")
+        self.pos += 1
+
     def atom(self) -> CanonicalExpr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return CanonicalExpr.const(int(tok.text))
-        if tok.kind == "LPAREN":
-            self.advance()
+        text = self.tokens[self.pos]
+        self.pos += 1
+        if text[:1].isdigit():
+            return CanonicalExpr.const(int(text))
+        if text == "(":
             value = self.expr()
-            if self.peek().kind != "RPAREN":
-                self.fail("expected ')'")
-            self.advance()
+            self.closing()
             return value
-        if tok.kind == "NAME":
-            self.advance()
-            if tok.text == "exp":
-                if self.peek().kind != "LPAREN":
-                    self.fail("exp must be followed by '('")
-                self.advance()
-                arg = self.expr()
-                if self.peek().kind != "RPAREN":
-                    self.fail("expected ')'")
-                self.advance()
-                return CanonicalExpr.exponential(_linform_of(arg))
+        if text == "exp":
+            if self.tokens[self.pos] != "(":
+                self.fail("exp must be followed by '('")
+            self.pos += 1
+            arg = self.expr()
+            self.closing()
+            return CanonicalExpr.exponential(_linform_of(arg))
+        if text[:1].isalpha():
             try:
-                return _variable(*_var_key(tok.text))
+                return _variable(*_var_key(text))
             except SymExprError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok)
+                raise ParseError(str(exc), *_position(self.source, self.pos - 1)) from None
+        self.fail(f"unexpected token {text!r}" if text else "unexpected end of input", self.pos - 1)
 
 
 def _linform_of(expr: CanonicalExpr) -> LinForm:
-    coeffs: dict[int, Fraction] = {}
+    """The linear form of an exp() argument; its terms are distinct x_i, so each i appears once."""
+    coeffs = []
     for (mono, lin), c in expr.items():
         if not lin.is_zero():
             raise ExpArgumentError("exp argument must not contain exponential factors")
         if mono.y:
             raise ExpArgumentError("exp argument must not depend on fiber variables")
-        if mono.is_empty():
+        if not mono.x:
             raise ExpArgumentError("exp argument must have no constant part")
-        if mono.total_degree != 1:
+        if len(mono.x) != 1 or mono.x[0][1] != 1:  # exponents are at least 1
             raise ExpArgumentError("exp argument must be linear in the base variables")
-        (i, _e), = mono.x
-        coeffs[i] = coeffs.get(i, Fraction(0)) + c
-    return LinForm.make(coeffs)
+        coeffs.append((mono.x[0][0], c))
+    return LinForm(tuple(sorted(coeffs)))
 
 
 def parse_expr(source: str) -> CanonicalExpr:

@@ -65,6 +65,38 @@ def test_parse_combination_accumulates_duplicates():
     assert cli.parse_combination("e1 + e2 - e1", ["e1", "e2"]) == {1: 1}
 
 
+_SECTION5_LABELS = [f"e{i}" for i in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each of the first three read as another combination of section5's labels
+        ("e1 0", "cannot parse combination 'e1 0' at position 3"),
+        ("1 2*e3", "cannot parse combination '1 2*e3' at position 0"),
+        ("e 1", "combination 'e 1' uses unknown generator 'e'"),
+        ("e1 2*e3", "cannot parse combination 'e1 2*e3' at position 3"),
+        # positions count the text as written, spaces included
+        ("e1 +   e2 + 3**e1", "cannot parse combination 'e1 +   e2 + 3**e1' at position 12"),
+        ("e1 + e2/0", "combination 'e1 + e2/0' divides by zero at position 5"),
+        # every term after the first starts with its sign
+        ("e1/2e2", "cannot parse combination 'e1/2e2' at position 4"),
+    ],
+)
+def test_parse_combination_keeps_spaces_out_of_numbers_and_names(text, message):
+    with pytest.raises(cli.InputError) as info:
+        cli.parse_combination(text, _SECTION5_LABELS)
+    assert str(info.value) == message
+
+
+def test_parse_combination_reads_spaces_between_tokens():
+    labels = _SECTION5_LABELS
+    assert cli.parse_combination(" 3 / 2 * e2 - e6 / 2 ", labels) == {1: Fraction(3, 2), 5: Fraction(-1, 2)}
+    assert cli.parse_combination("- e1", labels) == {0: -1}
+    assert cli.parse_combination("  0 ", labels) == {}
+    assert cli.parse_combination("e12", labels) == {11: 1}
+
+
 def test_render_combination_zero():
     assert cli.render_combination({}, ["e1"]) == "0"
 
@@ -118,6 +150,29 @@ def test_load_problem_parses_each_distinct_table_text_once_per_set(tmp_path, mon
     path.write_text(json.dumps(_small_problem(expected_tables={"s": [["0", "e3"], ["e3", "0"]]})))
     with pytest.raises(cli.InputError, match=r"^expected table for 's' cell \(1,2\): "):
         cli.load_problem(path)
+
+
+@pytest.mark.parametrize(
+    "stem, expressions, combinations",
+    [("example1", 12, 21), ("example2", 9, 13), ("section5", 17, 38)],
+)
+def test_load_problem_work_counts(monkeypatch, stem, expressions, combinations):
+    """One `parse_expr` per distinct cell text of the file, one
+    `parse_combination` per distinct cell text of each expected table.  A
+    change that parses a text again raises a count and fails here."""
+    counts = {"expr": 0, "combination": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_expr", counted("expr", cli.parse_expr))
+    monkeypatch.setattr(cli, "parse_combination", counted("combination", cli.parse_combination))
+    cli.load_problem(PROBLEMS / f"{stem}.json")
+    assert counts == {"expr": expressions, "combination": combinations}
 
 
 def test_load_problem_flat_diagonal_entry_list(tmp_path):
@@ -870,17 +925,17 @@ def test_oracle_malformed_table_cell_exits_one_naming_the_cell(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ("analyze",),
-        ("table", "--set", "s"),
-        ("solve", "--dict", "s", "--isometry"),
-        ("oracle", "--check", "diff-vs-fd E"),
-        ("oracle", "--check", "table-cell e1 e1"),
-    ],
-    ids=" ".join,
-)
+# one run of each subcommand on `_small_problem`'s set s
+_SUBCOMMANDS = [
+    ("analyze",),
+    ("table", "--set", "s"),
+    ("solve", "--dict", "s", "--isometry"),
+    ("oracle", "--check", "diff-vs-fd E"),
+    ("oracle", "--check", "table-cell e1 e1"),
+]
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
 def test_malformed_table_cell_exits_one_under_every_subcommand(tmp_path, capsys, command):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_small_problem(expected_tables={"s": [["zz", "e1"], ["-e1", "0"]]})))
@@ -891,6 +946,17 @@ def test_malformed_table_cell_exits_one_under_every_subcommand(tmp_path, capsys,
         "error: expected table for 's' cell (1,1): "
         "combination 'zz' uses unknown generator 'zz'\n"
     )
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
+def test_space_inside_a_table_cell_name_exits_one_under_every_subcommand(tmp_path, capsys, command):
+    # "e 1" once read as e1, the cell's right value
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(_small_problem(expected_tables={"s": [["0", "e 1"], ["-e1", "0"]]})))
+    assert cli.main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: expected table for 's' cell (1,2): combination 'e 1' uses unknown generator 'e'\n"
 
 
 _JSON_VALUES = st.recursive(
