@@ -2,7 +2,8 @@
 
 A character loop builds one `_Token` per token, each with its line and
 column, and the recursive-descent parser builds every value through the ring's
-public, normalizing constructors.  `tests/test_symexpr_differential.py`
+public, normalizing constructors; it divides as the ring then did, by a
+product with the divisor's inverse.  `tests/test_symexpr_differential.py`
 requires `symexpr.parse_expr` to give the same term map, or the same exception
 with the same message, line and column, on every text it draws.
 """
@@ -27,6 +28,7 @@ from spraylie.symexpr import (
     ParseError,
     SymExprError,
     TermBoundError,
+    UnitDivisionError,
     _var_key,
 )
 
@@ -37,6 +39,15 @@ def _variable(kind: str, index: int) -> CanonicalExpr:
     power = ((index, 1),)
     mono = Monomial(power, ()) if kind == "x" else Monomial((), power)
     return CanonicalExpr({(mono, _ZERO_LIN): Fraction(1)})
+
+
+def _divide(value: CanonicalExpr, divisor: CanonicalExpr) -> CanonicalExpr:
+    """`value` times the inverse of the unit `divisor`, c*exp(l(x)) with c nonzero."""
+    unit = divisor.as_unit()
+    if unit is None or not unit[0]:
+        raise UnitDivisionError("divisor must be a single term c*exp(l(x)) with nonzero rational c")
+    c, lin = unit
+    return value * CanonicalExpr({(_EMPTY_MONO, -lin): 1 / c})
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,7 @@ class _Parser:
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
+            value = value * rhs if op == "*" else _divide(value, rhs)
         return value
 
     def unary(self) -> CanonicalExpr:
