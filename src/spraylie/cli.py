@@ -24,7 +24,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -51,6 +50,7 @@ from .symexpr import (
     MAX_INDEX,
     CanonicalExpr,
     DegreeBoundError,
+    Record,
     SymExprError,
     evaluate,
     parse_expr,
@@ -80,18 +80,35 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Problem:
-    name: str
-    dim: int
-    coordinates: tuple[str, ...]
-    metric: geom.MetricSpec
-    fields: dict[str, BaseField]
-    sets: dict[str, tuple[str, ...]]
-    expected_tables: dict[str, list[list[str]]]
-    expected_coeffs: dict[str, list[list[SparseRow]]]
-    accepted_corrections: dict[str, set[tuple[str, str]]]
-    analyses: tuple[str, ...]
+class Problem(Record):
+    _fields = (
+        "name", "dim", "coordinates", "metric", "fields", "sets",
+        "expected_tables", "expected_coeffs", "accepted_corrections", "analyses",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        coordinates: tuple[str, ...],
+        metric: geom.MetricSpec,
+        fields: dict[str, BaseField],
+        sets: dict[str, tuple[str, ...]],
+        expected_tables: dict[str, list[list[str]]],
+        expected_coeffs: dict[str, list[list[SparseRow]]],
+        accepted_corrections: dict[str, set[tuple[str, str]]],
+        analyses: tuple[str, ...],
+    ):
+        self.name = name
+        self.dim = dim
+        self.coordinates = coordinates
+        self.metric = metric
+        self.fields = fields
+        self.sets = sets
+        self.expected_tables = expected_tables
+        self.expected_coeffs = expected_coeffs
+        self.accepted_corrections = accepted_corrections
+        self.analyses = analyses
 
 
 def _reject_duplicate_keys(pairs):
@@ -388,7 +405,8 @@ def _max_dev(a_exprs, b_exprs, points) -> float:
     n = len(a_exprs)
     for row in evaluate([*a_exprs, *b_exprs], points):
         for va, vb in zip(row[:n], row[n:]):
-            worst = max(worst, _rel_dev(va, vb))
+            if va != vb:  # `evaluate` gives no inf or nan, so equal values deviate by 0.0
+                worst = max(worst, _rel_dev(va, vb))
     return worst
 
 

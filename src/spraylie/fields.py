@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import SparseRow, kernel_basis, rank
-from .symexpr import ZERO, CanonicalExpr, specialize, yvar
+from .symexpr import ZERO, CanonicalExpr, Record, specialize, yvar
 
 __all__ = [
     "BaseField",
@@ -128,8 +127,10 @@ def _bracket(
     )
 
 
-class _Components:
+class _Components(Record):
     """Componentwise arithmetic of base and tangent-bundle fields, in the caller's own class."""
+
+    _fields = ("components",)
 
     @classmethod
     def make(cls, components: Iterable[CanonicalExpr]):
@@ -163,14 +164,12 @@ class _Components:
         return type(self)(tuple(c * q if c else c for c in self.components))
 
 
-@dataclass(frozen=True)
 class BaseField(_Components):
     """Vector field on the base manifold; components may not touch y."""
 
-    components: tuple[CanonicalExpr, ...]
-
-    def __post_init__(self):
-        for c in self.components:
+    def __init__(self, components: tuple[CanonicalExpr, ...]):
+        self.components = components
+        for c in components:
             if c.uses_y():
                 raise ValueError("base vector fields cannot depend on fiber variables")
 
@@ -196,14 +195,12 @@ class BaseField(_Components):
         return complete_lift(self)
 
 
-@dataclass(frozen=True)
 class TMField(_Components):
     """Vector field on the tangent bundle, 2n components."""
 
-    components: tuple[CanonicalExpr, ...]
-
-    def __post_init__(self):
-        if len(self.components) % 2:
+    def __init__(self, components: tuple[CanonicalExpr, ...]):
+        self.components = components
+        if len(components) % 2:
             raise ValueError("tangent-bundle fields need an even number of components")
 
     @staticmethod
@@ -273,15 +270,15 @@ def _partial(field: TMField, slot: int) -> TMField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorOneForm:
+class VectorOneForm(Record):
     """Endomorphism field; matrix[b][a] = frame-b coefficient of the image of frame a."""
 
-    matrix: tuple[tuple[CanonicalExpr, ...], ...]
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        size = len(self.matrix)
-        if size % 2 or any(len(row) != size for row in self.matrix):
+    def __init__(self, matrix: tuple[tuple[CanonicalExpr, ...], ...]):
+        self.matrix = matrix
+        size = len(matrix)
+        if size % 2 or any(len(row) != size for row in matrix):
             raise ValueError("endomorphism matrix must be square of even size")
 
     @staticmethod
@@ -375,8 +372,7 @@ def lie_derivative_oneform(field: TMField, form: VectorOneForm) -> VectorOneForm
     return _from_columns([column(a) for a in range(len(form.matrix))])
 
 
-@dataclass(frozen=True)
-class VectorTwoForm:
+class VectorTwoForm(Record):
     """Antisymmetric table of tangent-bundle fields indexed by frame pairs.
 
     Only the pairs a < b are stored: upper[a][b - a - 1] is the value on
@@ -384,7 +380,10 @@ class VectorTwoForm:
     the diagonal and zero on it.
     """
 
-    upper: tuple[tuple[TMField, ...], ...]
+    _fields = ("upper",)
+
+    def __init__(self, upper: tuple[tuple[TMField, ...], ...]):
+        self.upper = upper
 
     def entry(self, a: int, b: int) -> TMField:
         if a < b:
@@ -459,12 +458,16 @@ def fn_bracket(form: VectorOneForm) -> VectorTwoForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    predicate: str
-    ok: bool
-    residual: CanonicalExpr | None = None
-    location: str = ""
+class MembershipVerdict(Record):
+    _fields = ("predicate", "ok", "residual", "location")
+
+    def __init__(
+        self, predicate: str, ok: bool, residual: CanonicalExpr | None = None, location: str = ""
+    ):
+        self.predicate = predicate
+        self.ok = ok
+        self.residual = residual
+        self.location = location
 
     def __bool__(self) -> bool:
         return self.ok

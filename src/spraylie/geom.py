@@ -25,7 +25,6 @@ table the connection takes once (`ConnectionData.x_partials`):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import (
@@ -38,7 +37,7 @@ from .fields import (
     lie_derivative_oneform,
     spray_field,
 )
-from .symexpr import ZERO, CanonicalExpr, SymExprError, yvar
+from .symexpr import ZERO, CanonicalExpr, Record, SymExprError, yvar
 
 __all__ = [
     "GeometryError",
@@ -76,17 +75,23 @@ class InvariantViolation(GeometryError):
     """An internal structural identity failed; this is a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Record):
     """Symmetric metric with exact entries depending on base variables only."""
 
-    dim: int
-    g: tuple[tuple[CanonicalExpr, ...], ...]
-    kind: str = "general"
-    g_inv: tuple[tuple[CanonicalExpr, ...], ...] | None = None
+    _fields = ("dim", "g", "kind", "g_inv")
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(
+        self,
+        dim: int,
+        g: tuple[tuple[CanonicalExpr, ...], ...],
+        kind: str = "general",
+        g_inv: tuple[tuple[CanonicalExpr, ...], ...] | None = None,
+    ):
+        self.dim = dim
+        self.g = g
+        self.kind = kind
+        self.g_inv = g_inv
+        n = dim
         if n < 1:
             raise MetricError("dimension must be at least 1")
         if self.kind not in ("diagonal", "general"):
@@ -154,14 +159,14 @@ def diagonal_metric(entries) -> MetricSpec:
     return MetricSpec(dim=n, g=g, kind="diagonal")
 
 
-@dataclass(frozen=True)
-class SprayData:
+class SprayData(Record):
     """Spray coefficients; each G^k must be y-homogeneous of degree two."""
 
-    G: tuple[CanonicalExpr, ...]
+    _fields = ("G",)
 
-    def __post_init__(self):
-        for k, coeff in enumerate(self.G):
+    def __init__(self, G: tuple[CanonicalExpr, ...]):
+        self.G = G
+        for k, coeff in enumerate(G):
             if not coeff.is_y_homogeneous(2):
                 raise GeometryError(f"spray coefficient {k + 1} is not quadratic in y")
 
@@ -195,18 +200,15 @@ def _y_coefficients(expr: CanonicalExpr, what: str) -> dict[int, CanonicalExpr]:
     return {l - 1: parts[l] for l in sorted(parts)}
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(Record):
     """The y-linear Gamma^j_i; `gamma2` is the index of their y-coefficients, built here."""
 
-    gamma1: tuple[tuple[CanonicalExpr, ...], ...]
-    gamma2: dict[tuple[int, int], dict[int, CanonicalExpr]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("gamma1",)  # gamma2 follows from gamma1
 
-    def __post_init__(self):
-        gamma2 = {}
-        for j, row in enumerate(self.gamma1):
+    def __init__(self, gamma1: tuple[tuple[CanonicalExpr, ...], ...]):
+        self.gamma1 = gamma1
+        gamma2: dict[tuple[int, int], dict[int, CanonicalExpr]] = {}
+        for j, row in enumerate(gamma1):
             for i, entry in enumerate(row):
                 if entry:
                     gamma2[(j, i)] = _y_coefficients(entry, "connection coefficients")
@@ -215,7 +217,7 @@ class ConnectionData:
             for l, coeff in coeffs.items():
                 if gamma2.get((j, l), {}).get(i) != coeff:
                     raise InvariantViolation("second connection coefficients must be symmetric")
-        object.__setattr__(self, "gamma2", gamma2)
+        self.gamma2 = gamma2
 
     @property
     def dim(self) -> int:
@@ -232,19 +234,16 @@ class ConnectionData:
         )
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(Record):
     """The y-linear R^k_ij; `R2` is the index of their y-coefficients, built here."""
 
-    R1: tuple[tuple[tuple[CanonicalExpr, ...], ...], ...]
-    R2: dict[tuple[int, int, int], dict[int, CanonicalExpr]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("R1",)  # R2 follows from R1
 
-    def __post_init__(self):
-        n = len(self.R1)
-        R2 = {}
-        for k, plane in enumerate(self.R1):
+    def __init__(self, R1: tuple[tuple[tuple[CanonicalExpr, ...], ...], ...]):
+        self.R1 = R1
+        n = len(R1)
+        R2: dict[tuple[int, int, int], dict[int, CanonicalExpr]] = {}
+        for k, plane in enumerate(R1):
             for i in range(n):
                 if plane[i][i]:
                     raise InvariantViolation("curvature is not antisymmetric in its lower pair")
@@ -253,7 +252,7 @@ class CurvatureData:
                         raise InvariantViolation("curvature is not antisymmetric in its lower pair")
                     if plane[i][j]:
                         R2[(k, i, j)] = _y_coefficients(plane[i][j], "curvature")
-        object.__setattr__(self, "R2", R2)
+        self.R2 = R2
 
     @property
     def dim(self) -> int:

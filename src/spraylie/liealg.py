@@ -48,14 +48,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg, symexpr
 from .fields import BaseField, bracket_base
 from .linalg import SparseRow, Vec
-from .symexpr import CanonicalExpr
+from .symexpr import CanonicalExpr, Record
 
 __all__ = [
     "LieAlgebraError",
@@ -103,8 +102,7 @@ class DependentGeneratorsError(LieAlgebraError):
     """The supplied generators are linearly dependent over the rationals."""
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n held as its reduced row echelon basis.
 
     `rows` holds the basis's nonzero rows as sparse rows keyed by leading
@@ -112,8 +110,11 @@ class Subspace:
     them.
     """
 
-    ambient_dim: int
-    rows: dict[int, SparseRow]
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: dict[int, SparseRow]):
+        self.ambient_dim = ambient_dim
+        self.rows = rows
 
     @staticmethod
     def from_vectors(vectors: Iterable[Sequence | SparseRow], ambient_dim: int) -> "Subspace":
@@ -780,10 +781,12 @@ def is_simple(sc: StructureConstants) -> bool | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
-    dimension: int
-    inner_dimension: int
+class DerivationSpace(Record):
+    _fields = ("dimension", "inner_dimension")
+
+    def __init__(self, dimension: int, inner_dimension: int):
+        self.dimension = dimension
+        self.inner_dimension = inner_dimension
 
     @property
     def outer_dimension(self) -> int:
@@ -996,10 +999,12 @@ def _levi_vectors(sc: StructureConstants, series: Sequence[Subspace]) -> list[Sp
     return ys
 
 
-@dataclass(frozen=True)
-class LeviResult:
-    radical: Subspace
-    levi: Subspace
+class LeviResult(Record):
+    _fields = ("radical", "levi")
+
+    def __init__(self, radical: Subspace, levi: Subspace):
+        self.radical = radical
+        self.levi = levi
 
 
 def levi_decomposition(sc: StructureConstants) -> LeviResult:

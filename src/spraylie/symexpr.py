@@ -14,6 +14,11 @@ Division is only defined by units, i.e. single terms c * exp(l(x)) with no
 monomial part.  exp() only accepts arguments that reduce to a pure
 linear form in x with no constant part (exp of a nonzero rational constant
 would leave the ring).
+
+Term keys (`Monomial`, `LinForm`) and the pipeline's records are plain
+classes, not generated ones.  A record compares, hashes and prints by the
+fields its class names (`Record`).  Like `CanonicalExpr`, every one of them
+is immutable by convention: no field is written after `__init__`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +33,7 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
+    "Record",
     "LinForm",
     "Monomial",
     "CanonicalExpr",
@@ -122,19 +127,55 @@ _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
-@dataclass(frozen=True, slots=True)
-class LinForm:
+class Record:
+    """Value semantics for a plain record class.
+
+    Equality, hash and repr read the attributes that the class names in
+    `_fields`, in order, as a generated dataclass would: a value compares
+    equal only to one of its own class with equal fields, and hashes like
+    the tuple of its fields.  A field left out of `_fields` (an index built
+    from the others, a cached hash) takes part in none of them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LinForm(Record):
     """Rational linear form sum_i q_i * x_i.  No constant part, no zero entries.
 
     The hash is computed once, when the form is built: it is the hash of
     `(coeffs,)`, and hashing it again would hash every `Fraction` again.
+    Equality is written out rather than read through `_fields`, since every
+    probe of a term map may call it.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]  # sorted by variable index
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("coeffs", "_hash")
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.coeffs,)))
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...]):
+        self.coeffs = coeffs  # sorted by variable index
+        self._hash = hash((coeffs,))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LinForm:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return self._hash
@@ -215,19 +256,25 @@ def _exp_tuple_mul(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...
     return tuple(sorted((i, e) for i, e in acc.items() if e))
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Record):
     """Exponent data x^a * y^b; entries sorted by index, exponents >= 1.
 
-    The hash, that of `(x, y)`, is computed once, when the monomial is built.
+    The hash, that of `(x, y)`, is computed once, when the monomial is built,
+    and equality is written out, as for `LinForm`.
     """
 
-    x: tuple[tuple[int, int], ...]
-    y: tuple[tuple[int, int], ...]
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("x", "y", "_hash")
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.x, self.y)))
+    def __init__(self, x: tuple[tuple[int, int], ...], y: tuple[tuple[int, int], ...]):
+        self.x = x
+        self.y = y
+        self._hash = hash((x, y))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
         return self._hash
@@ -763,6 +810,10 @@ def evaluate(
 # base is an atom, so it is always checked: no step raises an unchecked
 # coefficient, and the digits a product or sum builds grow only with the
 # length of the text.  Each bound fails as a ParseError at its token.
+# `unchecked` says whether the value a rule just returned holds a coefficient
+# no check has read: an INT, or the result of '+', '-', '*' or '/'.  Where an
+# expr ends, only such a value is walked; a value that a rule only wraps
+# (parentheses, unary '-', exp of a checked argument) passed its check already.
 
 
 # One pattern splits the source into tokens: an INT of ASCII digits, a NAME
@@ -805,6 +856,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
+        self.unchecked = False
 
     def fail(self, message: str, at: int | None = None):
         raise ParseError(message, *_position(self.source, self.pos if at is None else at))
@@ -822,7 +874,11 @@ class _Parser:
             self.pos += 1
             rhs = self.term()
             value = value - rhs if op == "-" else value + rhs
-        return self.bounded(value, start)
+            self.unchecked = True
+        if self.unchecked:
+            self.unchecked = False
+            return self.bounded(value, start)
+        return value
 
     def term(self) -> CanonicalExpr:
         value = self.unary()
@@ -830,6 +886,7 @@ class _Parser:
             self.pos += 1
             rhs = self.unary()
             value = value * rhs if op == "*" else value / rhs
+            self.unchecked = True
         return value
 
     def unary(self) -> CanonicalExpr:
@@ -865,6 +922,7 @@ class _Parser:
             except TermBoundError as exc:
                 raise ParseError(str(exc), *_position(self.source, caret)) from None
             value = self.bounded(value, caret)
+            self.unchecked = False
         return value
 
     def bounded(self, value: CanonicalExpr, at: int) -> CanonicalExpr:
@@ -884,6 +942,7 @@ class _Parser:
         text = self.tokens[self.pos]
         self.pos += 1
         if text[:1].isdigit():
+            self.unchecked = True
             return CanonicalExpr.const(int(text))
         if text == "(":
             value = self.expr()

@@ -689,6 +689,24 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up counted in modules: `dataclasses` alone pulls in `inspect`,
+    `ast`, `dis` and `tokenize`.  Without `site` (-S) the interpreter starts
+    with neither, so their absence after the import is the import's doing."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        "heavy = ('dataclasses', 'inspect')\n"
+        "before = [m for m in heavy if m in sys.modules]\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import spraylie.cli\n"
+        "print(before, [m for m in heavy if m in sys.modules], 'spraylie.cli' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [] True"
+
+
 def test_analyze_missing_file_exits_one():
     proc = run_cli("analyze", "/no/such/file.json")
     assert proc.returncode == 1

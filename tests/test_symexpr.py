@@ -169,6 +169,18 @@ def test_parse_errors_carry_position():
             "1 + " + "*".join(f"exp(x1/{10**98 + k})" for k in range(1, 6)), 1, 1,
             id="long exp coefficient from a product",
         ),
+        pytest.param("((" + "*".join(["9" * 99] * 2) + "))", 1, 3, id="long coefficient in nested parentheses"),
+        pytest.param("x1 + ((x2*" + "9" * 100 + "*10))", 1, 8, id="long literal in nested parentheses"),
+        pytest.param("2*(((" + "9" * 100 + ")))*5", 1, 1, id="long literal wrapped, then multiplied"),
+        pytest.param("-(-(" + "9" * 100 + "))^2", 1, 107, id="long literal wrapped, then raised"),
+        pytest.param("exp(((x1 - x2)/" + "9" * 100 + ")/10)", 1, 5, id="long exp coefficient in nested parentheses"),
+        pytest.param(
+            "(" + "*".join(f"exp(x1/{10**98 + k})" for k in range(1, 6)) + ")", 1, 2,
+            id="long exp coefficient from a product of checked factors",
+        ),
+        pytest.param(
+            f"(x1/{10**98 + 1}) - (x1/{10**98 + 3})", 1, 1, id="long coefficient from a sum of checked terms"
+        ),
     ],
 )
 def test_parse_bounds_fail_at_their_token(source, line, col):
